@@ -476,8 +476,27 @@ class SubstitutedModel:
 
     # -- forward ----------------------------------------------------------
 
+    def _check_batch(self, batch):
+        """Reject fields outside [0, n_fields) and non-finite values, naming the sample."""
+        n_fields = self.graph.n_fields
+        bad = np.flatnonzero((batch.fields < 0) | (batch.fields >= n_fields))
+        if bad.size:
+            i = bad[0]
+            raise DimensionError(
+                f"sample {int(batch.sample_ids[i])} has field {int(batch.fields[i])} "
+                f"outside [0, {n_fields})"
+            )
+        bad = np.flatnonzero(~np.isfinite(batch.values))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"sample {int(batch.sample_ids[i])} has non-finite value "
+                f"{float(batch.values[i])} in field {int(batch.fields[i])}"
+            )
+
     def forward(self, batch):
         """Forward pass over the full batch; every aggregation is one collective."""
+        self._check_batch(batch)
         graph = self.graph
         group = self.group
         group.set_phase(PHASE_FORWARD)

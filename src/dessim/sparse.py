@@ -58,13 +58,18 @@ def zeros_init(field_id, key, dim, dtype):
 
 
 class _Shard:
-    """One shard: an index from (field, key) to a row in growable arrays."""
+    """One shard: growable row arrays plus a sorted per-field key index.
+
+    ``_index`` maps a field id to (keys, rows): that field's keys in ascending
+    uint64 order and the row each one occupies, so a batch of lookups is one
+    ``searchsorted`` per field and a batch of inserts is one merge per field.
+    """
 
     def __init__(self, dim, slot_widths, dtype):
         self.dim = dim
         self.slot_widths = dict(slot_widths)
         self.dtype = np.dtype(dtype)
-        self.index = {}
+        self._index = {}
         self.n_rows = 0
         cap = 64
         self.fields = np.zeros(cap, dtype=np.int64)
@@ -88,32 +93,75 @@ class _Shard:
         self.weights = grown(self.weights)
         self.slots = {name: grown(arr) for name, arr in self.slots.items()}
 
+    def find(self, fields, keys):
+        """Row of each (field, key) pair, -1 where the pair has no entry."""
+        rows = np.full(len(fields), -1, dtype=np.int64)
+        for f in np.unique(fields):
+            entry = self._index.get(int(f))
+            if entry is None:
+                continue
+            index_keys, index_rows = entry
+            sel = np.flatnonzero(fields == f)
+            want = keys[sel]
+            pos = np.minimum(np.searchsorted(index_keys, want), len(index_keys) - 1)
+            hit = index_keys[pos] == want
+            rows[sel[hit]] = index_rows[pos[hit]]
+        return rows
+
+    def append(self, fields, keys, weights, slots=None):
+        """Add entries for new, distinct (field, key) pairs; returns their rows."""
+        start = self.n_rows
+        rows = np.arange(start, start + len(fields), dtype=np.int64)
+        self._grow(start + len(fields))
+        self.fields[rows] = fields
+        self.keys[rows] = keys
+        self.weights[rows] = weights
+        for name, arr in (slots or {}).items():
+            self.slots[name][rows] = arr
+        self.n_rows += len(fields)
+        for f in np.unique(fields):
+            sel = fields == f
+            new_keys = keys[sel]
+            new_rows = rows[sel]
+            order = np.argsort(new_keys, kind="stable")
+            new_keys, new_rows = new_keys[order], new_rows[order]
+            entry = self._index.get(int(f))
+            if entry is not None:
+                pos = np.searchsorted(entry[0], new_keys)
+                new_keys = np.insert(entry[0], pos, new_keys)
+                new_rows = np.insert(entry[1], pos, new_rows)
+            self._index[int(f)] = (new_keys, new_rows)
+        return rows
+
     def ensure_rows(self, fields, keys, init):
-        rows = np.empty(len(fields), dtype=np.int64)
-        for i, (f, k) in enumerate(zip(fields, keys)):
-            fk = (int(f), int(k))
-            row = self.index.get(fk)
-            if row is None:
-                row = self.n_rows
-                self._grow(row + 1)
-                self.index[fk] = row
-                self.fields[row] = fk[0]
-                self.keys[row] = fk[1]
-                self.weights[row] = init(fk[0], fk[1], self.dim, self.dtype)
-                self.n_rows += 1
-            rows[i] = row
+        """Rows for (fields, keys), inserting missing pairs with ``init``.
+
+        New weights are all computed before any is committed, so an ``init``
+        that raises leaves the shard unchanged.
+        """
+        fields = np.asarray(fields, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        rows = self.find(fields, keys)
+        miss = rows < 0
+        if miss.any():
+            new_f, new_k, inverse = unique_with_inverse(fields[miss], keys[miss])
+            weights = np.empty((len(new_f), self.dim), dtype=self.dtype)
+            for i, (f, k) in enumerate(zip(new_f.tolist(), new_k.tolist())):
+                weights[i] = init(f, k, self.dim, self.dtype)
+            rows[miss] = self.append(new_f, new_k, weights)[inverse]
         return rows
 
     def rows_of(self, fields, keys):
-        rows = np.empty(len(fields), dtype=np.int64)
-        for i, (f, k) in enumerate(zip(fields, keys)):
-            row = self.index.get((int(f), int(k)))
-            if row is None:
-                raise ConsistencyError(
-                    f"update addressed entry (field={int(f)}, key={int(k)}) that was "
-                    "never created by a lookup"
-                )
-            rows[i] = row
+        fields = np.asarray(fields, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        rows = self.find(fields, keys)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            i = missing[0]
+            raise ConsistencyError(
+                f"update addressed entry (field={int(fields[i])}, key={int(keys[i])}) that was "
+                "never created by a lookup"
+            )
         return rows
 
 
@@ -168,14 +216,14 @@ class ShardedWeightTable:
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
         rows = shard.ensure_rows(fields, keys, self._init)
-        return shard.weights[rows].copy()
+        return shard.weights[rows]
 
     def slot_values(self, shard_idx, fields, keys):
         """Optimizer slot arrays for existing entries, as copies."""
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
         rows = shard.rows_of(fields, keys)
-        return {name: arr[rows].copy() for name, arr in shard.slots.items()}
+        return {name: arr[rows] for name, arr in shard.slots.items()}
 
     def apply_update(self, shard_idx, fields, keys, weights, slots):
         self._check_placement(shard_idx, fields)
@@ -218,8 +266,10 @@ class ShardedWeightTable:
         """Plain dict snapshot {(field, key): weight copy} across all shards."""
         out = {}
         for shard in self._shards:
-            for (f, k), row in shard.index.items():
-                out[(f, k)] = shard.weights[row].copy()
+            n = shard.n_rows
+            for f, k, w in zip(shard.fields[:n].tolist(), shard.keys[:n].tolist(),
+                               shard.weights[:n]):
+                out[(f, k)] = w.copy()
         return out
 
     def save(self, directory):
@@ -302,28 +352,25 @@ class ShardedWeightTable:
             for nm in slot_names:
                 rec_dtype.append((f"s_{nm}", fcode, (slot_widths[nm],)))
             recs = np.frombuffer(raw[off:], dtype=rec_dtype, count=n_rows)
-            shard = table._shards[idx]
-            shard._grow(n_rows)
-            for row in range(n_rows):
-                f = int(recs["field"][row])
-                k = int(recs["key"][row])
-                shard.index[(f, k)] = row
-                shard.fields[row] = f
-                shard.keys[row] = k
-                shard.weights[row] = recs["w"][row]
-                for nm in slot_names:
-                    shard.slots[nm][row] = recs[f"s_{nm}"][row]
-            shard.n_rows = n_rows
+            table._shards[idx].append(
+                recs["field"].astype(np.int64), recs["key"].astype(np.uint64), recs["w"],
+                {nm: recs[f"s_{nm}"] for nm in slot_names},
+            )
         return table
 
 
 def unique_with_inverse(fields, keys):
     """Sorted unique (field, key) pairs plus the inverse index for each input."""
-    pairs = np.empty(len(fields), dtype=[("f", np.int64), ("k", np.uint64)])
-    pairs["f"] = fields
-    pairs["k"] = keys
-    uniq, inverse = np.unique(pairs, return_inverse=True)
-    return uniq["f"].copy(), uniq["k"].copy(), inverse
+    fields = np.asarray(fields, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    order = np.lexsort((keys, fields))
+    f = fields[order]
+    k = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (f[1:] != f[:-1]) | (k[1:] != k[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return f[first], k[first], inverse
 
 
 def unique_keys(batch, shard_idx, n_shards):

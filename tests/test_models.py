@@ -252,6 +252,39 @@ class TestEngineForward:
             assert count == graph.aggregation_count(), kind
 
 
+class TestBatchValidation:
+    """Bad input fails at engine entry with a typed error naming the sample."""
+
+    @pytest.mark.parametrize("kind", ["lr", "deepfm"])
+    def test_field_past_last_rejected(self, kind):
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=3), WorkerGroup(2))
+        batch = SparseBatch.from_samples([1.0, 0.0], [[(0, 1, 1.0)], [(2, 4, 1.0), (3, 5, 1.0)]])
+        with pytest.raises(DimensionError, match=r"sample 1 has field 3 outside \[0, 3\)"):
+            engine.forward(batch)
+
+    def test_negative_field_rejected(self):
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=3), WorkerGroup(2))
+        batch = SparseBatch.from_samples([1.0, 0.0, 1.0], [[], [], [(-1, 7, 1.0)]])
+        with pytest.raises(DimensionError, match="sample 2 has field -1"):
+            engine.forward(batch)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, bad):
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=2), WorkerGroup(2))
+        batch = SparseBatch.from_samples([1.0, 0.0], [[(0, 1, 1.0)], [(1, 2, bad)]])
+        with pytest.raises(ValueError, match="sample 1 has non-finite value") as err:
+            engine.forward(batch)
+        assert not isinstance(err.value, DimensionError)
+
+    def test_rejected_batch_leaves_no_trace(self):
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=2), WorkerGroup(2))
+        batch = SparseBatch.from_samples([1.0], [[(0, 1, 1.0), (1, 2, np.inf)]])
+        with pytest.raises(ValueError):
+            engine.forward(batch)
+        assert engine.linear_table.n_entries() == 0
+        assert engine.group.ledger.total_bytes() == 0
+
+
 class TestEngineBackwardAndUpdate:
     def test_backward_moves_no_bytes(self):
         rng = np.random.default_rng(38)

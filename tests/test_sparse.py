@@ -117,6 +117,69 @@ class TestLookup:
             table.lookup(2, [0], [0])
 
 
+class TestIndex:
+    """The sorted per-field index against a plain dict shadow."""
+
+    def test_lookup_and_rows_against_dict_shadow(self):
+        rng = np.random.default_rng(21)
+        init = seeded_uniform_init(5, scale=1.0)
+        table = ShardedWeightTable(3, 2, seed=5, init_scale=1.0, slot_widths={"acc": 2})
+        shadow = {}
+        # keys span the whole uint64 range, and every key recurs in many fields
+        pool = np.concatenate([
+            rng.integers(0, 2**63, 40, dtype=np.uint64) * np.uint64(2),
+            np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        ])
+        for _ in range(300):
+            shard = int(rng.integers(0, 3))
+            n = int(rng.integers(0, 30))
+            fields = rng.integers(0, 10, n) * 3 + shard
+            keys = pool[rng.integers(0, len(pool), n)]
+            got = table.lookup(shard, fields, keys)
+            for (f, k), row in zip(zip(fields.tolist(), keys.tolist()), got):
+                want = shadow.setdefault((f, k), init(f, k, 2, np.float32))
+                assert np.array_equal(row, want)
+            assert table.n_entries() == len(shadow)
+            if n and rng.random() < 0.5:
+                uf, uk, _ = unique_with_inverse(fields, keys)
+                new = rng.uniform(-1, 1, (len(uf), 2)).astype(np.float32)
+                rows = table.apply_update(shard, uf, uk, new, {"acc": new * 2})
+                assert len(set(rows.tolist())) == len(uf)
+                for f, k, w in zip(uf.tolist(), uk.tolist(), new):
+                    shadow[(f, k)] = w
+                assert np.array_equal(table.slot_values(shard, uf, uk)["acc"], new * 2)
+        got = table.weight_map()
+        assert got.keys() == shadow.keys()
+        for fk, want in shadow.items():
+            assert np.array_equal(got[fk], want)
+
+    def test_missing_entry_error_names_field_and_key(self):
+        table = make_table()
+        table.lookup(1, [1, 3], [7, 9])
+        with pytest.raises(ConsistencyError, match=r"field=3, key=99\)"):
+            table.slot_values(1, [1, 3, 3], [7, 9, 99])
+        with pytest.raises(ConsistencyError, match=r"field=5, key=7\)"):
+            table.slot_values(1, [5], [7])
+
+    def test_raising_initializer_leaves_table_unchanged(self):
+        def init(field_id, key, dim, dtype):
+            if key == 13:
+                raise RuntimeError("init failed")
+            return np.full(dim, key, dtype=dtype)
+
+        table = ShardedWeightTable(2, 2, init=init, slot_widths={"acc": 2})
+        table.lookup(0, [0, 2], [1, 2])
+        before = table.weight_map()
+        with pytest.raises(RuntimeError, match="init failed"):
+            table.lookup(0, [0, 2, 2], [1, 5, 13])
+        assert table.n_entries() == 2
+        assert table.weight_map().keys() == before.keys()
+        for fk in ((2, 5), (2, 13)):
+            with pytest.raises(ConsistencyError):
+                table.slot_values(0, [fk[0]], [fk[1]])
+        assert np.array_equal(table.lookup(0, [2, 0], [5, 1]), [[5, 5], [1, 1]])
+
+
 class TestApplyUpdate:
     def test_round_trip_bitwise(self):
         table = make_table(init="zeros")
@@ -221,6 +284,25 @@ class TestPersistence:
                 for name in want[3]:
                     assert np.array_equal(got[3][name], want[3][name])
 
+    def test_loaded_table_finds_every_saved_key(self, tmp_path):
+        rng = np.random.default_rng(16)
+        table = ShardedWeightTable(2, 3, seed=9, slot_widths={"z": 3})
+        self.populate(table, rng, n=200)
+        table.save(tmp_path)
+        loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=9)
+        n = loaded.n_entries()
+        for shard_idx in range(2):
+            saved = list(table.entries(shard_idx))
+            fields = [e[0] for e in saved]
+            keys = [e[1] for e in saved]
+            got = loaded.lookup(shard_idx, fields, keys)
+            assert np.array_equal(got, np.stack([e[2] for e in saved]))
+            assert np.array_equal(
+                loaded.slot_values(shard_idx, fields, keys)["z"],
+                np.stack([e[3]["z"] for e in saved]),
+            )
+        assert loaded.n_entries() == n
+
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(14)
         table = ShardedWeightTable(2, 2, seed=1, slot_widths={"acc": 2})
@@ -252,7 +334,29 @@ class TestPersistence:
             ShardedWeightTable.load(tmp_path, "table", 1)
 
 
+def unique_reference(fields, keys):
+    """np.unique over (field, key) records: the definition unique_with_inverse keeps."""
+    pairs = np.empty(len(fields), dtype=[("f", np.int64), ("k", np.uint64)])
+    pairs["f"] = fields
+    pairs["k"] = keys
+    uniq, inverse = np.unique(pairs, return_inverse=True)
+    return uniq["f"], uniq["k"], inverse
+
+
 class TestUniqueKeys:
+    def test_matches_structured_unique(self):
+        rng = np.random.default_rng(17)
+        for n in (0, 1, 2, 7, 300):
+            fields = rng.integers(-3, 5, n)
+            keys = rng.choice(
+                np.array([0, 1, 5, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64), n
+            )
+            got = unique_with_inverse(fields, keys)
+            want = unique_reference(fields, keys)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+
     def test_sorted_and_inverse(self):
         fields = np.array([3, 1, 3, 1])
         keys = np.array([7, 2, 7, 9], dtype=np.uint64)

@@ -5,8 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from dessim import vecmath
 from dessim.errors import DimensionError
 from dessim.vecmath import SIGMOID_CLAMP, dot, matmul_rows, matvec_t, relu, sigmoid
+
+
+def row_order_reference(x, mat):
+    """The row-order loop both matmul_rows routes must reproduce bit for bit."""
+    acc = np.zeros((x.shape[0], mat.shape[1]), dtype=np.result_type(x, mat))
+    for r in range(mat.shape[0]):
+        acc += x[:, r : r + 1] * mat[r]
+    return acc
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestDot:
@@ -77,6 +91,41 @@ class TestMatmulRows:
         out = matmul_rows(x, mat)
         for i in range(x.shape[0]):
             assert np.array_equal(out[i], matvec_t(x[i], mat))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_routes_match_row_order_loop(self, dtype):
+        rng = np.random.default_rng(3)
+        routes = set()
+        for _ in range(200):
+            m, k, n = (int(v) for v in rng.integers([1, 0, 1], [7, 200, 5]))
+            # x arrives as a transposed view, as in the weight-gradient products
+            x = rng.standard_normal((k, m)).astype(dtype).T
+            mat = rng.standard_normal((k, n)).astype(dtype)
+            x[rng.random(x.shape) < 0.1] = -0.0
+            mat[rng.random(mat.shape) < 0.1] = -0.0
+            routes.add(m * n < k)
+            assert_bitwise(matmul_rows(x, mat), row_order_reference(x, mat))
+        assert routes == {True, False}
+
+    def test_signed_zero_products_sum_to_positive_zero(self):
+        x = np.full((2, 5), -0.0, dtype=np.float32)
+        mat = np.ones((5, 1), dtype=np.float32)
+        out = matmul_rows(x, mat)
+        assert_bitwise(out, row_order_reference(x, mat))
+        assert not np.signbit(out).any()
+
+    def test_empty_inner_dimension(self):
+        for m, n in ((3, 2), (1, 1)):
+            out = matmul_rows(np.ones((m, 0), np.float32), np.ones((0, n), np.float32))
+            assert_bitwise(out, np.zeros((m, n), np.float32))
+
+    def test_scan_blocks_carry_the_running_sum(self, monkeypatch):
+        monkeypatch.setattr(vecmath, "SCAN_BLOCK_ELEMS", 10)
+        rng = np.random.default_rng(4)
+        for m, k, n in ((1, 97, 1), (1, 45, 2), (2, 50, 3), (3, 1000, 3)):
+            x = rng.standard_normal((m, k)).astype(np.float32)
+            mat = rng.standard_normal((k, n)).astype(np.float32)
+            assert_bitwise(matmul_rows(x, mat), row_order_reference(x, mat))
 
     def test_shape_check(self):
         with pytest.raises(DimensionError):
