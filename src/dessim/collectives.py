@@ -20,8 +20,9 @@ from .errors import ProtocolError
 PHASE_FORWARD = "forward"
 PHASE_BACKWARD = "backward"
 PHASE_OPTIMIZER = "optimizer"
+PHASE_EVAL = "eval"
 
-_PHASES = (PHASE_FORWARD, PHASE_BACKWARD, PHASE_OPTIMIZER)
+_PHASES = (PHASE_FORWARD, PHASE_BACKWARD, PHASE_OPTIMIZER, PHASE_EVAL)
 
 
 @dataclass(frozen=True)

@@ -494,12 +494,16 @@ class SubstitutedModel:
                 f"{float(batch.values[i])} in field {int(batch.fields[i])}"
             )
 
-    def forward(self, batch):
-        """Forward pass over the full batch; every aggregation is one collective."""
+    def forward(self, batch, phase=PHASE_FORWARD):
+        """Forward pass over the full batch; every aggregation is one collective.
+
+        Its collectives are charged to ``phase``: held-out evaluation passes
+        ``PHASE_EVAL``, so the training forward phase holds training traffic only.
+        """
         self._check_batch(batch)
         graph = self.graph
         group = self.group
-        group.set_phase(PHASE_FORWARD)
+        group.set_phase(phase)
         n = self.n_workers
         B = batch.batch_size
         slices = [batch.shard_slice(r, n) for r in range(n)]

@@ -5,17 +5,31 @@ only ever touches weights for fields it owns. Entries are created lazily on
 first lookup, and the initial vector is a pure function of (seed, field, key).
 That makes table contents independent of insertion order and of the shard
 count, which is what lets runs at different N start from identical weights.
+
+Initializers are batched: one call per lookup receives every new (field,
+key) pair and returns one row each. The default draw for a pair is
+``default_rng(SeedSequence((seed, field, key))).uniform(-scale, scale,
+dim)``, and ``seeded_uniform_init`` reproduces it bit for bit without
+building a generator per key. It runs numpy's own integer steps on arrays
+of rows: SeedSequence's uint32 pool hash (its multipliers do not depend on
+the data, so they are precomputed), ``generate_state(4, uint64)``, PCG64's
+seeding and 128-bit LCG emulated on (hi, lo) uint64 pairs, reached for all
+``dim`` outputs at once by precomputed jump-ahead constants, the XSL-RR
+output, and the float64 map ``low + (high - low) * (x >> 11) * 2**-53``.
+Every step is exact integer arithmetic, or the same float64 operations in
+the same order, so no value differs from the per-key route.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
 
 import numpy as np
 
-from .errors import ConsistencyError, PlacementError
+from .errors import ConsistencyError, DimensionError, PlacementError
 
 CHECKPOINT_MAGIC = b"SHRDTBL1"
 CHECKPOINT_VERSION = 1
@@ -42,19 +56,181 @@ def hash_feature(field_id, token, seed=0):
     return hash_text(f"{field_id}:{token}", seed)
 
 
-def seeded_uniform_init(seed, scale=0.01):
-    """Initializer drawing uniform(-scale, scale) per (field, key), order-free."""
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four uint32
+# words, filled and cross-mixed by a multiply-xorshift hash whose multiplier
+# advances on every call, then expanded into output words by a second hash.
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+# the pool words each pool word is mixed into, in SeedSequence's order
+_SS_OTHERS = [np.array([d for d in range(_SS_POOL) if d != s]) for s in range(_SS_POOL)]
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_U32 = np.uint64(32)
 
-    def init(field_id, key, dim, dtype):
-        ss = np.random.SeedSequence((int(seed), int(field_id), int(key)))
-        rng = np.random.default_rng(ss)
-        return rng.uniform(-scale, scale, dim).astype(dtype)
+
+def _uint32_words(n):
+    """SeedSequence's entropy words of a nonnegative int: uint32, low word first."""
+    if n < 0:
+        raise ValueError(f"seed words need a nonnegative integer, got {n}")
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init, mult, count):
+    """The (xor, multiply) constants of ``count`` successive hash calls, as (count, 1)."""
+    xors, mults = [], []
+    h = init
+    for _ in range(count):
+        xors.append(h)
+        h = (h * mult) & _M32
+        mults.append(h)
+    return _read_only(np.array(xors, dtype=np.uint32)[:, None],
+                      np.array(mults, dtype=np.uint32)[:, None])
+
+
+@functools.lru_cache(maxsize=None)
+def _lcg_jumps(dim):
+    """[MULT**(j+1); sum_{i<=j} MULT**i] for j = 1..dim as (hi, lo), shape (2, 1, dim).
+
+    Output j of a PCG64 seeded with (s, inc) reads the state MULT**(j+1) *
+    (s + inc) + (sum_{i<=j} MULT**i) * inc, so all ``dim`` states take two
+    multiplies and no loop over j.
+    """
+    power, total = _PCG_MULT, 1
+    consts = [[], []]
+    for _ in range(dim):
+        total = (total + power) & _M128
+        power = (power * _PCG_MULT) & _M128
+        consts[0].append(power)
+        consts[1].append(total)
+    hi = np.array([[v >> 64 for v in row] for row in consts], dtype=np.uint64)
+    lo = np.array([[v & _M64 for v in row] for row in consts], dtype=np.uint64)
+    return _read_only(hi[:, None, :], lo[:, None, :])
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SS_SHIFT)
+
+
+def _mix(x, y):
+    r = _SS_MIX_L * x - _SS_MIX_R * y
+    return r ^ (r >> _SS_SHIFT)
+
+
+def _mul_hi64(a, b):
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    m32 = np.uint64(_M32)
+    a0, a1 = a & m32, a >> _U32
+    b0, b1 = b & m32, b >> _U32
+    p01 = a0 * b1
+    p10 = a1 * b0
+    mid = ((a0 * b0) >> _U32) + (p01 & m32) + (p10 & m32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def seeded_uniform_init(seed, scale=0.01):
+    """Batched initializer: uniform(-scale, scale) per (field, key), order-free.
+
+    Row i equals ``np.random.default_rng(np.random.SeedSequence((seed,
+    fields[i], keys[i]))).uniform(-scale, scale, dim).astype(dtype)`` bit for
+    bit, computed for all rows at once. A negative seed raises ``ValueError``
+    here, as ``SeedSequence`` would.
+    """
+    seed_words = _uint32_words(int(seed))
+    n_seed = len(seed_words)
+    seed_col = np.array(seed_words, dtype=np.uint32)[:, None]
+    # entropy is the seed words, one or two field words, one or two key words
+    fill_xor, fill_mult = _hash_constants(_SS_INIT_A, _SS_MULT_A, _SS_POOL * (n_seed + 4))
+    out_xor, out_mult = _hash_constants(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL)
+    low = -float(scale)
+    span = float(scale) - low
+
+    def init(fields, keys, dim, dtype):
+        fields = np.asarray(fields, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        n = len(fields)
+        if n and fields.min() < 0:
+            raise ValueError(f"fields must be nonnegative, got {int(fields.min())}")
+        f = fields.astype(np.uint64)
+        f_wide = (f >> _U32) != 0
+        k_wide = (keys >> _U32) != 0
+        any_f, any_k = bool(f_wide.any()), bool(k_wide.any())
+        words = np.zeros((max(_SS_POOL, n_seed + 2 + any_f + any_k), n), dtype=np.uint32)
+        words[:n_seed] = seed_col
+        words[n_seed] = f.astype(np.uint32)
+        if any_f:
+            words[n_seed + 1] = (f >> _U32).astype(np.uint32)
+        at = n_seed + 1 + f_wide
+        cols = np.arange(n)
+        words[at, cols] = keys.astype(np.uint32)
+        if any_k:
+            words[at + 1, cols] = (keys >> _U32).astype(np.uint32)
+
+        # mix_entropy: hash the first four words into the pool (zero words
+        # past a row's entropy are exactly SeedSequence's padding), mix every
+        # pool word into every other, then mix in each word past the fourth.
+        c = _SS_POOL
+        pool = _hashmix(words[:c], fill_xor[:c], fill_mult[:c])
+        for src, dst in enumerate(_SS_OTHERS):
+            h = _hashmix(pool[src], fill_xor[c : c + 3], fill_mult[c : c + 3])
+            pool[dst] = _mix(pool[dst], h)
+            c += 3
+        if len(words) > _SS_POOL:
+            length = n_seed + 2 + f_wide + k_wide
+            for src in range(_SS_POOL, len(words)):
+                h = _hashmix(words[src], fill_xor[c : c + 4], fill_mult[c : c + 4])
+                pool = np.where(length > src, _mix(pool, h), pool)
+                c += 4
+
+        # generate_state(4, uint64): eight hashed words cycling over the pool,
+        # paired little-endian into (seed hi, seed lo, inc hi, inc lo).
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], out_xor, out_mult).astype(np.uint64)
+        s_hi, s_lo, i_hi, i_lo = state[0::2] | (state[1::2] << _U32)
+
+        # PCG64 set_seed: inc = (i << 1) | 1, then every state by jump-ahead:
+        # [MULT**(j+1); sum MULT**i] times [s + inc; inc], summed, mod 2**128.
+        one = np.uint64(1)
+        inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+        inc_lo = (i_lo << one) | one
+        t_lo = s_lo + inc_lo
+        t_hi = s_hi + inc_hi + (t_lo < inc_lo)
+        b_hi = np.stack([t_hi, inc_hi])[:, :, None]
+        b_lo = np.stack([t_lo, inc_lo])[:, :, None]
+        a_hi, a_lo = _lcg_jumps(dim)
+        p_lo = a_lo * b_lo
+        p_hi = _mul_hi64(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi
+        lo = p_lo[0] + p_lo[1]
+        hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
+
+        # XSL-RR output, then Generator.uniform: low + (high - low) * u.
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        u = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        return (low + span * u).astype(dtype)
 
     return init
 
 
-def zeros_init(field_id, key, dim, dtype):
-    return np.zeros(dim, dtype=dtype)
+def zeros_init(fields, keys, dim, dtype):
+    return np.zeros((len(fields), dim), dtype=dtype)
 
 
 class _Shard:
@@ -63,17 +239,17 @@ class _Shard:
     ``_index`` maps a field id to (keys, rows): that field's keys in ascending
     uint64 order and the row each one occupies, so a batch of lookups is one
     ``searchsorted`` per field and a batch of inserts is one merge per field.
+    The index is the only record of which (field, key) a row holds.
     """
 
-    def __init__(self, dim, slot_widths, dtype):
+    def __init__(self, name, dim, slot_widths, dtype):
+        self.name = name
         self.dim = dim
         self.slot_widths = dict(slot_widths)
         self.dtype = np.dtype(dtype)
         self._index = {}
         self.n_rows = 0
         cap = 64
-        self.fields = np.zeros(cap, dtype=np.int64)
-        self.keys = np.zeros(cap, dtype=np.uint64)
         self.weights = np.zeros((cap, dim), dtype=self.dtype)
         self.slots = {name: np.zeros((cap, w), dtype=self.dtype) for name, w in slot_widths.items()}
 
@@ -88,8 +264,6 @@ class _Shard:
             out[: self.n_rows] = arr[: self.n_rows]
             return out
 
-        self.fields = grown(self.fields)
-        self.keys = grown(self.keys)
         self.weights = grown(self.weights)
         self.slots = {name: grown(arr) for name, arr in self.slots.items()}
 
@@ -113,8 +287,6 @@ class _Shard:
         start = self.n_rows
         rows = np.arange(start, start + len(fields), dtype=np.int64)
         self._grow(start + len(fields))
-        self.fields[rows] = fields
-        self.keys[rows] = keys
         self.weights[rows] = weights
         for name, arr in (slots or {}).items():
             self.slots[name][rows] = arr
@@ -133,11 +305,24 @@ class _Shard:
             self._index[int(f)] = (new_keys, new_rows)
         return rows
 
+    def sorted_entries(self):
+        """(fields, keys, rows) of every entry, in ascending (field, key) order."""
+        order = sorted(self._index)
+        if not order:
+            return np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.int64)
+        entries = [self._index[f] for f in order]
+        fields = np.repeat(np.array(order, dtype=np.int64), [len(k) for k, _ in entries])
+        keys = np.concatenate([k for k, _ in entries])
+        rows = np.concatenate([r for _, r in entries])
+        return fields, keys, rows
+
     def ensure_rows(self, fields, keys, init):
         """Rows for (fields, keys), inserting missing pairs with ``init``.
 
-        New weights are all computed before any is committed, so an ``init``
-        that raises leaves the shard unchanged.
+        ``init`` is called once with every new pair and must return one row
+        per pair. Its result is checked before anything is committed, so an
+        ``init`` that raises or returns the wrong shape leaves the shard
+        unchanged.
         """
         fields = np.asarray(fields, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
@@ -145,9 +330,15 @@ class _Shard:
         miss = rows < 0
         if miss.any():
             new_f, new_k, inverse = unique_with_inverse(fields[miss], keys[miss])
-            weights = np.empty((len(new_f), self.dim), dtype=self.dtype)
-            for i, (f, k) in enumerate(zip(new_f.tolist(), new_k.tolist())):
-                weights[i] = init(f, k, self.dim, self.dtype)
+            weights = np.asarray(init(new_f, new_k, self.dim, self.dtype))
+            want = (len(new_f), self.dim)
+            real = np.issubdtype(weights.dtype, np.integer) or np.issubdtype(
+                weights.dtype, np.floating)
+            if weights.shape != want or not real:
+                raise DimensionError(
+                    f"table {self.name!r}: initializer returned {weights.dtype} "
+                    f"{weights.shape} for {want} new rows"
+                )
             rows[miss] = self.append(new_f, new_k, weights)[inverse]
         return rows
 
@@ -171,6 +362,12 @@ class ShardedWeightTable:
     ``lookup`` inserts missing entries with the table initializer;
     ``apply_update`` replaces weights and optimizer slots for existing
     entries. Both verify that the caller owns the fields it touches.
+
+    ``init`` is "uniform" (``seeded_uniform_init``), "zeros", or a callable
+    ``init(fields, keys, dim, dtype)``. A callable receives arrays: the new
+    pairs of one lookup, fields as int64 and keys as uint64, each pair once.
+    It returns an integer or floating array of shape ``(len(fields), dim)``;
+    any other result raises ``DimensionError`` and inserts nothing.
     """
 
     def __init__(self, n_shards, dim, seed=0, init="uniform", init_scale=0.01,
@@ -195,7 +392,8 @@ class ShardedWeightTable:
         else:
             raise ValueError(f"unknown initializer {init!r}")
         self._shards = [
-            _Shard(self.dim, self.slot_widths, self.dtype) for _ in range(self.n_shards)
+            _Shard(self.name, self.dim, self.slot_widths, self.dtype)
+            for _ in range(self.n_shards)
         ]
 
     def _check_placement(self, shard_idx, fields):
@@ -252,12 +450,11 @@ class ShardedWeightTable:
     def entries(self, shard_idx):
         """(field, key, weight, slots) for one shard, sorted by field then key."""
         shard = self._shards[shard_idx]
-        n = shard.n_rows
-        order = np.lexsort((shard.keys[:n], shard.fields[:n]))
-        for row in order:
+        fields, keys, rows = shard.sorted_entries()
+        for f, k, row in zip(fields.tolist(), keys.tolist(), rows.tolist()):
             yield (
-                int(shard.fields[row]),
-                int(shard.keys[row]),
+                f,
+                k,
                 shard.weights[row].copy(),
                 {name: arr[row].copy() for name, arr in shard.slots.items()},
             )
@@ -266,10 +463,9 @@ class ShardedWeightTable:
         """Plain dict snapshot {(field, key): weight copy} across all shards."""
         out = {}
         for shard in self._shards:
-            n = shard.n_rows
-            for f, k, w in zip(shard.fields[:n].tolist(), shard.keys[:n].tolist(),
-                               shard.weights[:n]):
-                out[(f, k)] = w.copy()
+            fields, keys, rows = shard.sorted_entries()
+            for f, k, w in zip(fields.tolist(), keys.tolist(), shard.weights[rows]):
+                out[(f, k)] = w
         return out
 
     def save(self, directory):
@@ -298,15 +494,14 @@ class ShardedWeightTable:
             rec_dtype = [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (self.dim,))]
             for name in slot_names:
                 rec_dtype.append((f"s_{name}", fcode, (self.slot_widths[name],)))
-            n = shard.n_rows
-            order = np.lexsort((shard.keys[:n], shard.fields[:n]))
-            recs = np.zeros(n, dtype=rec_dtype)
-            recs["field"] = shard.fields[:n][order]
-            recs["key"] = shard.keys[:n][order]
+            fields, keys, rows = shard.sorted_entries()
+            recs = np.zeros(len(rows), dtype=rec_dtype)
+            recs["field"] = fields
+            recs["key"] = keys
             recs["d"] = self.dim
-            recs["w"] = shard.weights[:n][order]
+            recs["w"] = shard.weights[rows]
             for name in slot_names:
-                recs[f"s_{name}"] = shard.slots[name][:n][order]
+                recs[f"s_{name}"] = shard.slots[name][rows]
             with open(path, "wb") as fh:
                 fh.write(bytes(header))
                 fh.write(recs.tobytes())

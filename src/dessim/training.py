@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from .collectives import PHASE_BACKWARD, PHASE_FORWARD, WorkerGroup
+from .collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from .costmodel import (
     COMPONENT_KINDS,
     CommReportRow,
@@ -147,10 +147,13 @@ def load_batches(cfg, split):
 
 
 def evaluate(engine, batches):
-    """Held-out AUC and log loss through the engine's own forward."""
+    """Held-out AUC and log loss through the engine's own forward.
+
+    Its collectives are charged to the eval phase, never to training forward.
+    """
     probs, labels = [], []
     for batch in batches:
-        fwd = engine.forward(batch)
+        fwd = engine.forward(batch, phase=PHASE_EVAL)
         probs.append(fwd.probs)
         labels.append(batch.labels)
     p = np.concatenate(probs)

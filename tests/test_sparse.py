@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dessim.errors import ConsistencyError, PlacementError
+from dessim.errors import ConsistencyError, DimensionError, PlacementError
 from dessim.models import SparseBatch
 from dessim.sparse import (
     ShardedWeightTable,
@@ -50,15 +50,79 @@ class TestHashing:
 class TestInitializers:
     def test_seeded_uniform_reproducible(self):
         init = seeded_uniform_init(42, scale=0.01)
-        a = init(3, 17, 8, np.float32)
-        b = init(3, 17, 8, np.float32)
+        a = init([3], [17], 8, np.float32)
+        b = init([3], [17], 8, np.float32)
         assert np.array_equal(a, b)
         assert np.all(np.abs(a) <= 0.01)
 
     def test_seeded_uniform_distinct_per_key(self):
         init = seeded_uniform_init(42)
-        assert not np.array_equal(init(3, 17, 8, np.float32), init(3, 18, 8, np.float32))
-        assert not np.array_equal(init(3, 17, 8, np.float32), init(4, 17, 8, np.float32))
+        assert not np.array_equal(init([3], [17], 8, np.float32), init([3], [18], 8, np.float32))
+        assert not np.array_equal(init([3], [17], 8, np.float32), init([4], [17], 8, np.float32))
+
+
+def per_key_uniform(seed, field_id, key, dim, dtype, scale):
+    """One SeedSequence and Generator per key: the values seeded_uniform_init keeps."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, field_id, key)))
+    return rng.uniform(-scale, scale, dim).astype(dtype)
+
+
+EDGE_KEYS = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+
+
+class TestBatchedUniformInit:
+    """seeded_uniform_init against the per-key SeedSequence route, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_bitwise_against_per_key_route(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        for n in (0, 1, 1000):
+            keys = np.concatenate([
+                EDGE_KEYS,
+                rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            ])[:n]
+            # wide fields take two entropy words, like wide keys
+            fields = np.concatenate([[0, 7, 2**32, 2**40 + 3], rng.integers(0, 40, n)])[:n]
+            for dim in (1, 3, 8):
+                for dtype in (np.float32, np.float64):
+                    for scale in (0.01, 1.0):
+                        got = seeded_uniform_init(seed, scale)(fields, keys, dim, dtype)
+                        assert got.shape == (n, dim) and got.dtype == dtype
+                        want = np.array(
+                            [per_key_uniform(seed, int(f), int(k), dim, dtype, scale)
+                             for f, k in zip(fields, keys)],
+                            dtype=dtype,
+                        ).reshape(n, dim)
+                        assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (
+                            n, dim, dtype, scale)
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            ShardedWeightTable(2, 4, seed=-1)
+        with pytest.raises(ValueError):
+            seeded_uniform_init(-3)
+
+    def test_negative_field_rejected(self):
+        with pytest.raises(ValueError):
+            seeded_uniform_init(0)([-1], [4], 2, np.float32)
+
+    def test_lookup_independent_of_insertion_order_and_shard_count(self):
+        rng = np.random.default_rng(31)
+        fields = rng.integers(0, 12, 400)
+        keys = np.concatenate([EDGE_KEYS, rng.integers(0, 2**64 - 1, 395, dtype=np.uint64)])
+        for n_shards in (1, 3, 4):
+            table = ShardedWeightTable(n_shards, 3, seed=11, init_scale=0.5)
+            order = rng.permutation(len(keys))
+            for chunk in np.array_split(order, 9):
+                for shard in range(n_shards):
+                    mine = chunk[fields[chunk] % n_shards == shard]
+                    table.lookup(shard, fields[mine], keys[mine])
+            for shard in range(n_shards):
+                mine = np.flatnonzero(fields % n_shards == shard)
+                got = table.lookup(shard, fields[mine], keys[mine])
+                for row, i in zip(got, mine):
+                    want = per_key_uniform(11, int(fields[i]), int(keys[i]), 3, np.float32, 0.5)
+                    assert np.array_equal(row, want)
 
 
 def make_table(n_shards=2, dim=4, **kw):
@@ -137,7 +201,7 @@ class TestIndex:
             keys = pool[rng.integers(0, len(pool), n)]
             got = table.lookup(shard, fields, keys)
             for (f, k), row in zip(zip(fields.tolist(), keys.tolist()), got):
-                want = shadow.setdefault((f, k), init(f, k, 2, np.float32))
+                want = shadow.setdefault((f, k), init([f], [k], 2, np.float32)[0])
                 assert np.array_equal(row, want)
             assert table.n_entries() == len(shadow)
             if n and rng.random() < 0.5:
@@ -162,10 +226,10 @@ class TestIndex:
             table.slot_values(1, [5], [7])
 
     def test_raising_initializer_leaves_table_unchanged(self):
-        def init(field_id, key, dim, dtype):
-            if key == 13:
+        def init(fields, keys, dim, dtype):
+            if np.any(keys == 13):
                 raise RuntimeError("init failed")
-            return np.full(dim, key, dtype=dtype)
+            return np.repeat(keys.astype(dtype)[:, None], dim, axis=1)
 
         table = ShardedWeightTable(2, 2, init=init, slot_widths={"acc": 2})
         table.lookup(0, [0, 2], [1, 2])
@@ -178,6 +242,50 @@ class TestIndex:
             with pytest.raises(ConsistencyError):
                 table.slot_values(0, [fk[0]], [fk[1]])
         assert np.array_equal(table.lookup(0, [2, 0], [5, 1]), [[5, 5], [1, 1]])
+
+    @pytest.mark.parametrize("result", [
+        lambda f, k, dim, dtype: np.zeros((len(f), dim + 1), dtype=dtype),
+        lambda f, k, dim, dtype: np.zeros((len(f) + 1, dim), dtype=dtype),
+        lambda f, k, dim, dtype: np.zeros(dim, dtype=dtype),
+        lambda f, k, dim, dtype: np.zeros((len(f), dim), dtype=bool),
+        lambda f, k, dim, dtype: np.full((len(f), dim), "x"),
+        lambda f, k, dim, dtype: np.full((len(f), dim), None, dtype=object),
+    ])
+    def test_bad_initializer_result_leaves_table_unchanged(self, result):
+        broken = []
+
+        def init(fields, keys, dim, dtype):
+            if broken:
+                return result(fields, keys, dim, dtype)
+            return np.zeros((len(fields), dim), dtype=dtype)
+
+        table = ShardedWeightTable(2, 2, init=init, slot_widths={"acc": 2}, name="emb")
+        table.lookup(0, [0], [1])
+        broken.append(True)
+        with pytest.raises(DimensionError, match=r"'emb'.*\(1, 2\)"):
+            table.lookup(0, [0, 2], [1, 7])
+        assert table.n_entries() == 1
+        with pytest.raises(ConsistencyError):
+            table.slot_values(0, [2], [7])
+
+    def test_integer_initializer_result_is_cast(self):
+        table = ShardedWeightTable(
+            1, 2, init=lambda f, k, dim, dtype: np.ones((len(f), dim), dtype=np.int64)
+        )
+        got = table.lookup(0, [0, 1], [3, 3])
+        assert got.dtype == np.float32 and np.array_equal(got, np.ones((2, 2)))
+
+    def test_custom_initializer_receives_each_new_pair_once(self):
+        calls = []
+
+        def init(fields, keys, dim, dtype):
+            calls.append((fields.dtype, keys.dtype, fields.tolist(), keys.tolist()))
+            return np.zeros((len(fields), dim), dtype=dtype)
+
+        table = ShardedWeightTable(1, 2, init=init)
+        table.lookup(0, [4, 1, 4, 1], [2**64 - 1, 5, 2**64 - 1, 6])
+        table.lookup(0, [1, 4], [5, 2**64 - 1])
+        assert calls == [(np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1])]
 
 
 class TestApplyUpdate:

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from dessim.costmodel import CostInputs, q_des, saving_ratio
+from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, PHASE_OPTIMIZER
+from dessim.costmodel import CostInputs, expected_forward_bytes, q_des, saving_ratio
 from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import MetricError
 from dessim.metrics import auc, logloss
@@ -104,6 +105,24 @@ class TestTrainLoop:
         labels = np.concatenate([b.labels for b in batches])
         assert got_auc == auc(probs, labels)
         assert got_ll == logloss(probs, labels)
+
+
+class TestEvalPhase:
+    def test_eval_traffic_stays_out_of_training_forward(self):
+        # one training step per epoch, then one held-out batch per evaluation
+        cfg = tiny_config(epochs=2, train_samples=64, test_samples=64)
+        result = train(cfg)
+        led = result.group.ledger
+        step_bytes = sum(expected_forward_bytes(cfg.graph, 64, 2))
+        assert step_bytes == 512
+        for epoch in (0, 1):
+            assert led.op_count(phase=PHASE_FORWARD, epoch=epoch) == (
+                cfg.graph.aggregation_count())
+        assert [s.fwd_bytes for s in result.snapshots] == [step_bytes, 2 * step_bytes]
+        assert [s.bwd_bytes for s in result.snapshots] == [0, 0]
+        assert led.total_bytes(phase=PHASE_EVAL) == 2 * step_bytes
+        assert led.total_bytes(phase=PHASE_BACKWARD) == 0
+        assert led.total_bytes(phase=PHASE_OPTIMIZER) == 0
 
 
 class TestArtifacts:
