@@ -387,12 +387,25 @@ def build_dense_params(graph, dtype):
 
 @dataclass
 class ForwardPass:
+    """What backward and apply need from one forward pass.
+
+    Each rank's (field, key) pairs are resolved once per step: ``pairs[r]``
+    is ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
+    ``linear_weights[r]`` and ``latent_weights[r]`` hold each table's row for
+    every unique pair. ``latent_rows[r]`` is the latent row of each feature
+    occurrence, ``latent_weights[r][inverse]``. Backward sums gradients over
+    the same pairs, and apply steps the optimizer from these weights, since
+    no table is written between forward and apply.
+    """
+
     probs: np.ndarray
     logit: np.ndarray
     epoch: int
     batch: SparseBatch
     slices: list
-    linear_rows: list
+    pairs: list
+    linear_weights: list
+    latent_weights: list
     latent_rows: list
     agg_m1: np.ndarray | None
     pooled: list
@@ -402,6 +415,13 @@ class ForwardPass:
 
 @dataclass
 class Gradients:
+    """Per-rank gradients of one pass.
+
+    ``linear[r]`` and ``latent[r]`` are ``(fields, keys, weights, grads)``
+    over the rank's unique pairs, with the weights the forward pass read, or
+    None where the model has no such table.
+    """
+
     dense: list
     fc_blocks: list
     linear: list
@@ -508,8 +528,11 @@ class SubstitutedModel:
         B = batch.batch_size
         slices = [batch.shard_slice(r, n) for r in range(n)]
 
+        pairs = [unique_with_inverse(sl.fields, sl.keys) for sl in slices]
+
         logit = np.zeros(B, dtype=self.dtype)
-        linear_rows = [None] * n
+        linear_weights = [None] * n
+        latent_weights = [None] * n
         latent_rows = [None] * n
         agg_m1 = None
         pooled = [None] * n
@@ -519,15 +542,16 @@ class SubstitutedModel:
         if graph.uses_linear:
             logit = logit + self.dense[0]["bias"][0]
             partials = []
-            for r, sl in enumerate(slices):
-                w = self.linear_table.lookup(r, sl.fields, sl.keys)
-                linear_rows[r] = w
+            for r, (sl, (uf, uk, inv)) in enumerate(zip(slices, pairs)):
+                linear_weights[r] = self.linear_table.lookup(r, uf, uk)
+                w = linear_weights[r][inv]
                 partials.append(linear_partial(w, sl.values, sl.sample_ids, B))
             logit = logit + group.all_reduce_sum(partials, op="linear.partial")
 
         if self.latent_table is not None:
-            for r, sl in enumerate(slices):
-                latent_rows[r] = self.latent_table.lookup(r, sl.fields, sl.keys)
+            for r, (uf, uk, inv) in enumerate(pairs):
+                latent_weights[r] = self.latent_table.lookup(r, uf, uk)
+                latent_rows[r] = latent_weights[r][inv]
 
         if graph.uses_second_order:
             p1, p2 = [], []
@@ -568,7 +592,8 @@ class SubstitutedModel:
         probs = vecmath.sigmoid(logit)
         return ForwardPass(
             probs=probs, logit=logit, epoch=group.epoch, batch=batch, slices=slices,
-            linear_rows=linear_rows, latent_rows=latent_rows, agg_m1=agg_m1,
+            pairs=pairs, linear_weights=linear_weights, latent_weights=latent_weights,
+            latent_rows=latent_rows, agg_m1=agg_m1,
             pooled=pooled, mlp_caches=mlp_caches, cross_cache=cross_cache,
         )
 
@@ -641,12 +666,11 @@ class SubstitutedModel:
         if graph.uses_linear:
             for r in range(n):
                 dense_grads[r]["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
-            for r, sl in enumerate(fwd.slices):
+            for r, (sl, (uf, uk, inv)) in enumerate(zip(fwd.slices, fwd.pairs)):
                 contrib = (delta[sl.sample_ids] * sl.values)[:, None]
-                uf, uk, inv = unique_with_inverse(sl.fields, sl.keys)
                 g = np.zeros((len(uf), 1), dtype=self.dtype)
                 np.add.at(g, inv, contrib)
-                linear_grads[r] = (uf, uk, g)
+                linear_grads[r] = (uf, uk, fwd.linear_weights[r], g)
 
         latent_contrib = [None] * n
         if graph.uses_second_order:
@@ -694,11 +718,10 @@ class SubstitutedModel:
                     latent_contrib[r] = latent_contrib[r] + contrib
 
         if self.latent_table is not None:
-            for r, sl in enumerate(fwd.slices):
-                uf, uk, inv = unique_with_inverse(sl.fields, sl.keys)
+            for r, (uf, uk, inv) in enumerate(fwd.pairs):
                 g = np.zeros((len(uf), graph.embedding_dim), dtype=self.dtype)
                 np.add.at(g, inv, latent_contrib[r])
-                latent_grads[r] = (uf, uk, g)
+                latent_grads[r] = (uf, uk, fwd.latent_weights[r], g)
 
         for r in range(1, n):
             for name, g0 in dense_grads[0].items():
@@ -714,25 +737,25 @@ class SubstitutedModel:
     # -- update -----------------------------------------------------------
 
     def apply_gradients(self, grads):
-        """Shard-local optimizer step; replicated tensors update identically."""
+        """Shard-local optimizer step; replicated tensors update identically.
+
+        The sparse step starts from the weights the forward pass read, so
+        each pass's gradients are applied once, before the next pass.
+        """
         graph = self.graph
         self.group.set_phase(PHASE_OPTIMIZER)
         n = self.n_workers
+        tables = (
+            (self.linear_table, graph.first_order_opt, grads.linear),
+            (self.latent_table, graph.embedding_opt, grads.latent),
+        )
         for r in range(n):
-            if grads.linear[r] is not None:
-                uf, uk, g = grads.linear[r]
-                if len(uf):
-                    w = self.linear_table.lookup(r, uf, uk)
-                    slots = self.linear_table.slot_values(r, uf, uk)
-                    new_w, new_slots = optim_step(graph.first_order_opt, w, slots, g)
-                    self.linear_table.apply_update(r, uf, uk, new_w, new_slots)
-            if grads.latent[r] is not None:
-                uf, uk, g = grads.latent[r]
-                if len(uf):
-                    w = self.latent_table.lookup(r, uf, uk)
-                    slots = self.latent_table.slot_values(r, uf, uk)
-                    new_w, new_slots = optim_step(graph.embedding_opt, w, slots, g)
-                    self.latent_table.apply_update(r, uf, uk, new_w, new_slots)
+            for table, opt, per_rank in tables:
+                if per_rank[r] is not None and len(per_rank[r][0]):
+                    uf, uk, w, g = per_rank[r]
+                    slots = table.slot_values(r, uf, uk)
+                    new_w, new_slots = optim_step(opt, w, slots, g)
+                    table.apply_update(r, uf, uk, new_w, new_slots)
             if grads.fc_blocks[r] is not None and self.fc_blocks[r].size:
                 self.fc_blocks[r], self.fc_state[r] = dense_step(
                     graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_blocks[r]

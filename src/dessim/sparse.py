@@ -6,6 +6,13 @@ first lookup, and the initial vector is a pure function of (seed, field, key).
 That makes table contents independent of insertion order and of the shard
 count, which is what lets runs at different N start from identical weights.
 
+Each shard finds its rows through one index over all of its fields: the
+(field, key) pairs sorted by ``key ^ mix(field)``, where ``mix`` is
+splitmix64's finalizer, a bijection on 64 bits. Together with the stored
+field that value fixes the key, so a match is exact; the rare distinct pairs
+that share a value are told apart by their fields (see ``_Shard``). Field ids
+must lie in ``[0, 2**32)``, the range of the index and checkpoint columns.
+
 Initializers are batched: one call per lookup receives every new (field,
 key) pair and returns one row each. The default draw for a pair is
 ``default_rng(SeedSequence((seed, field, key))).uniform(-scale, scale,
@@ -233,13 +240,37 @@ def zeros_init(fields, keys, dim, dtype):
     return np.zeros((len(fields), dim), dtype=dtype)
 
 
-class _Shard:
-    """One shard: growable row arrays plus a sorted per-field key index.
+# The shard index stores fields as uint32 and rows as int32. Every shard
+# starts from the same read-only empty columns; inserts return new arrays.
+_FIELD_LIMIT = 1 << 32
+_ROW_LIMIT = 1 << 31
+_EMPTY_INDEX = _read_only(
+    np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int32)
+)
 
-    ``_index`` maps a field id to (keys, rows): that field's keys in ascending
-    uint64 order and the row each one occupies, so a batch of lookups is one
-    ``searchsorted`` per field and a batch of inserts is one merge per field.
-    The index is the only record of which (field, key) a row holds.
+
+def _mix_field(fields):
+    """splitmix64's finalizer (Steele et al., OOPSLA'14) of each field id, as uint64."""
+    z = np.asarray(fields).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class _Shard:
+    """One shard: growable row arrays plus one hashed index of its entries.
+
+    The index holds every (field, key) pair of the shard in three columns,
+    sorted by ``h = key ^ mix(field)`` with ``mix`` splitmix64's finalizer:
+    ``_hash`` (uint64), ``_field`` (uint32) and ``_row`` (int32), 16 bytes
+    per entry. A batch of lookups is one ``searchsorted`` on ``_hash`` and a
+    batch of inserts one stable sort plus one ``np.insert`` per column, for
+    all fields at once. A hit needs an equal ``h`` and an equal field, which
+    is exact: ``key = h ^ mix(field)``, so the two fix the key. Distinct
+    pairs share an ``h`` only with distinct fields, which is astronomically
+    rare but kept correct: ``find`` walks each run of equal ``h`` until the
+    field matches or the run ends, a loop that in practice runs once. The
+    index is the only record of which (field, key) a row holds.
     """
 
     def __init__(self, name, dim, slot_widths, dtype):
@@ -247,7 +278,7 @@ class _Shard:
         self.dim = dim
         self.slot_widths = dict(slot_widths)
         self.dtype = np.dtype(dtype)
-        self._index = {}
+        self._hash, self._field, self._row = _EMPTY_INDEX
         self.n_rows = 0
         cap = 64
         self.weights = np.zeros((cap, dim), dtype=self.dtype)
@@ -270,51 +301,49 @@ class _Shard:
     def find(self, fields, keys):
         """Row of each (field, key) pair, -1 where the pair has no entry."""
         rows = np.full(len(fields), -1, dtype=np.int64)
-        for f in np.unique(fields):
-            entry = self._index.get(int(f))
-            if entry is None:
-                continue
-            index_keys, index_rows = entry
-            sel = np.flatnonzero(fields == f)
-            want = keys[sel]
-            pos = np.minimum(np.searchsorted(index_keys, want), len(index_keys) - 1)
-            hit = index_keys[pos] == want
-            rows[sel[hit]] = index_rows[pos[hit]]
-        return rows
+        n = len(self._hash)
+        if not n:
+            return rows
+        h = keys ^ _mix_field(fields)
+        pos = np.searchsorted(self._hash, h)
+        idx = np.arange(len(fields))
+        while True:
+            at = np.minimum(pos, n - 1)
+            same = (pos < n) & (self._hash[at] == h)
+            hit = same & (self._field[at] == fields)
+            rows[idx[hit]] = self._row[at[hit]]
+            walk = same & ~hit
+            if not walk.any():
+                return rows
+            idx, fields, h, pos = idx[walk], fields[walk], h[walk], pos[walk] + 1
 
     def append(self, fields, keys, weights, slots=None):
         """Add entries for new, distinct (field, key) pairs; returns their rows."""
         start = self.n_rows
-        rows = np.arange(start, start + len(fields), dtype=np.int64)
-        self._grow(start + len(fields))
+        count = len(fields)
+        if start + count > _ROW_LIMIT:
+            raise DimensionError(f"table {self.name!r}: a shard holds at most {_ROW_LIMIT} rows")
+        rows = np.arange(start, start + count, dtype=np.int64)
+        self._grow(start + count)
         self.weights[rows] = weights
         for name, arr in (slots or {}).items():
             self.slots[name][rows] = arr
-        self.n_rows += len(fields)
-        for f in np.unique(fields):
-            sel = fields == f
-            new_keys = keys[sel]
-            new_rows = rows[sel]
-            order = np.argsort(new_keys, kind="stable")
-            new_keys, new_rows = new_keys[order], new_rows[order]
-            entry = self._index.get(int(f))
-            if entry is not None:
-                pos = np.searchsorted(entry[0], new_keys)
-                new_keys = np.insert(entry[0], pos, new_keys)
-                new_rows = np.insert(entry[1], pos, new_rows)
-            self._index[int(f)] = (new_keys, new_rows)
+        self.n_rows += count
+        h = keys ^ _mix_field(fields)
+        order = np.argsort(h, kind="stable")
+        h = h[order]
+        at = np.searchsorted(self._hash, h)
+        self._hash = np.insert(self._hash, at, h)
+        self._field = np.insert(self._field, at, fields[order].astype(np.uint32))
+        self._row = np.insert(self._row, at, (start + order).astype(np.int32))
         return rows
 
     def sorted_entries(self):
         """(fields, keys, rows) of every entry, in ascending (field, key) order."""
-        order = sorted(self._index)
-        if not order:
-            return np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.int64)
-        entries = [self._index[f] for f in order]
-        fields = np.repeat(np.array(order, dtype=np.int64), [len(k) for k, _ in entries])
-        keys = np.concatenate([k for k, _ in entries])
-        rows = np.concatenate([r for _, r in entries])
-        return fields, keys, rows
+        keys = self._hash ^ _mix_field(self._field)
+        order = np.lexsort((keys, self._field))
+        return (self._field[order].astype(np.int64), keys[order],
+                self._row[order].astype(np.int64))
 
     def ensure_rows(self, fields, keys, init):
         """Rows for (fields, keys), inserting missing pairs with ``init``.
@@ -400,7 +429,14 @@ class ShardedWeightTable:
         if not 0 <= shard_idx < self.n_shards:
             raise PlacementError(f"shard {shard_idx} out of range for {self.n_shards} shards")
         fields = np.asarray(fields)
-        if fields.size and not np.all(fields % self.n_shards == shard_idx):
+        if not fields.size:
+            return
+        outside = (fields < 0) | (fields >= _FIELD_LIMIT)
+        if outside.any():
+            raise DimensionError(
+                f"table {self.name!r}: field {int(fields[outside][0])} is outside [0, 2**32)"
+            )
+        if not np.all(fields % self.n_shards == shard_idx):
             bad = fields[fields % self.n_shards != shard_idx][0]
             raise PlacementError(
                 f"field {int(bad)} does not belong to shard {shard_idx} of {self.n_shards}"
@@ -473,7 +509,8 @@ class ShardedWeightTable:
 
         Record layout after the header: field u32, key u64, d u32, then d
         weight floats and the slot floats, all little-endian, records sorted
-        by (field, key).
+        by (field, key). Each file is written under a temporary name and
+        then renamed, so a file at the final name is never half-written.
         """
         os.makedirs(directory, exist_ok=True)
         slot_names = sorted(self.slot_widths)
@@ -502,15 +539,23 @@ class ShardedWeightTable:
             recs["w"] = shard.weights[rows]
             for name in slot_names:
                 recs[f"s_{name}"] = shard.slots[name][rows]
-            with open(path, "wb") as fh:
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as fh:
                 fh.write(bytes(header))
                 fh.write(recs.tobytes())
+            os.replace(tmp, path)
             paths.append(path)
         return paths
 
     @classmethod
     def load(cls, directory, name, n_shards, seed=0, init="uniform", init_scale=0.01):
-        """Rebuild a table from the files written by save."""
+        """Rebuild a table from the files written by save.
+
+        Raises ``ValueError`` naming the file when it is not a shard
+        checkpoint, when its length disagrees with the record count in its
+        header, when a record's field belongs to another shard, or when a
+        (field, key) pair repeats.
+        """
         table = None
         for idx in range(n_shards):
             path = os.path.join(directory, f"{name}-shard-{idx:04d}.bin")
@@ -518,40 +563,63 @@ class ShardedWeightTable:
                 raw = fh.read()
             if raw[:8] != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a shard checkpoint")
-            off = 8
-            version, dim, code = struct.unpack_from("<IIB", raw, off)
-            off += 9
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported version {version}")
-            (n_slots,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            slot_widths = {}
-            slot_names = []
-            for _ in range(n_slots):
-                (ln,) = struct.unpack_from("<B", raw, off)
-                off += 1
-                nm = raw[off : off + ln].decode("ascii")
-                off += ln
-                (w,) = struct.unpack_from("<I", raw, off)
-                off += 4
-                slot_widths[nm] = w
-                slot_names.append(nm)
-            (n_rows,) = struct.unpack_from("<Q", raw, off)
-            off += 8
-            dtype = _CODE_DTYPES[code]
+            try:
+                dim, dtype, slot_widths, n_rows, off = _read_header(raw, path)
+            except struct.error as exc:
+                raise ValueError(f"{path}: truncated header") from exc
             if table is None:
                 table = cls(n_shards, dim, seed=seed, init=init, init_scale=init_scale,
                             slot_widths=slot_widths, dtype=dtype, name=name)
             fcode = "<f4" if dtype == np.float32 else "<f8"
             rec_dtype = [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (dim,))]
-            for nm in slot_names:
+            for nm in slot_widths:
                 rec_dtype.append((f"s_{nm}", fcode, (slot_widths[nm],)))
-            recs = np.frombuffer(raw[off:], dtype=rec_dtype, count=n_rows)
+            rec_dtype = np.dtype(rec_dtype)
+            if len(raw) - off != n_rows * rec_dtype.itemsize:
+                raise ValueError(
+                    f"{path}: {len(raw) - off} record bytes, but the header gives "
+                    f"{n_rows} records of {rec_dtype.itemsize} bytes"
+                )
+            recs = np.frombuffer(raw, dtype=rec_dtype, count=n_rows, offset=off)
+            fields = recs["field"].astype(np.int64)
+            keys = recs["key"].astype(np.uint64)
+            foreign = np.flatnonzero(fields % n_shards != idx)
+            if foreign.size:
+                raise ValueError(
+                    f"{path}: field {int(fields[foreign[0]])} does not belong to shard "
+                    f"{idx} of {n_shards}"
+                )
+            uf, uk, inverse = unique_with_inverse(fields, keys)
+            if len(uf) != n_rows:
+                i = int(np.argmax(np.bincount(inverse) > 1))
+                raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
             table._shards[idx].append(
-                recs["field"].astype(np.int64), recs["key"].astype(np.uint64), recs["w"],
-                {nm: recs[f"s_{nm}"] for nm in slot_names},
+                fields, keys, recs["w"], {nm: recs[f"s_{nm}"] for nm in slot_widths},
             )
         return table
+
+
+def _read_header(raw, path):
+    """(dim, dtype, slot widths, record count, record offset) of a shard file."""
+    off = 8
+    version, dim, code = struct.unpack_from("<IIB", raw, off)
+    off += 9
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    (n_slots,) = struct.unpack_from("<B", raw, off)
+    off += 1
+    slot_widths = {}
+    for _ in range(n_slots):
+        (ln,) = struct.unpack_from("<B", raw, off)
+        off += 1
+        nm = raw[off : off + ln].decode("ascii")
+        off += ln
+        (w,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        slot_widths[nm] = w
+    (n_rows,) = struct.unpack_from("<Q", raw, off)
+    off += 8
+    return dim, _CODE_DTYPES[code], slot_widths, n_rows, off
 
 
 def unique_with_inverse(fields, keys):

@@ -238,11 +238,11 @@ def _engine_grad_maps(engine, grads):
     latent = {}
     for r in range(engine.n_workers):
         if grads.linear[r] is not None:
-            uf, uk, g = grads.linear[r]
+            uf, uk, _, g = grads.linear[r]
             for f, k, row in zip(uf, uk, g):
                 linear[(int(f), int(k))] = row.copy()
         if grads.latent[r] is not None:
-            uf, uk, g = grads.latent[r]
+            uf, uk, _, g = grads.latent[r]
             for f, k, row in zip(uf, uk, g):
                 latent[(int(f), int(k))] = row.copy()
     full_fc = None

@@ -5,9 +5,12 @@ exercised exhaustively by the verification suite; these tests pin down the
 unit-level contracts and the failure modes.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dessim import models, sparse
 from dessim.collectives import PHASE_BACKWARD, PHASE_FORWARD, WorkerGroup
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
 from dessim.models import (
@@ -340,6 +343,30 @@ class TestEngineBackwardAndUpdate:
         after = engine.linear_table.weight_map()
         assert np.array_equal(snapshot[(1, 2)], after[(1, 2)])
         assert not np.array_equal(snapshot[(0, 1)], after[(0, 1)])
+
+
+class TestPairsResolvedOnce:
+    def test_fm_step_dedups_once_per_rank_and_finds_three_times_per_table(self, monkeypatch):
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=4), WorkerGroup(2))
+        batch = tiny_batch(np.random.default_rng(45), 4)
+        dedups = []
+        finds = Counter()
+        real_dedup, real_find = models.unique_with_inverse, sparse._Shard.find
+
+        def dedup(fields, keys):
+            dedups.append(len(fields))
+            return real_dedup(fields, keys)
+
+        def find(shard, fields, keys):
+            finds[shard.name, id(shard)] += 1
+            return real_find(shard, fields, keys)
+
+        monkeypatch.setattr(models, "unique_with_inverse", dedup)
+        monkeypatch.setattr(sparse._Shard, "find", find)
+        engine.train_step(batch)
+        assert len(dedups) == 2
+        assert sorted(finds.values()) == [3, 3, 3, 3]
+        assert sorted(name for name, _ in finds) == ["latent", "latent", "linear", "linear"]
 
 
 class TestDenseConstruction:

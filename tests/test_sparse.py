@@ -1,8 +1,11 @@
 """Sharded table behavior: placement, lazy init, updates, persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
+from dessim import sparse
 from dessim.errors import ConsistencyError, DimensionError, PlacementError
 from dessim.models import SparseBatch
 from dessim.sparse import (
@@ -288,6 +291,110 @@ class TestIndex:
         assert calls == [(np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1])]
 
 
+M64 = 2**64 - 1
+
+
+def splitmix_finalizer(z):
+    """splitmix64's finalizer on a Python int: the field mix the index keys on."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+# Pairs on shard 0 of 2, by index value: H three times (a three-way
+# collision), then H + 1 and H - 1 on either side of that run, and one far away.
+H = 0x0123456789ABCDEF
+COLLIDING_FIELDS = np.array([0, 2, 4, 4, 6, 2])
+COLLIDING_KEYS = np.array(
+    [(h ^ splitmix_finalizer(f)) for f, h in zip((0, 2, 4, 4, 6), (H, H, H, H + 1, H - 1))]
+    + [5], dtype=np.uint64,
+)
+
+
+class TestHashCollisions:
+    """Distinct pairs whose index values ``key ^ mix(field)`` are equal."""
+
+    @pytest.mark.parametrize("chunks", [
+        [[0], [1], [2], [3], [4], [5]],
+        [[5], [4], [3], [2], [1], [0]],
+        [[0, 1, 2, 3, 4, 5]],
+        [[2, 4], [0, 3], [1, 5]],
+    ])
+    def test_against_dict_shadow(self, tmp_path, chunks):
+        init = seeded_uniform_init(4, scale=1.0)
+        table = ShardedWeightTable(2, 3, seed=4, init_scale=1.0, slot_widths={"acc": 3})
+        fields, keys = COLLIDING_FIELDS, COLLIDING_KEYS
+        shadow = {}
+        for chunk in chunks:
+            # every lookup repeats the pairs already inserted, so hits and misses mix
+            seen = [i for i in range(len(fields)) if (int(fields[i]), int(keys[i])) in shadow]
+            sel = np.array(seen + chunk)
+            got = table.lookup(0, fields[sel], keys[sel])
+            for i, row in zip(sel.tolist(), got):
+                fk = (int(fields[i]), int(keys[i]))
+                want = shadow.setdefault(fk, init([fk[0]], [fk[1]], 3, np.float32)[0])
+                assert np.array_equal(row, want), fk
+        assert table.n_entries() == len(fields)
+        index = table._shards[0]._hash
+        assert len(set(index.tolist())) == len(fields) - 2
+
+        sel = np.array([2, 0, 4])
+        new = np.arange(9, dtype=np.float32).reshape(3, 3)
+        table.apply_update(0, fields[sel], keys[sel], new, {"acc": -new})
+        for i, w in zip(sel.tolist(), new):
+            shadow[(int(fields[i]), int(keys[i]))] = w
+        acc = table.slot_values(0, fields, keys)["acc"]
+        assert np.array_equal(acc[[2, 0, 4]], -new)
+        assert not acc[[1, 3, 5]].any()
+        absent = H ^ splitmix_finalizer(8)
+        with pytest.raises(ConsistencyError, match=f"field=8, key={absent}"):
+            table.slot_values(0, [8, 0], [absent, keys[0]])
+
+        got = table.weight_map()
+        assert got.keys() == shadow.keys()
+        for fk, want in shadow.items():
+            assert np.array_equal(got[fk], want)
+        table.save(tmp_path)
+        loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=4, init_scale=1.0)
+        assert np.array_equal(loaded.lookup(0, fields, keys), table.lookup(0, fields, keys))
+        assert np.array_equal(loaded.slot_values(0, fields, keys)["acc"], acc)
+        assert loaded.n_entries() == len(fields)
+
+    def test_equal_small_keys_across_fields(self, tmp_path):
+        # as in the synthetic streams: every field draws from the same small ids
+        rng = np.random.default_rng(12)
+        table = ShardedWeightTable(1, 2, seed=3)
+        fields = np.repeat(np.arange(10), 50)
+        keys = np.tile(np.arange(50, dtype=np.uint64), 10)
+        for chunk in np.array_split(rng.permutation(len(keys)), 7):
+            table.lookup(0, fields[chunk], keys[chunk])
+        assert table.n_entries() == len(keys)
+        got = table.lookup(0, fields, keys)
+        for row, f, k in zip(got, fields.tolist(), keys.tolist()):
+            assert np.array_equal(row, per_key_uniform(3, f, k, 2, np.float32, 0.01))
+        saved = [(f, k) for f, k, _, _ in table.entries(0)]
+        assert saved == list(zip(fields.tolist(), keys.tolist()))
+
+
+class TestFieldRange:
+    def test_field_outside_uint32_rejected_and_widest_round_trips(self, tmp_path):
+        table = ShardedWeightTable(1, 2, init="zeros", slot_widths={"acc": 2}, name="lin")
+        w = np.zeros((1, 2), dtype=np.float32)
+        for bad in (2**32 + 5, -1):
+            for call in (
+                lambda: table.lookup(0, [bad], [7]),
+                lambda: table.slot_values(0, [bad], [7]),
+                lambda: table.apply_update(0, [bad], [7], w, {"acc": w}),
+            ):
+                with pytest.raises(DimensionError, match=rf"'lin'.*field {bad}\b"):
+                    call()
+        assert table.n_entries() == 0
+        table.lookup(0, [2**32 - 1, 0], [7, 7])
+        table.save(tmp_path)
+        loaded = ShardedWeightTable.load(tmp_path, "lin", 1, init="zeros")
+        assert sorted(loaded.weight_map()) == [(0, 7), (2**32 - 1, 7)]
+
+
 class TestApplyUpdate:
     def test_round_trip_bitwise(self):
         table = make_table(init="zeros")
@@ -440,6 +547,58 @@ class TestPersistence:
         bad.write_bytes(b"NOTATBL1" + b"\0" * 32)
         with pytest.raises(ValueError):
             ShardedWeightTable.load(tmp_path, "table", 1)
+
+    # a table of dim 1, float32, no slots: a 26-byte header, then 20-byte
+    # records of field u32, key u64, d u32 and one weight
+    HEADER, RECORD = 26, 20
+
+    def saved_shard(self, tmp_path, n_shards=1):
+        table = ShardedWeightTable(n_shards, 1, init="zeros")
+        table.lookup(0, [0, 0, 0], [1, 2, 3])
+        table.save(tmp_path)
+        return tmp_path / "table-shard-0000.bin"
+
+    def test_load_rejects_length_not_matching_header(self, tmp_path):
+        path = self.saved_shard(tmp_path)
+        raw = path.read_bytes()
+        assert len(raw) == self.HEADER + 3 * self.RECORD
+        for bad in (raw[:-5], raw[: self.HEADER + self.RECORD], raw + b"\0", raw[:20]):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                ShardedWeightTable.load(tmp_path, "table", 1)
+
+    def test_load_rejects_field_of_another_shard(self, tmp_path):
+        path = self.saved_shard(tmp_path, n_shards=2)
+        raw = bytearray(path.read_bytes())
+        raw[self.HEADER : self.HEADER + 4] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*field 3 .*shard 0 of 2"):
+            ShardedWeightTable.load(tmp_path, "table", 2)
+
+    def test_load_rejects_repeated_pair(self, tmp_path):
+        path = self.saved_shard(tmp_path)
+        raw = bytearray(path.read_bytes())
+        first = raw[self.HEADER : self.HEADER + self.RECORD]
+        raw[self.HEADER + 2 * self.RECORD :] = first
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + r".*field=0, key=1\) repeats"):
+            ShardedWeightTable.load(tmp_path, "table", 1)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
+        table = ShardedWeightTable(1, 2, seed=2)
+        table.lookup(0, [0], [1])
+        table.save(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table-shard-0000.bin"]
+        before = (tmp_path / "table-shard-0000.bin").read_bytes()
+        table.lookup(0, [1], [2])
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(sparse.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            table.save(tmp_path)
+        assert (tmp_path / "table-shard-0000.bin").read_bytes() == before
 
 
 def unique_reference(fields, keys):
