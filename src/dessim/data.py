@@ -1,21 +1,26 @@
 """Criteo-format ingestion and a seeded synthetic stream generator.
 
 Feature keys are 64-bit hashes of stable strings ("I{i}" for continuous
-columns, "C{j}:{token}" for categorical ones), so identical tokens map to
-identical keys across runs and processes. The synthetic generator draws
-labels from a hidden logistic model, which gives training runs a knowable
-signal level and a controllable noise floor.
+columns, "C{j}:{token}" for categorical ones; see ``sparse.hash_text``), so
+identical tokens map to identical keys across runs and processes. Per hash
+seed, the 13 integer-column keys are constants, and each categorical column
+keeps a keyed hash state that has already absorbed "C{j}:", so a token costs
+one state copy plus its own bytes. Integer values come from a bounded memo
+of ``float(np.log1p(x))``; ``math.log1p`` can differ from numpy's in the last
+bit. The synthetic generator draws labels from a hidden logistic model, which
+gives training runs a knowable signal level and a controllable noise floor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from .errors import ParseError
 from .models import SparseBatch
-from .sparse import hash_text
+from .sparse import hash_text, text_hasher
 
 N_INT_FEATURES = 13
 N_CAT_FEATURES = 26
@@ -30,22 +35,56 @@ class CriteoRecord:
     categoricals: tuple
 
 
+def _where(line_no):
+    return f" at line {line_no}" if line_no is not None else ""
+
+
 def parse_criteo(line, line_no=None):
-    """One 40-column TSV line; empty cells become None."""
+    """One 40-column TSV line; empty cells become None.
+
+    Raises ``ParseError`` naming the line for a wrong column count, a label
+    other than 0 or 1, or an integer cell that is not an integer (naming its
+    column too; the label is column 1).
+    """
     parts = line.rstrip("\n").split("\t")
     if len(parts) != CRITEO_COLUMNS:
-        where = f" at line {line_no}" if line_no is not None else ""
         raise ParseError(
-            f"expected {CRITEO_COLUMNS} tab-separated columns, got {len(parts)}{where}"
+            f"expected {CRITEO_COLUMNS} tab-separated columns, got {len(parts)}{_where(line_no)}"
         )
     try:
         label = int(parts[0])
     except ValueError:
-        where = f" at line {line_no}" if line_no is not None else ""
-        raise ParseError(f"bad label {parts[0]!r}{where}") from None
-    ints = tuple(int(p) if p else None for p in parts[1 : 1 + N_INT_FEATURES])
-    cats = tuple(p if p else None for p in parts[1 + N_INT_FEATURES :])
+        label = None
+    if label not in (0, 1):
+        raise ParseError(f"bad label {parts[0]!r}, expected 0 or 1{_where(line_no)}")
+    cells = parts[1 : 1 + N_INT_FEATURES]
+    try:
+        ints = tuple([int(p) if p else None for p in cells])
+    except ValueError:
+        for col, cell in enumerate(cells, 2):
+            try:
+                int(cell or 0)
+            except ValueError:
+                raise ParseError(
+                    f"bad integer {cell!r} in column {col}{_where(line_no)}"
+                ) from None
+        raise
+    cats = tuple([p if p else None for p in parts[1 + N_INT_FEATURES :]])
     return CriteoRecord(label=label, integers=ints, categoricals=cats)
+
+
+@functools.lru_cache(maxsize=4096)
+def _int_value(x):
+    """log(1+x) for x >= 0, else 0, by numpy: ``math.log1p`` can differ in the last bit."""
+    return float(np.log1p(x)) if x >= 0 else 0.0
+
+
+@functools.lru_cache(maxsize=16)
+def _column_hashers(hash_seed):
+    """Per seed: the integer columns' keys and the categorical columns' states."""
+    int_keys = tuple(hash_text(f"I{i}", hash_seed) for i in range(N_INT_FEATURES))
+    cat_states = tuple(text_hasher(f"C{j}:", hash_seed) for j in range(N_CAT_FEATURES))
+    return int_keys, cat_states
 
 
 def featurize(record, hash_seed=0):
@@ -54,18 +93,16 @@ def featurize(record, hash_seed=0):
     Continuous column i keeps one key per field ("I{i}") and carries its
     signal in the value, log(1+x) for x >= 0 and 0 for negative x.
     Categorical column j contributes key hash("C{j}:{token}") with value 1.
-    Missing cells emit nothing.
+    Missing cells emit nothing. A hash seed outside ``[0, 2**64)`` raises
+    ``ValueError``.
     """
-    out = []
-    for i, x in enumerate(record.integers):
-        if x is None:
-            continue
-        value = float(np.log1p(x)) if x >= 0 else 0.0
-        out.append((i, hash_text(f"I{i}", hash_seed), value))
+    int_keys, cat_states = _column_hashers(hash_seed)
+    out = [(i, int_keys[i], _int_value(x)) for i, x in enumerate(record.integers) if x is not None]
     for j, token in enumerate(record.categoricals):
-        if token is None:
-            continue
-        out.append((N_INT_FEATURES + j, hash_text(f"C{j}:{token}", hash_seed), 1.0))
+        if token is not None:
+            h = cat_states[j].copy()
+            h.update(token.encode("utf-8"))
+            out.append((N_INT_FEATURES + j, int.from_bytes(h.digest(), "little"), 1.0))
     return out
 
 
@@ -73,10 +110,13 @@ def read_criteo_batches(path, batch_size, split="all", hash_seed=0, limit=None):
     """Yield SparseBatch objects from a Criteo TSV file.
 
     The train/test split is positional: every twentieth line is test, the
-    rest train. Sample order within a split follows file order.
+    rest train. Sample order within a split follows file order. An unknown
+    split or a hash seed outside ``[0, 2**64)`` raises ``ValueError`` before
+    the file is opened.
     """
     if split not in ("train", "test", "all"):
         raise ValueError(f"unknown split {split!r}")
+    _column_hashers(hash_seed)  # checks the seed even when the file has no records
     labels, samples = [], []
     n_used = 0
     with open(path, "rt", encoding="utf-8") as fh:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import vecmath
+from .artifacts import replacing
 from .collectives import PHASE_BACKWARD, PHASE_FORWARD, PHASE_OPTIMIZER
 from .errors import ConsistencyError, DimensionError, ProtocolError
 from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_step
@@ -798,10 +799,12 @@ class SubstitutedModel:
         for r in range(self.n_workers):
             if self.fc_blocks[r] is not None:
                 p = os.path.join(directory, f"fc-block-{r:04d}.npy")
-                np.save(p, self.fc_blocks[r])
+                with replacing(p) as fh:
+                    np.save(fh, self.fc_blocks[r])
                 paths.append(p)
         for name, arr in self.dense[0].items():
             p = os.path.join(directory, f"dense-{name.replace('.', '_')}.npy")
-            np.save(p, arr)
+            with replacing(p) as fh:
+                np.save(fh, arr)
             paths.append(p)
         return sorted(paths)

@@ -13,6 +13,12 @@ field that value fixes the key, so a match is exact; the rare distinct pairs
 that share a value are told apart by their fields (see ``_Shard``). Field ids
 must lie in ``[0, 2**32)``, the range of the index and checkpoint columns.
 
+Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
+hash seed's 8 little-endian bytes. One keyed state per seed is built once and
+copied per text; ``text_hasher`` hands out a copy that has also absorbed a
+prefix, so a caller hashing many texts under one prefix pays only for each
+text's own bytes.
+
 Initializers are batched: one call per lookup receives every new (field,
 key) pair and returns one row each. The default draw for a pair is
 ``default_rng(SeedSequence((seed, field, key))).uniform(-scale, scale,
@@ -36,6 +42,7 @@ import struct
 
 import numpy as np
 
+from .artifacts import replacing
 from .errors import ConsistencyError, DimensionError, PlacementError
 
 CHECKPOINT_MAGIC = b"SHRDTBL1"
@@ -51,11 +58,35 @@ def shard_of(field_id, n_shards):
     return int(field_id) % int(n_shards)
 
 
+@functools.lru_cache(maxsize=64)
+def _keyed_blake2b(seed):
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"hash seed {seed} outside [0, 2**64)")
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+
+
+def text_hasher(prefix, seed=0):
+    """A fresh keyed hash state that has absorbed ``prefix``.
+
+    Finishing a copy of it on more text gives that text's key with the
+    prefix: ``h = state.copy(); h.update(text.encode("utf-8"))`` then
+    ``int.from_bytes(h.digest(), "little") == hash_text(prefix + text,
+    seed)``. BLAKE2b streams, so a prebuilt state costs each text only its
+    own bytes, not the key block or the prefix again. Raises ``ValueError``
+    naming the seed when it is outside ``[0, 2**64)``.
+    """
+    state = _keyed_blake2b(int(seed)).copy()
+    state.update(prefix.encode("utf-8"))
+    return state
+
+
 def hash_text(text, seed=0):
-    """Seeded 64-bit hash of a string, stable across runs and platforms."""
-    key = int(seed).to_bytes(8, "little", signed=False)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+    """Seeded 64-bit hash of a string, stable across runs and platforms.
+
+    The keyed BLAKE2b-64 digest of the UTF-8 text, with the seed's 8
+    little-endian bytes as the key, read as a little-endian integer.
+    """
+    return int.from_bytes(text_hasher(text, seed).digest(), "little")
 
 
 def hash_feature(field_id, token, seed=0):
@@ -539,11 +570,9 @@ class ShardedWeightTable:
             recs["w"] = shard.weights[rows]
             for name in slot_names:
                 recs[f"s_{name}"] = shard.slots[name][rows]
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
+            with replacing(path) as fh:
                 fh.write(bytes(header))
                 fh.write(recs.tobytes())
-            os.replace(tmp, path)
             paths.append(path)
         return paths
 

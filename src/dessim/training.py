@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
+from .artifacts import replacing
 from .collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from .costmodel import (
     COMPONENT_KINDS,
@@ -192,13 +193,14 @@ def train(cfg):
         os.makedirs(cfg.out_dir, exist_ok=True)
         checkpoint_dir = os.path.join(cfg.out_dir, "checkpoint")
         engine.save_checkpoint(checkpoint_dir)
-        with open(os.path.join(cfg.out_dir, "metrics.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(metrics_to_tsv(snapshots))
-        with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-            doc = {"version": 1, "rows": [s.to_dict() for s in snapshots]}
-            fh.write(json.dumps(doc, indent=2) + "\n")
-        with open(os.path.join(cfg.out_dir, "config.json"), "w", encoding="utf-8") as fh:
-            fh.write(cfg.to_json())
+        doc = {"version": 1, "rows": [s.to_dict() for s in snapshots]}
+        for name, text in (
+            ("metrics.tsv", metrics_to_tsv(snapshots)),
+            ("metrics.json", json.dumps(doc, indent=2) + "\n"),
+            ("config.json", cfg.to_json()),
+        ):
+            with replacing(os.path.join(cfg.out_dir, name)) as fh:
+                fh.write(text.encode("utf-8"))
 
     return TrainResult(
         config=cfg, snapshots=snapshots, engine=engine, group=group,

@@ -14,7 +14,8 @@ from dessim.data import (
     read_criteo_batches,
 )
 from dessim.errors import ParseError
-from dessim.models import ModelGraph
+from dessim.models import ModelGraph, SparseBatch
+from dessim.sparse import hash_text
 from dessim.training import RunConfig, train
 
 
@@ -50,6 +51,21 @@ class TestParsing:
     def test_bad_label(self):
         with pytest.raises(ParseError, match="label"):
             parse_criteo(make_line("click", FULL_INTS, FULL_CATS))
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_0_1_names_the_line(self, label):
+        with pytest.raises(ParseError, match=r"label .*line 4"):
+            parse_criteo(make_line(label, FULL_INTS, FULL_CATS), line_no=4)
+
+    def test_non_integer_cell_names_line_and_column(self):
+        ints = [1, 2, "x"] + [None] * 10
+        with pytest.raises(ParseError, match=r"'x' in column 4 at line 7"):
+            parse_criteo(make_line(1, ints, FULL_CATS), line_no=7)
+
+    def test_wide_integer_cells(self):
+        ints = [0, 1, -5, 2**31, 10**12] + [None] * 8
+        rec = parse_criteo(make_line(0, ints, FULL_CATS))
+        assert rec.integers == tuple(ints)
 
 
 class TestFeaturizer:
@@ -92,6 +108,55 @@ class TestFeaturizer:
                            categoricals=("abc",) + (None,) * 25)
         assert featurize(rec, hash_seed=0) != featurize(rec, hash_seed=1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_bitwise_equal_to_per_token_reference(self, seed):
+        records = [
+            CriteoRecord(label=1, integers=(0, 1, -5, 2**31, 10**12) + (None,) * 8,
+                         categoricals=("déjà", "キー", "", "a\u00e9b") + (None,) * 22),
+            CriteoRecord(label=0, integers=(None,) * 12 + (7,),
+                         categoricals=(None,) * 25 + ("ünï",)),
+            CriteoRecord(label=0, integers=tuple(range(13)), categoricals=tuple(FULL_CATS)),
+            CriteoRecord(label=1, integers=(None,) * 13, categoricals=(None,) * 26),
+        ]
+        for rec in records:
+            assert feature_bits(featurize(rec, seed)) == feature_bits(
+                reference_featurize(rec, seed))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_named(self, seed):
+        rec = CriteoRecord(label=0, integers=(1,) + (None,) * 12,
+                           categoricals=("abc",) + (None,) * 25)
+        with pytest.raises(ValueError, match=f"seed {seed}"):
+            featurize(rec, hash_seed=seed)
+
+
+def reference_featurize(record, hash_seed=0):
+    """One hash_text and one numpy log1p per cell: the keys and values featurize keeps."""
+    out = []
+    for i, x in enumerate(record.integers):
+        if x is not None:
+            value = float(np.log1p(x)) if x >= 0 else 0.0
+            out.append((i, hash_text(f"I{i}", hash_seed), value))
+    for j, token in enumerate(record.categoricals):
+        if token is not None:
+            out.append((13 + j, hash_text(f"C{j}:{token}", hash_seed), 1.0))
+    return out
+
+
+def feature_bits(feats):
+    """Triples with each value as its exact bits, so 0.0 and -0.0 differ."""
+    return [(type(f), f, type(k), k, type(v), v.hex()) for f, k, v in feats]
+
+
+def reference_batches(path, batch_size, split, hash_seed=0):
+    """The reader's batches from per-token reference features."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    keep = [(n, line) for n, line in enumerate(lines) if (n % 20 == 19) == (split == "test")]
+    for start in range(0, len(keep), batch_size):
+        records = [parse_criteo(line, n + 1) for n, line in keep[start : start + batch_size]]
+        yield SparseBatch.from_samples(
+            [r.label for r in records], [reference_featurize(r, hash_seed) for r in records])
+
 
 class TestFileReader:
     @pytest.fixture
@@ -133,6 +198,38 @@ class TestFileReader:
         path, _ = log_file
         with pytest.raises(ValueError):
             list(read_criteo_batches(path, 8, split="dev"))
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 128])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_batches_bitwise_equal_to_reference_reader(self, tmp_path, batch_size, split):
+        rng = np.random.default_rng(71)
+        wide = [0, 1, -5, 2**31, 10**12]
+        tokens = ["déjà", "キー", "ünï", "x", "0a1b2c3d"]
+        lines = []
+        for _ in range(300):
+            ints = [int(rng.choice(wide)) if rng.random() < 0.3 else
+                    int(rng.integers(-3, 1000)) if rng.random() < 0.8 else None
+                    for _ in range(13)]
+            cats = [str(rng.choice(tokens)) + str(int(rng.integers(0, 50)))
+                    if rng.random() < 0.9 else None for _ in range(26)]
+            lines.append(make_line(int(rng.integers(0, 2)), ints, cats))
+        path = tmp_path / "clicks.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = list(read_criteo_batches(path, batch_size, split=split, hash_seed=3))
+        want = list(reference_batches(path, batch_size, split, hash_seed=3))
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            for name in ("labels", "sample_ids", "fields", "keys", "values"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_named(self, tmp_path, seed):
+        path = tmp_path / "empty.tsv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"seed {seed}"):
+            list(read_criteo_batches(path, 8, hash_seed=seed))
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "broken.tsv"

@@ -1,5 +1,6 @@
 """Sharded table behavior: placement, lazy init, updates, persistence."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from dessim.sparse import (
     hash_text,
     seeded_uniform_init,
     shard_of,
+    text_hasher,
     unique_keys,
     unique_with_inverse,
 )
@@ -48,6 +50,25 @@ class TestHashing:
 
     def test_feature_hash_separates_fields(self):
         assert hash_feature(1, "tok") != hash_feature(2, "tok")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_equals_one_shot_keyed_blake2b(self, seed):
+        key = seed.to_bytes(8, "little")
+        for text in ("", "I0", "C25:deadbeef", "C3:déjà", "キー"):
+            digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
+            assert hash_text(text, seed) == int.from_bytes(digest, "little")
+
+    def test_prefixed_state_finishes_to_hash_text(self):
+        state = text_hasher("C7:", seed=9)
+        for token in ("", "abc", "ünï"):
+            h = state.copy()
+            h.update(token.encode("utf-8"))
+            assert int.from_bytes(h.digest(), "little") == hash_text(f"C7:{token}", 9)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_named(self, seed):
+        with pytest.raises(ValueError, match=f"hash seed {seed} outside"):
+            hash_text("x", seed)
 
 
 class TestInitializers:

@@ -139,6 +139,28 @@ class TestArtifacts:
         assert doc["version"] == 1
         assert len(doc["rows"]) == 1
 
+    @pytest.mark.parametrize("name", ["metrics.tsv", "metrics.json", "config.json",
+                                      "checkpoint/dense-out_w.npy",
+                                      "checkpoint/fc-block-0001.npy"])
+    def test_failed_rename_leaves_previous_file(self, tmp_path, monkeypatch, name):
+        out = tmp_path / "run"
+        graph = ModelGraph(kind="wdl", n_fields=4, embedding_dim=2, first_fc_width=4, seed=2)
+        train(tiny_config(graph=graph, epochs=1, out_dir=str(out)))
+        before = (out / name).read_bytes()
+        real_replace = os.replace
+
+        def refuse(src, dst):
+            if str(dst) == str(out / name):
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            train(tiny_config(graph=graph, epochs=2, seed=6, out_dir=str(out)))
+        assert (out / name).read_bytes() == before
+        left = [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
+        assert left == []
+
     def test_metrics_tsv_format(self):
         snap = MetricsSnapshot(step=3, auc=0.75, logloss=0.5, fwd_bytes=1024,
                                bwd_bytes=0, wall_ms=12.5)
