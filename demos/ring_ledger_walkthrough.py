@@ -9,8 +9,8 @@ only on the payload size and the ring size, and it matches the closed form
 
 import numpy as np
 
-from dessim.collectives import NetworkParams, WorkerGroup, ring_chunk_sizes, ring_time
-from dessim.costmodel import allreduce_sent_bytes_formula
+from dessim.collectives import NetworkParams, WorkerGroup, ring_chunk_sizes
+from dessim.costmodel import allreduce_sent_bytes_formula, ring_time
 
 N = 3
 PAYLOAD_FLOATS = 10  # 40 bytes over 3 ranks, so chunks come out uneven

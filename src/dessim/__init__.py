@@ -6,8 +6,16 @@ and keeps the backward phase communication-free. Monolithic oracles, analytic
 cost models, and a verification suite ship alongside.
 """
 
-from .collectives import CommLedger, NetworkParams, WorkerGroup, ring_time, substitution_time
-from .costmodel import CostInputs, q_des, q_mesh, saving_ratio, strategy_times
+from .collectives import CommLedger, NetworkParams, WorkerGroup
+from .costmodel import (
+    CostInputs,
+    q_des,
+    q_mesh,
+    ring_time,
+    saving_ratio,
+    strategy_times,
+    substitution_time,
+)
 from .data import SyntheticSpec, featurize, gen_synthetic, parse_criteo, read_criteo_batches
 from .errors import (
     ConsistencyError,
@@ -21,7 +29,7 @@ from .baselines import MonolithicModel
 from .metrics import auc, logloss
 from .models import ModelGraph, SparseBatch, SubstitutedModel
 from .optim import OptimizerConfig
-from .sparse import ShardedWeightTable, hash_feature, hash_text, shard_of, unique_keys
+from .sparse import ShardedWeightTable, hash_feature, hash_text, shard_of
 from .training import MetricsSnapshot, RunConfig, bench_comm, evaluate, train
 from .verification import run_verify
 
@@ -66,5 +74,4 @@ __all__ = [
     "strategy_times",
     "substitution_time",
     "train",
-    "unique_keys",
 ]

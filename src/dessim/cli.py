@@ -10,6 +10,7 @@ import json
 import os
 import sys
 
+from .artifacts import replacing
 from .costmodel import report_to_json, report_to_tsv
 from .models import MODEL_KINDS, ModelGraph
 from .training import RunConfig, bench_comm, metrics_to_tsv, train
@@ -68,7 +69,7 @@ def _cmd_train(args):
             base = RunConfig.from_json(fh.read())
     else:
         data = args.data if args.data is not None else "synthetic"
-        n_fields = args.fields or (10 if data == "synthetic" else 39)
+        n_fields = args.fields if args.fields is not None else (10 if data == "synthetic" else 39)
         base = RunConfig(
             graph=ModelGraph(kind=args.model or "lr", n_fields=n_fields,
                              seed=args.seed or 0),
@@ -76,11 +77,11 @@ def _cmd_train(args):
         )
     # explicit flags override the config document
     graph = base.graph
-    if (args.model is not None and args.model != graph.kind) or args.fields:
+    if (args.model is not None and args.model != graph.kind) or args.fields is not None:
         doc = graph.to_config()
         if args.model is not None:
             doc["kind"] = args.model
-        if args.fields:
+        if args.fields is not None:
             doc["n_fields"] = args.fields
         graph = ModelGraph.from_config(doc)
     cfg = RunConfig(
@@ -150,10 +151,9 @@ def _cmd_bench(args):
     print(f"measured == predicted q_des for all rows: {'yes' if exact else 'NO'}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "comm-report.tsv"), "w", encoding="utf-8") as fh:
-            fh.write(tsv)
-        with open(os.path.join(args.out, "comm-report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(rows))
+        for name, text in (("comm-report.tsv", tsv), ("comm-report.json", report_to_json(rows))):
+            with replacing(os.path.join(args.out, name)) as fh:
+                fh.write(text.encode("utf-8"))
         print(f"reports written to {args.out}")
     return 0 if exact else CHECK_FAILURE
 

@@ -5,13 +5,16 @@ payloads, reduces them in ascending rank order, and charges each rank the
 bytes it would have sent under a canonical ring schedule (reduce-scatter
 followed by all-gather over balanced chunks). Determinism and exact
 accounting are the point: the same inputs always produce the same result
-and the same ledger, whether the callers run sequentially or on threads.
+and the same ledger.
+
+``WorkerGroup.run`` executes one worker program per rank in lockstep. Each
+program is a generator that yields at every collective, so the collectives
+are the only points where the ranks meet, as in an SPMD job.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +86,7 @@ class CommLedger:
 
     def op_count(self, phase=None, op=None, epoch=None):
         """Number of collective calls matching the filter (not per-rank rows)."""
-        seen = set()
-        for i, e in enumerate(self.entries):
-            if phase is not None and e.phase != phase:
-                continue
-            if op is not None and e.op != op:
-                continue
-            if epoch is not None and e.epoch != epoch:
-                continue
-            seen.add(i - e.rank)  # rows of one call are contiguous, rank 0 first
-        return len(seen)
+        return sum(1 for _ in self._select(phase, op, 0, epoch))  # one rank-0 row per call
 
     def ops_in_order(self, phase=None, epoch=None):
         """(op, payload bytes per rank) for each call, in call order."""
@@ -141,29 +135,18 @@ def simulate_allreduce_sent_bytes(nbytes, n_ranks):
     return sent
 
 
-def simulate_allgather_sent_bytes(block_bytes):
-    """Ring all-gather: step t has rank w forward block (w - t) mod n."""
-    n_ranks = len(block_bytes)
-    sent = [0] * n_ranks
-    for t in range(n_ranks - 1):
-        for w in range(n_ranks):
-            sent[w] += int(block_bytes[(w - t) % n_ranks])
-    return sent
-
-
 class WorkerGroup:
     """A fixed set of N logical workers sharing one ledger and one epoch clock.
 
     Collective results are reduced in ascending rank order, so they are
-    deterministic and independent of whether the callers are sequential or
-    threaded. ``advance_epoch`` is the barrier between training iterations.
+    deterministic. ``advance_epoch`` is the barrier between training
+    iterations.
     """
 
-    def __init__(self, n_workers, rendezvous_timeout=30.0):
+    def __init__(self, n_workers):
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
         self.n_workers = int(n_workers)
-        self.rendezvous_timeout = float(rendezvous_timeout)
         self.epoch = 0
         self.phase = PHASE_FORWARD
         self.ledger = CommLedger()
@@ -205,118 +188,37 @@ class WorkerGroup:
         self.ledger.charge(self.phase, op, self.epoch, sent)
         return out
 
-    def all_gather(self, locals_, op="all_gather"):
-        """Collect the per-rank payloads into a rank-indexed list for every worker."""
-        if len(locals_) != self.n_workers:
-            raise ProtocolError(
-                f"{op}: got {len(locals_)} contributions for {self.n_workers} workers"
-            )
-        head = locals_[0]
-        for rank, arr in enumerate(locals_):
-            if not isinstance(arr, np.ndarray):
-                raise ProtocolError(f"{op}: rank {rank} contributed {type(arr).__name__}")
-            if arr.dtype != head.dtype or arr.ndim != head.ndim:
-                raise ProtocolError(
-                    f"{op}: rank {rank} payload {arr.dtype} ndim {arr.ndim} does not "
-                    f"match rank 0 payload {head.dtype} ndim {head.ndim}"
-                )
-        sent = simulate_allgather_sent_bytes([a.nbytes for a in locals_])
-        self.ledger.charge(self.phase, op, self.epoch, sent)
-        return [a.copy() for a in locals_]
+    def run(self, programs):
+        """Run one worker program per rank in lockstep; return their results by rank.
 
-
-class _Station:
-    """Rendezvous shared by the threaded workers of one group."""
-
-    def __init__(self, group):
-        self.group = group
-        self.barrier = threading.Barrier(group.n_workers)
-        self.slots = [None] * group.n_workers
-        self.result = None
-
-
-class ThreadedWorkerContext:
-    """Per-thread handle offering the same collectives as the sequential path.
-
-    Every call rendezvouses all workers at a barrier, then rank 0 runs the
-    group reduction (identical code, identical ledger charge) and publishes
-    the result. A worker that never shows up trips the barrier timeout.
-    """
-
-    def __init__(self, station, rank):
-        self._station = station
-        self.rank = rank
-        self.n_workers = station.group.n_workers
-
-    def _rendezvous(self, local, reducer, op):
-        st = self._station
-        st.slots[self.rank] = local
-        timeout = st.group.rendezvous_timeout
-        try:
-            st.barrier.wait(timeout)
-            if self.rank == 0:
-                st.result = reducer(list(st.slots), op)
-            st.barrier.wait(timeout)
-        except threading.BrokenBarrierError:
-            raise ProtocolError(
-                f"{op}: rendezvous timed out after {timeout}s; a worker is missing "
-                "or deadlocked"
-            ) from None
-        out = st.result
-        if isinstance(out, np.ndarray):
-            return out.copy()
-        return [a.copy() for a in out]
-
-    def all_reduce_sum(self, local, op="all_reduce_sum"):
-        return self._rendezvous(local, self._station.group.all_reduce_sum, op)
-
-    def all_gather(self, local, op="all_gather"):
-        return self._rendezvous(local, self._station.group.all_gather, op)
-
-
-def run_threaded(group, worker_fn):
-    """Run worker_fn(ctx) on one thread per rank; return results by rank.
-
-    The reduction itself still happens in ascending rank order on a single
-    thread, so results and ledger are identical to the sequential path.
-    """
-    station = _Station(group)
-    results = [None] * group.n_workers
-    errors = [None] * group.n_workers
-
-    def body(rank):
-        try:
-            results[rank] = worker_fn(ThreadedWorkerContext(station, rank))
-        except BaseException as exc:  # noqa: BLE001 - propagated to the caller below
-            errors[rank] = exc
-            station.barrier.abort()
-
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(group.n_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def ring_time(params, n_ranks, payload_bytes):
-    """Ring all-reduce wall time: 2(n-1) steps of latency plus chunk transfer."""
-    if n_ranks < 1:
-        raise ValueError("need at least one rank")
-    if payload_bytes < 0:
-        raise ValueError("payload must be nonnegative")
-    return 2.0 * (n_ranks - 1) * (params.alpha + payload_bytes / (n_ranks * params.bandwidth))
-
-
-def substitution_time(params, n_ranks, payload_sizes):
-    """Total time for a forward pass: one ring all-reduce per partial-result payload."""
-    sizes = list(payload_sizes)
-    if not sizes:
-        raise ValueError("need at least one payload")
-    total = 0.0
-    for s in sizes:
-        total += ring_time(params, n_ranks, s)
-    return total
+        A program is a generator. At each collective it yields ``(op,
+        partial)`` and is sent ``all_reduce_sum`` of every rank's partial, in
+        rank order; all ranks receive the same read-only array. Every rank
+        must yield the same op at the same point and finish together.
+        """
+        programs = list(programs)
+        n = self.n_workers
+        if len(programs) != n:
+            raise ProtocolError(f"run: got {len(programs)} programs for {n} workers")
+        results = [None] * n
+        reduced = None
+        while True:
+            yields = {}
+            for rank, program in enumerate(programs):
+                try:
+                    yields[rank] = program.send(reduced)
+                except StopIteration as stop:
+                    results[rank] = stop.value
+            if not yields:
+                return results
+            op = next(iter(yields.values()))[0]
+            if len(yields) < n:
+                done = next(r for r in range(n) if r not in yields)
+                raise ProtocolError(f"run: rank {done} finished while other ranks wait at {op!r}")
+            for rank, (rank_op, _) in yields.items():
+                if rank_op != op:
+                    raise ProtocolError(
+                        f"run: rank {rank} called {rank_op!r} where rank 0 called {op!r}"
+                    )
+            reduced = self.all_reduce_sum([partial for _, partial in yields.values()], op=op)
+            reduced.flags.writeable = False

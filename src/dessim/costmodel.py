@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .collectives import ring_time, substitution_time
 from .errors import MetricError
 
 KEY_BYTES = 8
@@ -56,7 +55,11 @@ class CostInputs:
 
 
 def _state_bytes(kind, c):
-    """Bytes of first-layer state attached to the batch's unique features."""
+    """Bytes of first-layer state attached to the batch's unique features.
+
+    The first layer's gradient has the same size, which is what the ring
+    baseline all-reduces.
+    """
     if kind == "lr":
         return c.uniq_feats * c.value_bytes
     if kind == "fm":
@@ -147,18 +150,24 @@ def expected_forward_bytes(graph, batch_size, n_workers, value_bytes=VALUE_BYTES
     return totals
 
 
-def gradient_bytes(kind, c):
-    """Total gradient bytes of the component's first layer, for the ring baseline."""
-    if kind == "lr":
-        return c.uniq_feats * c.value_bytes
-    if kind == "fm":
-        return c.uniq_feats * c.value_bytes * c.dim
-    if kind == "dnn":
-        return (
-            c.uniq_feats * c.value_bytes * c.dim
-            + c.n_fields * c.dim * c.first_fc_width * c.value_bytes
-        )
-    raise ValueError(f"unknown component kind {kind!r}")
+def ring_time(params, n_ranks, payload_bytes):
+    """Ring all-reduce wall time: 2(n-1) steps of latency plus chunk transfer."""
+    if n_ranks < 1:
+        raise ValueError("need at least one rank")
+    if payload_bytes < 0:
+        raise ValueError("payload must be nonnegative")
+    return 2.0 * (n_ranks - 1) * (params.alpha + payload_bytes / (n_ranks * params.bandwidth))
+
+
+def substitution_time(params, n_ranks, payload_sizes):
+    """Total time for a forward pass: one ring all-reduce per partial-result payload."""
+    sizes = list(payload_sizes)
+    if not sizes:
+        raise ValueError("need at least one payload")
+    total = 0.0
+    for s in sizes:
+        total += ring_time(params, n_ranks, s)
+    return total
 
 
 def strategy_times(params, kind, c):
@@ -180,7 +189,7 @@ def strategy_times(params, kind, c):
         "T_async_ps": t_sync_ps / n,
         "T_sync_mesh": t_sync_mesh,
         "T_async_mesh": t_sync_mesh / n,
-        "T_ring": ring_time(params, n, gradient_bytes(kind, c)),
+        "T_ring": ring_time(params, n, _state_bytes(kind, c)),
         "T_des": substitution_time(params, n, component_payload_sizes(kind, c)),
     }
 

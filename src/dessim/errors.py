@@ -9,8 +9,10 @@ class ProtocolError(RuntimeError):
     """A collective call violated the group protocol.
 
     Raised for shape or dtype mismatches between rank payloads, a wrong
-    number of contributions, a stale forward pass fed to backward, or a
-    rendezvous that timed out because some worker never arrived.
+    number of contributions or worker programs, worker programs that fall
+    out of lockstep (ranks calling different ops, or one rank finishing
+    while others wait at a collective), and a stale forward pass fed to
+    backward.
     """
 
 

@@ -5,7 +5,9 @@ partial operators whose aggregated results reproduce the unsharded
 computation exactly. Everything above the aggregation is replicated per
 worker. The collective group is the only inter-worker channel and it is
 used in the forward phase only: backward consumes aggregated values every
-worker already holds, so its communication is zero by construction.
+worker already holds, so its communication is zero by construction. Every
+worker runs the same forward program, a generator that yields its partials
+at each aggregation; ``WorkerGroup.run`` drives one per rank in lockstep.
 
 Model kinds:
 
@@ -294,27 +296,6 @@ def mlp_backward(params, hidden_widths, cache, g_logit):
     return g_agg, grads
 
 
-def cross_forward_local(params, depth, x0, rank_range, partial_provider):
-    """Cross stack where the <x, w> scalar arrives through partial_provider.
-
-    partial_provider(k, local_scalar) must return the aggregated scalar;
-    the sequential engine and the unsharded oracle plug in different
-    providers but share this walk.
-    """
-    lo, hi = rank_range
-    x = x0
-    xs = [x0]
-    ss = []
-    for k in range(depth):
-        w = params[f"cross{k}.w"]
-        s = partial_provider(k, cross_partial(x, w, lo, hi))
-        x = cross_combine(x0, s, params[f"cross{k}.b"], x)
-        ss.append(s)
-        xs.append(x)
-    logit = vecmath.matmul_rows(x, params["out.w"])[:, 0] + params["out.b"][0]
-    return logit, {"xs": xs, "ss": ss}
-
-
 def cross_backward(params, depth, cache, g_logit):
     """Gradients of the cross stack; returns (grad wrt x0, dense grads).
 
@@ -387,46 +368,57 @@ def build_dense_params(graph, dtype):
 
 
 @dataclass
-class ForwardPass:
-    """What backward and apply need from one forward pass.
+class RankPass:
+    """One rank's state from a forward pass: what its backward and apply need.
 
-    Each rank's (field, key) pairs are resolved once per step: ``pairs[r]``
-    is ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
-    ``linear_weights[r]`` and ``latent_weights[r]`` hold each table's row for
-    every unique pair. ``latent_rows[r]`` is the latent row of each feature
-    occurrence, ``latent_weights[r][inverse]``. Backward sums gradients over
-    the same pairs, and apply steps the optimizer from these weights, since
-    no table is written between forward and apply.
+    The rank's (field, key) pairs are resolved once per step: ``pairs`` is
+    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
+    ``linear_weights`` and ``latent_weights`` hold each table's row for every
+    unique pair. ``latent_rows`` is the latent row of each feature occurrence,
+    ``latent_weights[inverse]``. ``cache`` is the rank's replicated-stack
+    cache (the mlp's or the cross stack's). Fields a model does not use stay
+    None.
+    """
+
+    slice_: BatchSlice
+    pairs: tuple
+    linear_weights: np.ndarray | None = None
+    latent_weights: np.ndarray | None = None
+    latent_rows: np.ndarray | None = None
+    agg_m1: np.ndarray | None = None
+    pooled: np.ndarray | None = None
+    cache: dict | None = None
+
+
+@dataclass
+class ForwardPass:
+    """The output every rank agrees on, plus each rank's ``RankPass``.
+
+    Backward sums gradients over each rank's resolved pairs, and apply steps
+    the optimizer from the weights forward read, since no table is written
+    between forward and apply.
     """
 
     probs: np.ndarray
     logit: np.ndarray
     epoch: int
     batch: SparseBatch
-    slices: list
-    pairs: list
-    linear_weights: list
-    latent_weights: list
-    latent_rows: list
-    agg_m1: np.ndarray | None
-    pooled: list
-    mlp_caches: list
-    cross_cache: dict | None
+    ranks: list
 
 
 @dataclass
-class Gradients:
-    """Per-rank gradients of one pass.
+class RankGradients:
+    """One rank's gradients of a pass.
 
-    ``linear[r]`` and ``latent[r]`` are ``(fields, keys, weights, grads)``
-    over the rank's unique pairs, with the weights the forward pass read, or
-    None where the model has no such table.
+    ``linear`` and ``latent`` are ``(fields, keys, weights, grads)`` over the
+    rank's unique pairs, with the weights the forward pass read, or None where
+    the model has no such table. ``fc_block`` is None without a tower.
     """
 
-    dense: list
-    fc_blocks: list
-    linear: list
-    latent: list
+    dense: dict = field(default_factory=dict)
+    fc_block: np.ndarray | None = None
+    linear: tuple | None = None
+    latent: tuple | None = None
 
 
 class SubstitutedModel:
@@ -435,7 +427,8 @@ class SubstitutedModel:
     Weights-rich state is sharded by field (linear and latent tables, plus
     each worker's row block of the first fully-connected layer); everything
     above the aggregation points is replicated and must stay bitwise
-    identical across workers, which train_step verifies every iteration.
+    identical across workers. Forward checks that every rank computed the
+    same logit, and train_step compares the replicas every iteration.
     """
 
     def __init__(self, graph, group, dtype=np.float32):
@@ -498,7 +491,12 @@ class SubstitutedModel:
     # -- forward ----------------------------------------------------------
 
     def _check_batch(self, batch):
-        """Reject fields outside [0, n_fields) and non-finite values, naming the sample."""
+        """Reject labels other than 0 and 1, fields outside [0, n_fields) and
+        non-finite values, naming the sample."""
+        bad = np.flatnonzero((batch.labels != 0) & (batch.labels != 1))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"sample {i} has label {float(batch.labels[i])}, not 0 or 1")
         n_fields = self.graph.n_fields
         bad = np.flatnonzero((batch.fields < 0) | (batch.fields >= n_fields))
         if bad.size:
@@ -516,224 +514,136 @@ class SubstitutedModel:
             )
 
     def forward(self, batch, phase=PHASE_FORWARD):
-        """Forward pass over the full batch; every aggregation is one collective.
+        """Every rank's forward program, run in lockstep; one collective per aggregation.
 
         Its collectives are charged to ``phase``: held-out evaluation passes
-        ``PHASE_EVAL``, so the training forward phase holds training traffic only.
+        ``PHASE_EVAL``, so the training forward phase holds training traffic
+        only. Every rank computes the logit with its own replica of the upper
+        stack, so a replica that diverged shows up here as a different logit.
         """
         self._check_batch(batch)
-        graph = self.graph
         group = self.group
         group.set_phase(phase)
         n = self.n_workers
         B = batch.batch_size
-        slices = [batch.shard_slice(r, n) for r in range(n)]
-
-        pairs = [unique_with_inverse(sl.fields, sl.keys) for sl in slices]
-
-        logit = np.zeros(B, dtype=self.dtype)
-        linear_weights = [None] * n
-        latent_weights = [None] * n
-        latent_rows = [None] * n
-        agg_m1 = None
-        pooled = [None] * n
-        mlp_caches = [None] * n
-        cross_cache = None
-
-        if graph.uses_linear:
-            logit = logit + self.dense[0]["bias"][0]
-            partials = []
-            for r, (sl, (uf, uk, inv)) in enumerate(zip(slices, pairs)):
-                linear_weights[r] = self.linear_table.lookup(r, uf, uk)
-                w = linear_weights[r][inv]
-                partials.append(linear_partial(w, sl.values, sl.sample_ids, B))
-            logit = logit + group.all_reduce_sum(partials, op="linear.partial")
-
-        if self.latent_table is not None:
-            for r, (uf, uk, inv) in enumerate(pairs):
-                latent_weights[r] = self.latent_table.lookup(r, uf, uk)
-                latent_rows[r] = latent_weights[r][inv]
-
-        if graph.uses_second_order:
-            p1, p2 = [], []
-            for r, sl in enumerate(slices):
-                m1, m2 = second_order_partials(latent_rows[r], sl.values, sl.sample_ids, B)
-                p1.append(m1)
-                p2.append(m2)
-            agg_m1 = group.all_reduce_sum(p1, op="fm2.m1")
-            agg_m2 = group.all_reduce_sum(p2, op="fm2.m2")
-            logit = logit + second_order_combine(agg_m1, agg_m2)
-
-        if graph.uses_tower:
-            d = graph.embedding_dim
-            partials = []
-            for r, sl in enumerate(slices):
-                pooled[r] = pooled_fields(
-                    sl, self._field_pos[r], latent_rows[r], len(self.rank_fields[r]), d
-                )
-                partials.append(tower_partial(pooled[r], self.fc_blocks[r]))
-            agg_tower = group.all_reduce_sum(partials, op="tower.first_fc")
-
-            if graph.uses_mlp:
-                deep = None
-                for r in range(n):
-                    dl, cache = mlp_forward(self.dense[r], graph.hidden_widths, agg_tower)
-                    mlp_caches[r] = cache
-                    if deep is None:
-                        deep = dl
-                    elif not np.array_equal(deep, dl):
-                        raise ConsistencyError(
-                            f"replicated tower output diverged on worker {r}"
-                        )
-                logit = logit + deep
-            else:
-                cross_cache = self._cross_forward(agg_tower)
-                logit = logit + cross_cache["logit"]
-
-        probs = vecmath.sigmoid(logit)
+        outs = group.run(self._rank_forward(r, batch.shard_slice(r, n), B) for r in range(n))
+        logit = outs[0][0]
+        for r, (rank_logit, _) in enumerate(outs[1:], start=1):
+            if rank_logit.tobytes() != logit.tobytes():
+                raise ConsistencyError(f"logit on worker {r} diverged from worker 0")
         return ForwardPass(
-            probs=probs, logit=logit, epoch=group.epoch, batch=batch, slices=slices,
-            pairs=pairs, linear_weights=linear_weights, latent_weights=latent_weights,
-            latent_rows=latent_rows, agg_m1=agg_m1,
-            pooled=pooled, mlp_caches=mlp_caches, cross_cache=cross_cache,
+            probs=vecmath.sigmoid(logit), logit=logit, epoch=group.epoch, batch=batch,
+            ranks=[rank_pass for _, rank_pass in outs],
         )
 
-    def _cross_forward(self, x0):
-        """Cross stack: each layer aggregates one scalar per sample.
+    def _rank_forward(self, r, slice_, B):
+        """Rank r's forward program; yields ``(op, partial)`` at each aggregation.
 
-        The per-layer partials are computed rank by rank from disjoint
-        coordinate ranges of the (replicated) running vector; layer weights
-        are replicated so backward stays local.
+        Returns the rank's logit and its ``RankPass``.
         """
         graph = self.graph
-        group = self.group
-        n = self.n_workers
-        depth = graph.cross_depth
-        x = x0
-        xs = [x0]
-        ss = []
-        for k in range(depth):
-            partials = []
-            for r in range(n):
+        dense = self.dense[r]
+        uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
+        rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
+        if self.linear_table is not None:
+            rp.linear_weights = self.linear_table.lookup(r, uf, uk)
+        if self.latent_table is not None:
+            rp.latent_weights = self.latent_table.lookup(r, uf, uk)
+            rp.latent_rows = rp.latent_weights[inv]
+        ids, values = slice_.sample_ids, slice_.values
+        logit = np.zeros(B, dtype=self.dtype)
+
+        if graph.uses_linear:
+            partial = linear_partial(rp.linear_weights[inv], values, ids, B)
+            logit = logit + dense["bias"][0]
+            logit = logit + (yield "linear.partial", partial)
+
+        if graph.uses_second_order:
+            m1, m2 = second_order_partials(rp.latent_rows, values, ids, B)
+            rp.agg_m1 = yield "fm2.m1", m1
+            agg_m2 = yield "fm2.m2", m2
+            logit = logit + second_order_combine(rp.agg_m1, agg_m2)
+
+        if graph.uses_tower:
+            rp.pooled = pooled_fields(
+                slice_, self._field_pos[r], rp.latent_rows, len(self.rank_fields[r]),
+                graph.embedding_dim,
+            )
+            agg = yield "tower.first_fc", tower_partial(rp.pooled, self.fc_blocks[r])
+            if graph.uses_mlp:
+                deep, rp.cache = mlp_forward(dense, graph.hidden_widths, agg)
+            else:
+                # each cross layer aggregates one scalar per sample, summed over
+                # the ranks' disjoint coordinate ranges of the running vector
                 lo, hi = self._cross_ranges[r]
-                partials.append(cross_partial(x, self.dense[r][f"cross{k}.w"], lo, hi))
-            s = group.all_reduce_sum(partials, op=f"cross.{k}")
-            ss.append(s)
-            x_next = None
-            for r in range(n):
-                cand = cross_combine(x0, s, self.dense[r][f"cross{k}.b"], x)
-                if x_next is None:
-                    x_next = cand
-                elif not np.array_equal(x_next, cand):
-                    raise ConsistencyError(f"cross layer {k} diverged on worker {r}")
-            x = x_next
-            xs.append(x)
-        logit = None
-        for r in range(n):
-            cand = vecmath.matmul_rows(x, self.dense[r]["out.w"])[:, 0]
-            cand = cand + self.dense[r]["out.b"][0]
-            if logit is None:
-                logit = cand
-            elif not np.array_equal(logit, cand):
-                raise ConsistencyError(f"cross head diverged on worker {r}")
-        return {"xs": xs, "ss": ss, "logit": logit}
+                x, xs, ss = agg, [agg], []
+                for k in range(graph.cross_depth):
+                    s = yield f"cross.{k}", cross_partial(x, dense[f"cross{k}.w"], lo, hi)
+                    x = cross_combine(agg, s, dense[f"cross{k}.b"], x)
+                    ss.append(s)
+                    xs.append(x)
+                deep = vecmath.matmul_rows(x, dense["out.w"])[:, 0] + dense["out.b"][0]
+                rp.cache = {"xs": xs, "ss": ss}
+            logit = logit + deep
+        return logit, rp
 
     # -- backward ---------------------------------------------------------
 
-    def backward(self, fwd, labels=None):
-        """Gradients for one forward pass. Performs no collective calls.
+    def backward(self, fwd):
+        """Per-rank gradients of one forward pass. Performs no collective calls.
 
         Aggregation distributes the incoming gradient unchanged to every
         local partial, and each worker already holds all aggregated values,
         so everything below decomposes into shard-local work.
         """
-        graph = self.graph
         group = self.group
         if fwd.epoch != group.epoch:
             raise ProtocolError(
                 f"backward for epoch {fwd.epoch} but the group is at epoch {group.epoch}"
             )
         group.set_phase(PHASE_BACKWARD)
-        labels = fwd.batch.labels if labels is None else np.asarray(labels, dtype=np.float64)
         B = fwd.batch.batch_size
-        n = self.n_workers
-        delta = ((fwd.probs - labels) / B).astype(self.dtype)
+        delta = ((fwd.probs - fwd.batch.labels) / B).astype(self.dtype)
+        return [self._rank_backward(r, rp, delta, B) for r, rp in enumerate(fwd.ranks)]
 
-        dense_grads = [dict() for _ in range(n)]
-        fc_grads = [None] * n
-        linear_grads = [None] * n
-        latent_grads = [None] * n
+    def _rank_backward(self, r, rp, delta, B):
+        """Rank r's ``RankGradients`` from its own ``RankPass``."""
+        graph = self.graph
+        dense = self.dense[r]
+        sl = rp.slice_
+        uf, uk, inv = rp.pairs
+        grads = RankGradients()
 
         if graph.uses_linear:
-            for r in range(n):
-                dense_grads[r]["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
-            for r, (sl, (uf, uk, inv)) in enumerate(zip(fwd.slices, fwd.pairs)):
-                contrib = (delta[sl.sample_ids] * sl.values)[:, None]
-                g = np.zeros((len(uf), 1), dtype=self.dtype)
-                np.add.at(g, inv, contrib)
-                linear_grads[r] = (uf, uk, fwd.linear_weights[r], g)
+            grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
+            g = np.zeros((len(uf), 1), dtype=self.dtype)
+            np.add.at(g, inv, (delta[sl.sample_ids] * sl.values)[:, None])
+            grads.linear = (uf, uk, rp.linear_weights, g)
 
-        latent_contrib = [None] * n
+        latent_contrib = None
         if graph.uses_second_order:
-            for r, sl in enumerate(fwd.slices):
-                rows = fwd.latent_rows[r]
-                x = sl.values[:, None]
-                contrib = delta[sl.sample_ids][:, None] * (fwd.agg_m1[sl.sample_ids] * x - rows * x * x)
-                latent_contrib[r] = contrib
+            x = sl.values[:, None]
+            latent_contrib = delta[sl.sample_ids][:, None] * (
+                rp.agg_m1[sl.sample_ids] * x - rp.latent_rows * x * x
+            )
 
-        g_x0 = None
         if graph.uses_tower:
             if graph.uses_mlp:
-                for r in range(n):
-                    g_agg_r, grads_r = mlp_backward(
-                        self.dense[r], graph.hidden_widths, fwd.mlp_caches[r], delta
-                    )
-                    dense_grads[r].update(grads_r)
-                    if g_x0 is None:
-                        g_x0 = g_agg_r
-                    elif not np.array_equal(g_x0, g_agg_r):
-                        raise ConsistencyError(f"tower backward diverged on worker {r}")
+                g_agg, stack_grads = mlp_backward(dense, graph.hidden_widths, rp.cache, delta)
             else:
-                for r in range(n):
-                    g_agg_r, grads_r = cross_backward(
-                        self.dense[r], graph.cross_depth, fwd.cross_cache, delta
-                    )
-                    dense_grads[r].update(grads_r)
-                    if g_x0 is None:
-                        g_x0 = g_agg_r
-                    elif not np.array_equal(g_x0, g_agg_r):
-                        raise ConsistencyError(f"cross backward diverged on worker {r}")
-
-            d = graph.embedding_dim
-            for r, sl in enumerate(fwd.slices):
-                fc_grads[r] = vecmath.matmul_rows(fwd.pooled[r].T, g_x0)
-                g_pooled = vecmath.matmul_rows(g_x0, self.fc_blocks[r].T)
-                g_pooled = g_pooled.reshape(B, len(self.rank_fields[r]), d)
-                contrib = (
-                    g_pooled[sl.sample_ids, self._field_pos[r][sl.fields]]
-                    * sl.values[:, None]
-                )
-                if latent_contrib[r] is None:
-                    latent_contrib[r] = contrib
-                else:
-                    latent_contrib[r] = latent_contrib[r] + contrib
+                g_agg, stack_grads = cross_backward(dense, graph.cross_depth, rp.cache, delta)
+            grads.dense.update(stack_grads)
+            grads.fc_block = vecmath.matmul_rows(rp.pooled.T, g_agg)
+            g_pooled = vecmath.matmul_rows(g_agg, self.fc_blocks[r].T)
+            g_pooled = g_pooled.reshape(B, len(self.rank_fields[r]), graph.embedding_dim)
+            contrib = g_pooled[sl.sample_ids, self._field_pos[r][sl.fields]] * sl.values[:, None]
+            latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
 
         if self.latent_table is not None:
-            for r, (uf, uk, inv) in enumerate(fwd.pairs):
-                g = np.zeros((len(uf), graph.embedding_dim), dtype=self.dtype)
-                np.add.at(g, inv, latent_contrib[r])
-                latent_grads[r] = (uf, uk, fwd.latent_weights[r], g)
-
-        for r in range(1, n):
-            for name, g0 in dense_grads[0].items():
-                if not np.array_equal(g0, dense_grads[r][name]):
-                    raise ConsistencyError(
-                        f"replicated gradient for {name} diverged on worker {r}"
-                    )
-
-        return Gradients(
-            dense=dense_grads, fc_blocks=fc_grads, linear=linear_grads, latent=latent_grads
-        )
+            g = np.zeros((len(uf), graph.embedding_dim), dtype=self.dtype)
+            np.add.at(g, inv, latent_contrib)
+            grads.latent = (uf, uk, rp.latent_weights, g)
+        return grads
 
     # -- update -----------------------------------------------------------
 
@@ -743,28 +653,30 @@ class SubstitutedModel:
         The sparse step starts from the weights the forward pass read, so
         each pass's gradients are applied once, before the next pass.
         """
-        graph = self.graph
         self.group.set_phase(PHASE_OPTIMIZER)
-        n = self.n_workers
-        tables = (
+        for r, rank_grads in enumerate(grads):
+            self._rank_apply(r, rank_grads)
+
+    def _rank_apply(self, r, grads):
+        """Rank r's optimizer step on its shards, its fc block and its replica."""
+        graph = self.graph
+        for table, opt, entry in (
             (self.linear_table, graph.first_order_opt, grads.linear),
             (self.latent_table, graph.embedding_opt, grads.latent),
-        )
-        for r in range(n):
-            for table, opt, per_rank in tables:
-                if per_rank[r] is not None and len(per_rank[r][0]):
-                    uf, uk, w, g = per_rank[r]
-                    slots = table.slot_values(r, uf, uk)
-                    new_w, new_slots = optim_step(opt, w, slots, g)
-                    table.apply_update(r, uf, uk, new_w, new_slots)
-            if grads.fc_blocks[r] is not None and self.fc_blocks[r].size:
-                self.fc_blocks[r], self.fc_state[r] = dense_step(
-                    graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_blocks[r]
-                )
-            for name, g in grads.dense[r].items():
-                self.dense[r][name], self.dense_state[r][name] = dense_step(
-                    graph.dense_opt, self.dense[r][name], self.dense_state[r][name], g
-                )
+        ):
+            if entry is not None and len(entry[0]):
+                uf, uk, w, g = entry
+                slots = table.slot_values(r, uf, uk)
+                new_w, new_slots = optim_step(opt, w, slots, g)
+                table.apply_update(r, uf, uk, new_w, new_slots)
+        if grads.fc_block is not None and self.fc_blocks[r].size:
+            self.fc_blocks[r], self.fc_state[r] = dense_step(
+                graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_block
+            )
+        for name, g in grads.dense.items():
+            self.dense[r][name], self.dense_state[r][name] = dense_step(
+                graph.dense_opt, self.dense[r][name], self.dense_state[r][name], g
+            )
 
     def check_replicas(self):
         """Replicated tensors must stay bitwise identical across workers."""

@@ -664,9 +664,3 @@ def unique_with_inverse(fields, keys):
     inverse[order] = np.cumsum(first) - 1
     return f[first], k[first], inverse
 
-
-def unique_keys(batch, shard_idx, n_shards):
-    """Deduplicated, sorted (field, key) pairs of a batch that live on one shard."""
-    mask = batch.fields % n_shards == shard_idx
-    fields, keys, _ = unique_with_inverse(batch.fields[mask], batch.keys[mask])
-    return fields, keys

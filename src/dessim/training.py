@@ -168,6 +168,10 @@ def train(cfg):
     engine = SubstitutedModel(cfg.graph, group)
     train_batches = load_batches(cfg, "train")
     test_batches = load_batches(cfg, "test")
+    if cfg.epochs and not test_batches:
+        why = (f"test_samples={cfg.test_samples}" if cfg.data == "synthetic"
+               else f"every 20th line is held out and {cfg.data} has fewer than 20")
+        raise ValueError(f"the held-out split is empty ({why}); no epoch can be evaluated")
 
     snapshots = []
     step = 0

@@ -1,10 +1,10 @@
 """Small dense kernels shared by the sharded engine and its reference paths.
 
-The contract ops ``dot`` and ``matvec_t`` accumulate strictly first-to-last.
-``matmul_rows`` is the batched twin of ``matvec_t``: it performs the same
-per-row multiply-add sequence, so a sharded computation evaluated at one
-worker reproduces the unsharded one bit for bit when both go through these
-kernels.
+``matmul_rows`` multiplies every row of x by a matrix and adds the K
+products of each output element strictly first-to-last, in the matrix's row
+order. The engine and the unsharded reference both go through it, so a
+sharded computation evaluated at one worker reproduces the unsharded one bit
+for bit.
 
 ``matmul_rows`` has two routes to that one sequence. When the inner
 dimension K is at most the output size (the forward shapes), it loops over K
@@ -29,35 +29,8 @@ SIGMOID_CLAMP = 1e-15
 SCAN_BLOCK_ELEMS = 1 << 18
 
 
-def dot(a, b):
-    """Inner product with strict first-to-last accumulation."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot: incompatible shapes {a.shape} and {b.shape}")
-    acc = np.result_type(a, b).type(0)
-    for k in range(a.shape[0]):
-        acc = acc + a[k] * b[k]
-    return acc
-
-
-def matvec_t(v, mat):
-    """Left-multiply: sum of v[r] * mat[r, :] accumulated in row order.
-
-    Equivalent to ``v @ mat`` up to accumulation order.
-    """
-    v = np.asarray(v)
-    mat = np.asarray(mat)
-    if v.ndim != 1 or mat.ndim != 2 or v.shape[0] != mat.shape[0]:
-        raise DimensionError(f"matvec_t: incompatible shapes {v.shape} and {mat.shape}")
-    acc = np.zeros(mat.shape[1], dtype=np.result_type(v, mat))
-    for r in range(mat.shape[0]):
-        acc += v[r] * mat[r]
-    return acc
-
-
 def matmul_rows(x, mat):
-    """Batched ``matvec_t``: every row of x against mat, same row-order accumulation."""
+    """Every row of x against mat, each output summed in mat's row order."""
     x = np.asarray(x)
     mat = np.asarray(mat)
     if x.ndim != 2 or mat.ndim != 2 or x.shape[1] != mat.shape[0]:

@@ -29,8 +29,6 @@ from .collectives import (
     PHASE_OPTIMIZER,
     NetworkParams,
     WorkerGroup,
-    ring_time,
-    substitution_time,
 )
 from .costmodel import (
     CostInputs,
@@ -38,7 +36,9 @@ from .costmodel import (
     component_payload_sizes,
     expected_forward_bytes,
     model_payload_sizes,
+    ring_time,
     strategy_times,
+    substitution_time,
 )
 from .models import ModelGraph, SparseBatch, SubstitutedModel
 from .optim import OptimizerConfig
@@ -236,23 +236,20 @@ def _engine_grad_maps(engine, grads):
     graph = engine.graph
     linear = {}
     latent = {}
-    for r in range(engine.n_workers):
-        if grads.linear[r] is not None:
-            uf, uk, _, g = grads.linear[r]
-            for f, k, row in zip(uf, uk, g):
-                linear[(int(f), int(k))] = row.copy()
-        if grads.latent[r] is not None:
-            uf, uk, _, g = grads.latent[r]
-            for f, k, row in zip(uf, uk, g):
-                latent[(int(f), int(k))] = row.copy()
+    for rank_grads in grads:
+        for out, entry in ((linear, rank_grads.linear), (latent, rank_grads.latent)):
+            if entry is not None:
+                uf, uk, _, g = entry
+                for f, k, row in zip(uf, uk, g):
+                    out[(int(f), int(k))] = row.copy()
     full_fc = None
     if graph.uses_tower:
         d = graph.embedding_dim
         full_fc = np.zeros((graph.n_fields * d, graph.first_fc_width), dtype=engine.dtype)
-        for r in range(engine.n_workers):
+        for r, rank_grads in enumerate(grads):
             for i, f in enumerate(engine.rank_fields[r]):
-                full_fc[f * d : (f + 1) * d] = grads.fc_blocks[r][i * d : (i + 1) * d]
-    return linear, latent, full_fc, grads.dense[0]
+                full_fc[f * d : (f + 1) * d] = rank_grads.fc_block[i * d : (i + 1) * d]
+    return linear, latent, full_fc, grads[0].dense
 
 
 def _fd_sample(rng, arr, max_coords):

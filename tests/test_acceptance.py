@@ -16,12 +16,12 @@ from dessim.collectives import (
     PHASE_OPTIMIZER,
     NetworkParams,
     WorkerGroup,
-    ring_time,
 )
 from dessim.costmodel import (
     REFERENCE_UNIQ_FEATS,
     CostInputs,
     component_payload_sizes,
+    ring_time,
     saving_ratio,
     strategy_times,
 )

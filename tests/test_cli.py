@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output lines, artifact files."""
 
 import json
+import os
 
 import pytest
 
@@ -53,6 +54,32 @@ class TestTrainCommand:
         header = capsys.readouterr().out.strip().split("\n")[0]
         assert header == "model=fm workers=2 batch=64 epochs=1 seed=7"
 
+    def test_empty_held_out_split_fails_before_training(self, capsys):
+        assert cli.main(TINY_TRAIN[:-1] + ["0"]) == 2
+        captured = capsys.readouterr()
+        assert "held-out split is empty (test_samples=0)" in captured.err
+        assert captured.out == ""
+
+    def test_criteo_file_without_held_out_line(self, tmp_path, capsys):
+        line = "\t".join(["1"] + ["2"] * 13 + ["tok"] * 26)
+        path = tmp_path / "short.tsv"
+        path.write_text((line + "\n") * 19, encoding="utf-8")
+        assert cli.main(["train", "--data", str(path), "--epochs", "1", "--batch", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "held-out split is empty" in captured.err
+        assert "fewer than 20" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_zero_fields_is_a_value(self, with_config, tmp_path, capsys):
+        args = list(TINY_TRAIN)
+        if with_config:
+            path = tmp_path / "run.json"
+            path.write_text(RunConfig(graph=ModelGraph(kind="lr", n_fields=4)).to_json())
+            args += ["--config", str(path)]
+        assert cli.main(args + ["--fields", "0"]) == 2
+        assert "need at least one field" in capsys.readouterr().err
+
     def test_missing_data_file(self, capsys):
         code = cli.main(["train", "--data", "/nonexistent/clicks.tsv", "--epochs", "1"])
         assert code == 2
@@ -103,6 +130,26 @@ class TestBenchCommand:
         doc = json.loads((out / "comm-report.json").read_text())
         assert doc["version"] == 1
         assert len(doc["rows"]) == 3
+
+    @pytest.mark.parametrize("name", ["comm-report.tsv", "comm-report.json"])
+    def test_refused_rename_keeps_previous_report(self, name, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "bench"
+        monkeypatch.setattr(cli, "bench_comm", lambda **kw: stub_rows())
+        assert cli.main(["bench-comm", "--out", str(out)]) == 0
+        before = (out / name).read_bytes()
+        real_replace = os.replace
+
+        def refuse(src, dst):
+            if str(dst) == str(out / name):
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(cli, "bench_comm", lambda **kw: stub_rows(deviate=True))
+        assert cli.main(["bench-comm", "--out", str(out)]) == 2
+        assert "rename refused" in capsys.readouterr().err
+        assert (out / name).read_bytes() == before
+        assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
     def test_mismatch_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "bench_comm", lambda **kw: stub_rows(deviate=True))

@@ -1,4 +1,4 @@
-"""Collective semantics, ring-schedule byte accounting, and the threaded path.
+"""Collective semantics, ring-schedule byte accounting, and the lockstep driver.
 
 The accounting tests walk the simulated ring schedule and compare it with
 the closed form computed in costmodel; the two are written independently,
@@ -16,13 +16,9 @@ from dessim.collectives import (
     PHASE_FORWARD,
     WorkerGroup,
     ring_chunk_sizes,
-    ring_time,
-    run_threaded,
-    simulate_allgather_sent_bytes,
     simulate_allreduce_sent_bytes,
-    substitution_time,
 )
-from dessim.costmodel import allreduce_sent_bytes_formula
+from dessim.costmodel import allreduce_sent_bytes_formula, ring_time, substitution_time
 from dessim.errors import ProtocolError
 
 
@@ -69,19 +65,6 @@ class TestAllReduceAccounting:
                 assert sim == allreduce_sent_bytes_formula(nbytes, n)
 
 
-class TestAllGatherAccounting:
-    def test_equal_blocks(self):
-        assert simulate_allgather_sent_bytes([100, 100, 100, 100]) == [300, 300, 300, 300]
-
-    def test_unequal_blocks(self):
-        # each rank forwards n-1 of the blocks, starting from its own
-        sent = simulate_allgather_sent_bytes([5, 7, 9])
-        assert sent == [5 + 9, 7 + 5, 9 + 7]
-
-    def test_single_rank(self):
-        assert simulate_allgather_sent_bytes([123]) == [0]
-
-
 class TestWorkerGroup:
     def test_single_worker_identity_and_zero_bytes(self):
         group = WorkerGroup(1)
@@ -115,25 +98,6 @@ class TestWorkerGroup:
         payload = np.zeros(256, dtype=np.float32)  # 1024 bytes
         group.all_reduce_sum([payload.copy() for _ in range(4)])
         assert group.ledger.per_rank_bytes(4) == [1536, 1536, 1536, 1536]
-
-    def test_all_gather_two_workers(self):
-        group = WorkerGroup(2)
-        out = group.all_gather([np.array([1.0]), np.array([2.0])])
-        assert len(out) == 2
-        assert np.array_equal(out[0], np.array([1.0]))
-        assert np.array_equal(out[1], np.array([2.0]))
-
-    def test_all_gather_bytes(self):
-        group = WorkerGroup(4)
-        blocks = [np.zeros(25, dtype=np.float32) for _ in range(4)]  # 100 bytes each
-        group.all_gather(blocks)
-        assert group.ledger.per_rank_bytes(4) == [300, 300, 300, 300]
-
-    def test_all_gather_single_worker(self):
-        group = WorkerGroup(1)
-        out = group.all_gather([np.array([9.0])])
-        assert len(out) == 1 and np.array_equal(out[0], np.array([9.0]))
-        assert group.ledger.total_bytes() == 0
 
     def test_shape_mismatch_rejected(self):
         group = WorkerGroup(2)
@@ -214,70 +178,85 @@ class TestLedger:
             prev = cur
 
 
-class TestThreadedPath:
-    def worker_ops(self, ctx_or_group, locals_by_rank):
-        """The same op sequence, runnable through either interface."""
-        if isinstance(ctx_or_group, WorkerGroup):
-            group = ctx_or_group
-            a = group.all_reduce_sum([x[0] for x in locals_by_rank], op="first")
-            b = group.all_reduce_sum([x[1] for x in locals_by_rank], op="second")
-            g = group.all_gather([x[2] for x in locals_by_rank], op="third")
-            return a, b, g
-        raise AssertionError("unused")
+def program(locals_, results):
+    """A worker program: two collectives, then return what it received."""
+    a = yield "first", locals_[0]
+    b = yield "second", locals_[1]
+    results.append((a, b))
+    return a, b
 
-    def test_threaded_matches_sequential(self):
+
+class TestLockstepRun:
+    def test_matches_direct_all_reduce_calls(self):
         rng = np.random.default_rng(7)
         n = 4
         locals_by_rank = [
-            (
-                rng.uniform(-1, 1, 8).astype(np.float32),
-                rng.uniform(-1, 1, 5).astype(np.float32),
-                rng.uniform(-1, 1, 3).astype(np.float32),
-            )
+            (rng.uniform(-1, 1, 8).astype(np.float32), rng.uniform(-1, 1, 5).astype(np.float32))
             for _ in range(n)
         ]
+        direct = WorkerGroup(n)
+        a = direct.all_reduce_sum([x[0] for x in locals_by_rank], op="first")
+        b = direct.all_reduce_sum([x[1] for x in locals_by_rank], op="second")
 
-        seq_group = WorkerGroup(n)
-        seq = self.worker_ops(seq_group, locals_by_rank)
+        group = WorkerGroup(n)
+        seen = []
+        results = group.run(program(x, seen) for x in locals_by_rank)
+        assert len(results) == n and len(seen) == n
+        for got_a, got_b in results:
+            assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+        assert group.ledger.records() == direct.ledger.records()
 
-        thr_group = WorkerGroup(n)
+    def test_every_rank_receives_one_read_only_result(self):
+        group = WorkerGroup(2)
+        results = group.run(program((np.ones(2), np.ones(3)), []) for _ in range(2))
+        assert results[0][0] is results[1][0]
+        with pytest.raises(ValueError):
+            results[0][0][0] = 5.0
 
-        def worker(ctx):
-            mine = locals_by_rank[ctx.rank]
-            a = ctx.all_reduce_sum(mine[0], op="first")
-            b = ctx.all_reduce_sum(mine[1], op="second")
-            g = ctx.all_gather(mine[2], op="third")
-            return a, b, g
+    def test_program_without_collectives_charges_nothing(self):
+        def quiet(rank):
+            return rank * 10
+            yield  # a generator that never reaches a collective
 
-        results = run_threaded(thr_group, worker)
-        for a, b, g in results:
-            assert np.array_equal(a, seq[0])
-            assert np.array_equal(b, seq[1])
-            for got, want in zip(g, seq[2]):
-                assert np.array_equal(got, want)
-        assert thr_group.ledger.records() == seq_group.ledger.records()
+        group = WorkerGroup(3)
+        assert group.run(quiet(r) for r in range(3)) == [0, 10, 20]
+        assert group.ledger.records() == []
 
-    def test_missing_worker_times_out(self):
-        group = WorkerGroup(3, rendezvous_timeout=0.2)
+    def test_wrong_program_count_rejected(self):
+        group = WorkerGroup(3)
+        with pytest.raises(ProtocolError, match="2 programs for 3 workers"):
+            group.run(program((np.ones(1), np.ones(1)), []) for _ in range(2))
 
-        def worker(ctx):
-            if ctx.rank == 1:
+    def test_mismatched_ops_rejected(self):
+        def worker(rank):
+            yield ("left" if rank == 0 else "right"), np.zeros(2)
+
+        group = WorkerGroup(2)
+        with pytest.raises(ProtocolError, match="rank 1 called 'right' where rank 0 called 'left'"):
+            group.run(worker(r) for r in range(2))
+        assert group.ledger.records() == []
+
+    def test_early_finishing_rank_rejected(self):
+        def worker(rank):
+            if rank == 1:
                 return None  # never joins the collective
-            return ctx.all_reduce_sum(np.zeros(2, np.float32))
+            yield "sum", np.zeros(2, np.float32)
 
-        with pytest.raises(ProtocolError, match="timed out|missing"):
-            run_threaded(group, worker)
+        group = WorkerGroup(3)
+        with pytest.raises(ProtocolError, match="rank 1 finished while other ranks wait at 'sum'"):
+            group.run(worker(r) for r in range(3))
+        assert group.ledger.records() == []
 
-    def test_worker_exception_propagates(self):
-        group = WorkerGroup(2, rendezvous_timeout=1.0)
-
-        def worker(ctx):
-            if ctx.rank == 0:
+    def test_rank_exception_propagates(self):
+        def worker(rank):
+            yield "sum", np.zeros(1, np.float32)
+            if rank == 1:
                 raise RuntimeError("boom")
-            return ctx.all_reduce_sum(np.zeros(1, np.float32))
+            yield "sum", np.zeros(1, np.float32)
 
-        with pytest.raises(RuntimeError):
-            run_threaded(group, worker)
+        group = WorkerGroup(2)
+        with pytest.raises(RuntimeError, match="boom"):
+            group.run(worker(r) for r in range(2))
 
 
 class TestTimes:

@@ -5,12 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dessim.collectives import (
-    NetworkParams,
-    ring_time,
-    simulate_allreduce_sent_bytes,
-    substitution_time,
-)
+from dessim.collectives import NetworkParams, simulate_allreduce_sent_bytes
 from dessim.costmodel import (
     REFERENCE_UNIQ_FEATS,
     CommReportRow,
@@ -18,12 +13,12 @@ from dessim.costmodel import (
     allreduce_sent_bytes_formula,
     component_payload_sizes,
     expected_forward_bytes,
-    gradient_bytes,
     model_payload_sizes,
     q_des,
     q_mesh,
     report_to_json,
     report_to_tsv,
+    ring_time,
     saving_ratio,
     strategy_times,
 )
@@ -188,7 +183,8 @@ class TestStrategyTimes:
         want = sum(ring_time(self.PARAMS, 4, s)
                    for s in component_payload_sizes("fm", c))
         assert t["T_des"] == want
-        assert t["T_ring"] == ring_time(self.PARAMS, 4, gradient_bytes("fm", c))
+        # the ring baseline all-reduces one d-vector gradient per unique feature
+        assert t["T_ring"] == ring_time(self.PARAMS, 4, c.uniq_feats * c.value_bytes * c.dim)
 
 
 class TestReportSerialization:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dessim import models, sparse
-from dessim.collectives import PHASE_BACKWARD, PHASE_FORWARD, WorkerGroup
+from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
 from dessim.models import (
     ModelGraph,
@@ -279,6 +279,16 @@ class TestBatchValidation:
             engine.forward(batch)
         assert not isinstance(err.value, DimensionError)
 
+    @pytest.mark.parametrize("label", [np.nan, 2.0, -1.0])
+    def test_label_outside_zero_one_rejected(self, label):
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=2), WorkerGroup(2))
+        batch = SparseBatch.from_samples([1.0, label], [[(0, 1, 1.0)], [(1, 2, 1.0)]])
+        with pytest.raises(ValueError, match="sample 1 has label"):
+            engine.train_step(batch)
+        assert engine.linear_table.n_entries() == 0
+        assert engine.latent_table.n_entries() == 0
+        assert engine.group.ledger.records() == []
+
     def test_rejected_batch_leaves_no_trace(self):
         engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=2), WorkerGroup(2))
         batch = SparseBatch.from_samples([1.0], [[(0, 1, 1.0), (1, 2, np.inf)]])
@@ -343,6 +353,30 @@ class TestEngineBackwardAndUpdate:
         after = engine.linear_table.weight_map()
         assert np.array_equal(snapshot[(1, 2)], after[(1, 2)])
         assert not np.array_equal(snapshot[(0, 1)], after[(0, 1)])
+
+
+@pytest.mark.parametrize("kind", ["wdl", "deepfm", "dcn-demo"])
+class TestReplicaDivergence:
+    """A replica changed behind the engine's back shows up in the next logit."""
+
+    def diverged_engine(self, kind):
+        rng = np.random.default_rng(46)
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(3))
+        batch = tiny_batch(rng, 4)
+        engine.train_step(batch)
+        engine.dense[2]["out.b"][0] += 1.0
+        return engine, batch
+
+    def test_train_step_names_the_worker(self, kind):
+        engine, batch = self.diverged_engine(kind)
+        with pytest.raises(ConsistencyError, match="logit on worker 2 diverged"):
+            engine.train_step(batch)
+        assert engine.group.epoch == 1
+
+    def test_eval_forward_names_the_worker(self, kind):
+        engine, batch = self.diverged_engine(kind)
+        with pytest.raises(ConsistencyError, match="logit on worker 2 diverged"):
+            engine.forward(batch, phase=PHASE_EVAL)
 
 
 class TestPairsResolvedOnce:

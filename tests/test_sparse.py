@@ -16,7 +16,6 @@ from dessim.sparse import (
     seeded_uniform_init,
     shard_of,
     text_hasher,
-    unique_keys,
     unique_with_inverse,
 )
 
@@ -631,6 +630,13 @@ def unique_reference(fields, keys):
     return uniq["f"], uniq["k"], inverse
 
 
+def shard_unique(batch, shard, n_shards):
+    """The sorted unique pairs one rank's forward resolves: its slice, deduplicated."""
+    sl = batch.shard_slice(shard, n_shards)
+    uf, uk, _ = unique_with_inverse(sl.fields, sl.keys)
+    return uf, uk
+
+
 class TestUniqueKeys:
     def test_matches_structured_unique(self):
         rng = np.random.default_rng(17)
@@ -657,12 +663,12 @@ class TestUniqueKeys:
         batch = SparseBatch.from_samples(
             [1.0], [[(0, 5, 1.0), (0, 5, 2.0), (2, 5, 1.0)]]
         )
-        uf, uk = unique_keys(batch, 0, 2)
+        uf, uk = shard_unique(batch, 0, 2)
         assert uf.tolist() == [0, 2] and uk.tolist() == [5, 5]
 
     def test_empty_batch_slice(self):
         batch = SparseBatch.from_samples([0.0], [[(1, 3, 1.0)]])
-        uf, uk = unique_keys(batch, 0, 2)  # field 1 lives on shard 1
+        uf, uk = shard_unique(batch, 0, 2)  # field 1 lives on shard 1
         assert len(uf) == 0 and len(uk) == 0
 
     def test_against_set_oracle(self):
@@ -679,5 +685,5 @@ class TestUniqueKeys:
             want = sorted(
                 {(f, k) for feats in samples for f, k, _ in feats if f % 3 == shard}
             )
-            uf, uk = unique_keys(batch, shard, 3)
+            uf, uk = shard_unique(batch, shard, 3)
             assert list(zip(uf.tolist(), uk.tolist())) == want
