@@ -218,8 +218,7 @@ def linear_partial(weights, values, sample_ids, batch_size):
 def second_order_partials(latents, values, sample_ids, batch_size):
     """Local sums of v*x (a d-vector) and of <v*x, v*x> (a scalar) per sample."""
     vx = latents * values[:, None]
-    m1 = np.zeros((batch_size, latents.shape[1]), dtype=latents.dtype)
-    np.add.at(m1, sample_ids, vx)
+    m1 = vecmath.scatter_add_rows(sample_ids, vx, batch_size)
     m2 = np.zeros(batch_size, dtype=latents.dtype)
     np.add.at(m2, sample_ids, np.sum(vx * vx, axis=1))
     return m1, m2
@@ -237,13 +236,10 @@ def second_order_combine(agg_m1, agg_m2):
 
 def pooled_fields(slice_, field_positions, latents, n_local_fields, dim):
     """Sum-pool embeddings into per-field slots and concatenate in field order."""
-    pooled = np.zeros((slice_.batch_size, n_local_fields, dim), dtype=latents.dtype)
-    if slice_.fields.size:
-        np.add.at(
-            pooled,
-            (slice_.sample_ids, field_positions[slice_.fields]),
-            latents * slice_.values[:, None],
-        )
+    slots = slice_.sample_ids * n_local_fields + field_positions[slice_.fields]
+    pooled = vecmath.scatter_add_rows(
+        slots, latents * slice_.values[:, None], slice_.batch_size * n_local_fields
+    )
     return pooled.reshape(slice_.batch_size, n_local_fields * dim)
 
 
@@ -616,8 +612,7 @@ class SubstitutedModel:
 
         if graph.uses_linear:
             grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
-            g = np.zeros((len(uf), 1), dtype=self.dtype)
-            np.add.at(g, inv, (delta[sl.sample_ids] * sl.values)[:, None])
+            g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
             grads.linear = (uf, uk, rp.linear_weights, g)
 
         latent_contrib = None
@@ -640,8 +635,7 @@ class SubstitutedModel:
             latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
 
         if self.latent_table is not None:
-            g = np.zeros((len(uf), graph.embedding_dim), dtype=self.dtype)
-            np.add.at(g, inv, latent_contrib)
+            g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
             grads.latent = (uf, uk, rp.latent_weights, g)
         return grads
 
@@ -682,7 +676,7 @@ class SubstitutedModel:
         """Replicated tensors must stay bitwise identical across workers."""
         for r in range(1, self.n_workers):
             for name, ref in self.dense[0].items():
-                if not np.array_equal(ref, self.dense[r][name]):
+                if ref.tobytes() != self.dense[r][name].tobytes():
                     raise ConsistencyError(
                         f"replica of {name} on worker {r} diverged from worker 0"
                     )

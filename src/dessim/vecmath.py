@@ -2,23 +2,36 @@
 
 ``matmul_rows`` multiplies every row of x by a matrix and adds the K
 products of each output element strictly first-to-last, in the matrix's row
-order. The engine and the unsharded reference both go through it, so a
-sharded computation evaluated at one worker reproduces the unsharded one bit
-for bit.
+order. ``scatter_add_rows`` sums value rows into target rows, each target
+seeing its values in occurrence order. The engine and the unsharded reference
+both go through them, so a sharded computation evaluated at one worker
+reproduces the unsharded one bit for bit.
 
-``matmul_rows`` has two routes to that one sequence. When the inner
-dimension K is at most the output size (the forward shapes), it loops over K
-and adds one rank-1 product per pass. When K exceeds the output size (the
+``matmul_rows`` has two routes to that one sequence, picked by shape alone.
+When the inner dimension K is at most the output size M*N (the forward
+shapes), it loops over K and adds one rank-1 product per pass into an (N, M)
+accumulator whose inner axis is the batch. When K exceeds M*N (the
 weight-gradient products, whose inner axis is the batch), the loop would make
-K small passes, so it forms the K products at once, adds the running zero to
-the first, and runs ``np.cumsum`` down the K axis. ``cumsum`` accumulates
-strictly in order, out[i] = out[i-1] + p[i], so every output element sees the
-same operands in the same order as the loop, and adding the zero first turns
-a leading -0.0 into +0.0 exactly as the loop's zero-initialised accumulator
-does. A plain ``np.add.reduce`` over K would not do: numpy reduces a
-contiguous axis pairwise, which reorders the additions. The products are
-formed in blocks of at most ``SCAN_BLOCK_ELEMS`` elements, each block seeded
-with the previous block's total, so memory stays bounded for large K.
+K small passes, so it writes a block of products into a C-contiguous
+(K, N*M) buffer, adds the running sum into its first row and reduces it with
+``np.add.reduce`` down axis 0. numpy reduces an axis that is not the
+innermost by adding whole rows to the result one after the other, so every
+output element sees the same operands in the same order as the loop, and
+adding the zero-initialised running sum first turns a leading -0.0 into +0.0
+exactly as the loop does. The order holds only because the buffer is
+allocated C-contiguous and the reduced axis is the outer one: over the
+innermost axis numpy sums pairwise, which reorders the additions. That is
+why the products go into an explicit ``out=`` buffer rather than into
+whatever layout the transposed operand would give, and why single-output
+products (M*N = 1, where the only axis left is the reduced one) keep a
+``np.cumsum`` scan, which adds strictly in order on any axis. Blocks hold at
+most ``SCAN_BLOCK_ELEMS`` products, each seeded with the previous block's
+total, so memory stays bounded for large K. Both routes return C-contiguous
+arrays, so reductions downstream see the layout they always saw.
+
+``scatter_add_rows`` runs numpy's one-dimensional ``np.add.at`` once per
+column into a column-major buffer. That path adds in occurrence order, as
+the two-dimensional ``np.add.at`` does, at a fraction of its cost.
 """
 
 import numpy as np
@@ -26,7 +39,7 @@ import numpy as np
 from .errors import DimensionError
 
 SIGMOID_CLAMP = 1e-15
-SCAN_BLOCK_ELEMS = 1 << 18
+SCAN_BLOCK_ELEMS = 1 << 16
 
 
 def matmul_rows(x, mat):
@@ -37,18 +50,35 @@ def matmul_rows(x, mat):
         raise DimensionError(f"matmul_rows: incompatible shapes {x.shape} and {mat.shape}")
     m, k = x.shape
     n = mat.shape[1]
-    acc = np.zeros((m, n), dtype=np.result_type(x, mat))
+    dtype = np.result_type(x, mat)
     if 0 < m * n < k:
+        if m * n == 1:
+            prods = x[0] * mat[:, 0]
+            prods[0] += dtype.type(0)
+            return np.cumsum(prods, dtype=dtype)[-1:].reshape(1, 1)
         block = max(1, SCAN_BLOCK_ELEMS // (m * n))
+        acc = np.zeros(n * m, dtype=dtype)
         for lo in range(0, k, block):
-            prods = x.T[lo : lo + block, :, None] * mat[lo : lo + block, None, :]
+            hi = min(k, lo + block)
+            prods = np.empty((hi - lo, n, m), dtype=dtype)
+            np.multiply(mat[lo:hi, :, None], x.T[lo:hi, None, :], out=prods)
+            prods = prods.reshape(hi - lo, n * m)
             prods[0] += acc
-            np.cumsum(prods, axis=0, dtype=prods.dtype, out=prods)
-            acc = prods[-1].copy()
-        return acc
+            acc = np.add.reduce(prods, axis=0)
+        return np.ascontiguousarray(acc.reshape(n, m).T)
+    acc = np.zeros((n, m), dtype=dtype)
+    xt = np.ascontiguousarray(x.T)
     for r in range(k):
-        acc += x[:, r : r + 1] * mat[r]
-    return acc
+        acc += mat[r, :, None] * xt[r]
+    return np.ascontiguousarray(acc.T)
+
+
+def scatter_add_rows(index, values, n_rows):
+    """out[index[i]] += values[i] for every row i in order; out has n_rows rows."""
+    out = np.zeros((values.shape[1], n_rows), dtype=values.dtype)
+    for c in range(values.shape[1]):
+        np.add.at(out[c], index, values[:, c])
+    return np.ascontiguousarray(out.T)
 
 
 def sigmoid(z):

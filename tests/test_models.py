@@ -342,6 +342,17 @@ class TestEngineBackwardAndUpdate:
         with pytest.raises(ConsistencyError, match="out.w"):
             engine.check_replicas()
 
+    def test_replicas_holding_the_same_nan_agree(self):
+        rng = np.random.default_rng(42)
+        engine = SubstitutedModel(ModelGraph(kind="wdl", n_fields=3), WorkerGroup(2))
+        engine.train_step(tiny_batch(rng, 3))
+        for replica in engine.dense:
+            replica["out.b"][0] = np.nan
+        engine.check_replicas()
+        engine.dense[1]["out.b"][0] = 0.0
+        with pytest.raises(ConsistencyError, match="out.b on worker 1"):
+            engine.check_replicas()
+
     def test_update_touches_only_active_entries(self):
         rng = np.random.default_rng(43)
         engine = SubstitutedModel(ModelGraph(kind="lr", n_fields=2), WorkerGroup(1))

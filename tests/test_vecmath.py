@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dessim import vecmath
+from dessim.collectives import WorkerGroup
 from dessim.errors import DimensionError
-from dessim.vecmath import SIGMOID_CLAMP, matmul_rows, relu, sigmoid
+from dessim.models import ModelGraph, SparseBatch, SubstitutedModel
+from dessim.vecmath import SIGMOID_CLAMP, matmul_rows, relu, scatter_add_rows, sigmoid
 
 
 def row_order_reference(x, mat):
@@ -16,6 +18,13 @@ def row_order_reference(x, mat):
     for r in range(mat.shape[0]):
         acc += x[:, r : r + 1] * mat[r]
     return acc
+
+
+def add_at_reference(index, values, n_rows):
+    """The two-dimensional np.add.at that scatter_add_rows must reproduce bit for bit."""
+    out = np.zeros((n_rows, values.shape[1]), dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
 
 
 def dot(a, b):
@@ -117,12 +126,40 @@ class TestMatmulRows:
             assert_bitwise(matmul_rows(x, mat), row_order_reference(x, mat))
         assert routes == {True, False}
 
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    @pytest.mark.parametrize(
+        "m, k, n",
+        [
+            (2048, 24, 16), (512, 16, 16), (512, 16, 1), (2048, 16, 1), (2048, 3, 1),
+            (16, 512, 16), (24, 2048, 16), (1, 512, 24), (2048, 3000, 1), (700, 1500, 2),
+            (1, 9, 1), (1, 10, 1), (1, 1000, 1), (2, 9, 1), (1, 9, 2), (3, 64, 3),
+        ],
+    )
+    def test_engine_shapes_match_row_order_loop(self, monkeypatch, m, k, n, layout, block):
+        # shapes of both routes: forward products up to B=2048, weight gradients
+        # over the batch, and single outputs past the 8 terms where pairwise
+        # summation starts to differ from a first-to-last sum
+        if block is not None:
+            monkeypatch.setattr(vecmath, "SCAN_BLOCK_ELEMS", block)
+        rng = np.random.default_rng([m, k, n])
+        if layout == "C":
+            x = rng.standard_normal((m, k)).astype(np.float32)
+        else:
+            x = rng.standard_normal((k, m)).astype(np.float32).T
+        mat = rng.standard_normal((k, n)).astype(np.float32)
+        x[rng.random(x.shape) < 0.05] = -0.0
+        got = matmul_rows(x, mat)
+        assert got.flags.c_contiguous
+        assert_bitwise(got, row_order_reference(x, mat))
+
     def test_signed_zero_products_sum_to_positive_zero(self):
-        x = np.full((2, 5), -0.0, dtype=np.float32)
-        mat = np.ones((5, 1), dtype=np.float32)
-        out = matmul_rows(x, mat)
-        assert_bitwise(out, row_order_reference(x, mat))
-        assert not np.signbit(out).any()
+        for m in (1, 2):
+            x = np.full((m, 5), -0.0, dtype=np.float32)
+            mat = np.ones((5, 1), dtype=np.float32)
+            out = matmul_rows(x, mat)
+            assert_bitwise(out, row_order_reference(x, mat))
+            assert not np.signbit(out).any()
 
     def test_empty_inner_dimension(self):
         for m, n in ((3, 2), (1, 1)):
@@ -142,6 +179,89 @@ class TestMatmulRows:
             matmul_rows(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(DimensionError):
             matmul_rows(np.ones(3), np.ones((3, 2)))
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_two_dimensional_add_at(self, dtype):
+        rng = np.random.default_rng(6)
+        shapes = ((0, 3, 2), (1, 1, 1), (40, 3, 1), (1536, 512, 8), (900, 64, 17))
+        for length, n_rows, cols in shapes:
+            index = rng.integers(0, n_rows, length)
+            values = rng.standard_normal((length, cols)).astype(dtype)
+            values[rng.random(values.shape) < 0.2] = -0.0
+            got = scatter_add_rows(index, values, n_rows)
+            assert got.flags.c_contiguous
+            assert_bitwise(got, add_at_reference(index, values, n_rows))
+
+    def test_repeated_index_sums_in_occurrence_order(self):
+        # in float32, (1e8 + 1) - 1e8 is 0 but (1e8 - 1e8) + 1 is 1
+        values = np.array([[1e8], [1.0], [-1e8]], dtype=np.float32)
+        out = scatter_add_rows(np.array([1, 1, 1]), values, 2)
+        assert_bitwise(out, np.array([[0.0], [0.0]], dtype=np.float32))
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        values = np.full((4, 3), -0.0, dtype=np.float32)
+        out = scatter_add_rows(np.array([0, 0, 2, 2]), values, 3)
+        assert not np.signbit(out).any()
+        assert_bitwise(out, add_at_reference(np.array([0, 0, 2, 2]), values, 3))
+
+
+def random_batch(rng, n_fields, batch_size, vocab):
+    counts = rng.integers(0, 2 * n_fields, batch_size)
+    n = int(counts.sum())
+    values = rng.uniform(-1, 1.5, n).astype(np.float32)
+    values[rng.random(n) < 0.05] = -0.0
+    return SparseBatch(
+        labels=rng.integers(0, 2, batch_size).astype(np.float64),
+        sample_ids=np.repeat(np.arange(batch_size), counts),
+        fields=rng.integers(0, n_fields, n),
+        keys=rng.integers(0, vocab, n).astype(np.uint64),
+        values=values,
+    )
+
+
+def train_and_checkpoint(kind, n_workers, directory):
+    """Bytes of two training steps' logits, a third step's gradients, and the checkpoint."""
+    # small widths put every weight gradient of a 64-sample batch on the scan
+    # route (M*N < K) and every forward product on the loop route; the second
+    # hidden layer makes a bias gradient sum a loop-route output down axis 0,
+    # which is where the output's memory layout reaches the bits
+    graph = ModelGraph(kind=kind, n_fields=4, embedding_dim=3, first_fc_width=4,
+                       hidden_widths=(5, 6), seed=11)
+    engine = SubstitutedModel(graph, WorkerGroup(n_workers))
+    rng = np.random.default_rng(12)
+    batches = [random_batch(rng, 4, 64, 20) for _ in range(3)]
+    logits = [engine.train_step(b).logit.tobytes() for b in batches[:2]]
+    fwd = engine.forward(batches[2])
+    logits.append(fwd.logit.tobytes())
+    grads = []
+    for rank in engine.backward(fwd):
+        grads += [g.tobytes() for _, g in sorted(rank.dense.items())]
+        grads += [e[3].tobytes() for e in (rank.linear, rank.latent) if e is not None]
+        if rank.fc_block is not None:
+            grads.append(rank.fc_block.tobytes())
+    engine.save_checkpoint(directory)
+    return logits, grads, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("kind", ["fm", "wdl", "deepfm", "dcn-demo"])
+def test_engine_bits_equal_reference_kernels(monkeypatch, tmp_path, kind, n_workers):
+    """The engine trained on the fast kernels and on their plain references agrees bit for bit.
+
+    The unsharded reference model shares the engine's kernels, so only a run
+    on independent reference kernels can see a kernel that reorders a sum.
+    """
+    fast = train_and_checkpoint(kind, n_workers, tmp_path / "fast")
+    monkeypatch.setattr(vecmath, "matmul_rows", row_order_reference)
+    monkeypatch.setattr(vecmath, "scatter_add_rows", add_at_reference)
+    reference = train_and_checkpoint(kind, n_workers, tmp_path / "reference")
+    assert fast[0] == reference[0]
+    assert fast[1] == reference[1]
+    assert fast[2].keys() == reference[2].keys()
+    for name, data in fast[2].items():
+        assert data == reference[2][name], name
 
 
 class TestSigmoid:
