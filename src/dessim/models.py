@@ -368,9 +368,12 @@ class RankPass:
     """One rank's state from a forward pass: what its backward and apply need.
 
     The rank's (field, key) pairs are resolved once per step: ``pairs`` is
-    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
-    ``linear_weights`` and ``latent_weights`` hold each table's row for every
-    unique pair. ``latent_rows`` is the latent row of each feature occurrence,
+    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``. For
+    each table, one ``lookup`` gives every unique pair's shard row
+    (``linear_rows``, ``latent_rows``) and the weights it read
+    (``linear_weights``, ``latent_weights``). The optimizer writes back by
+    those rows, which stay valid through the step because table rows never
+    move. ``latents`` is the latent vector of each feature occurrence,
     ``latent_weights[inverse]``. ``cache`` is the rank's replicated-stack
     cache (the mlp's or the cross stack's). Fields a model does not use stay
     None.
@@ -378,9 +381,11 @@ class RankPass:
 
     slice_: BatchSlice
     pairs: tuple
+    linear_rows: np.ndarray | None = None
     linear_weights: np.ndarray | None = None
-    latent_weights: np.ndarray | None = None
     latent_rows: np.ndarray | None = None
+    latent_weights: np.ndarray | None = None
+    latents: np.ndarray | None = None
     agg_m1: np.ndarray | None = None
     pooled: np.ndarray | None = None
     cache: dict | None = None
@@ -406,9 +411,10 @@ class ForwardPass:
 class RankGradients:
     """One rank's gradients of a pass.
 
-    ``linear`` and ``latent`` are ``(fields, keys, weights, grads)`` over the
-    rank's unique pairs, with the weights the forward pass read, or None where
-    the model has no such table. ``fc_block`` is None without a tower.
+    ``linear`` and ``latent`` are ``(fields, keys, rows, weights, grads)``
+    over the rank's unique pairs: the shard rows the optimizer writes, and
+    the weights the forward pass read from them. They are None where the
+    model has no such table. ``fc_block`` is None without a tower.
     """
 
     dense: dict = field(default_factory=dict)
@@ -542,10 +548,10 @@ class SubstitutedModel:
         uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
         rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
         if self.linear_table is not None:
-            rp.linear_weights = self.linear_table.lookup(r, uf, uk)
+            rp.linear_rows, rp.linear_weights = self.linear_table.lookup(r, uf, uk)
         if self.latent_table is not None:
-            rp.latent_weights = self.latent_table.lookup(r, uf, uk)
-            rp.latent_rows = rp.latent_weights[inv]
+            rp.latent_rows, rp.latent_weights = self.latent_table.lookup(r, uf, uk)
+            rp.latents = rp.latent_weights[inv]
         ids, values = slice_.sample_ids, slice_.values
         logit = np.zeros(B, dtype=self.dtype)
 
@@ -555,14 +561,14 @@ class SubstitutedModel:
             logit = logit + (yield "linear.partial", partial)
 
         if graph.uses_second_order:
-            m1, m2 = second_order_partials(rp.latent_rows, values, ids, B)
+            m1, m2 = second_order_partials(rp.latents, values, ids, B)
             rp.agg_m1 = yield "fm2.m1", m1
             agg_m2 = yield "fm2.m2", m2
             logit = logit + second_order_combine(rp.agg_m1, agg_m2)
 
         if graph.uses_tower:
             rp.pooled = pooled_fields(
-                slice_, self._field_pos[r], rp.latent_rows, len(self.rank_fields[r]),
+                slice_, self._field_pos[r], rp.latents, len(self.rank_fields[r]),
                 graph.embedding_dim,
             )
             agg = yield "tower.first_fc", tower_partial(rp.pooled, self.fc_blocks[r])
@@ -613,13 +619,13 @@ class SubstitutedModel:
         if graph.uses_linear:
             grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
             g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
-            grads.linear = (uf, uk, rp.linear_weights, g)
+            grads.linear = (uf, uk, rp.linear_rows, rp.linear_weights, g)
 
         latent_contrib = None
         if graph.uses_second_order:
             x = sl.values[:, None]
             latent_contrib = delta[sl.sample_ids][:, None] * (
-                rp.agg_m1[sl.sample_ids] * x - rp.latent_rows * x * x
+                rp.agg_m1[sl.sample_ids] * x - rp.latents * x * x
             )
 
         if graph.uses_tower:
@@ -636,7 +642,7 @@ class SubstitutedModel:
 
         if self.latent_table is not None:
             g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
-            grads.latent = (uf, uk, rp.latent_weights, g)
+            grads.latent = (uf, uk, rp.latent_rows, rp.latent_weights, g)
         return grads
 
     # -- update -----------------------------------------------------------
@@ -659,10 +665,10 @@ class SubstitutedModel:
             (self.latent_table, graph.embedding_opt, grads.latent),
         ):
             if entry is not None and len(entry[0]):
-                uf, uk, w, g = entry
-                slots = table.slot_values(r, uf, uk)
+                _, _, rows, w, g = entry
+                slots = table.slot_values(r, rows)
                 new_w, new_slots = optim_step(opt, w, slots, g)
-                table.apply_update(r, uf, uk, new_w, new_slots)
+                table.apply_update(r, rows, new_w, new_slots)
         if grads.fc_block is not None and self.fc_blocks[r].size:
             self.fc_blocks[r], self.fc_state[r] = dense_step(
                 graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_block

@@ -12,6 +12,17 @@ splitmix64's finalizer, a bijection on 64 bits. Together with the stored
 field that value fixes the key, so a match is exact; the rare distinct pairs
 that share a value are told apart by their fields (see ``_Shard``). Field ids
 must lie in ``[0, 2**32)``, the range of the index and checkpoint columns.
+The index is a large sorted base plus a small sorted delta that takes new
+pairs, merged into the base once it outgrows a fixed share of it, so an
+insert copies the delta rather than the whole index: the two-level form of
+the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
+
+Pairs are resolved to rows once: ``lookup`` returns each pair's row with
+its weights, and ``slot_values`` and ``apply_update`` address rows. A row is
+the pair's position in the shard's row arrays, assigned in append order.
+Rows never move and are never freed, so a row stays valid for the life of
+the table; only the index is re-sorted. ``rows_of`` resolves pairs that
+must already exist.
 
 Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
 hash seed's 8 little-endian bytes. One keyed state per seed is built once and
@@ -278,6 +289,10 @@ _ROW_LIMIT = 1 << 31
 _EMPTY_INDEX = _read_only(
     np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int32)
 )
+# The delta merges into the base once it holds more than this share of the
+# base's entries. A smaller share copies the delta less per insert but the
+# base more often; 1/8 was about optimal at ~100k entries per shard.
+_MAX_DELTA_SHARE = 1 / 8
 
 
 def _mix_field(fields):
@@ -288,20 +303,61 @@ def _mix_field(fields):
     return z ^ (z >> np.uint64(31))
 
 
+def _probe(index, h, fields):
+    """Row of each (h, field) in one sorted ``(hash, field, row)`` index, -1 if absent.
+
+    One ``searchsorted`` on the hash column, then a walk over each run of
+    equal ``h`` until the field matches or the run ends.
+    """
+    hashes, index_fields, index_rows = index
+    rows = np.full(len(h), -1, dtype=np.int64)
+    n = len(hashes)
+    if not n:
+        return rows
+    pos = np.searchsorted(hashes, h)
+    idx = np.arange(len(h))
+    while True:
+        at = np.minimum(pos, n - 1)
+        same = (pos < n) & (hashes[at] == h)
+        hit = same & (index_fields[at] == fields)
+        rows[idx[hit]] = index_rows[at[hit]]
+        walk = same & ~hit
+        if not walk.any():
+            return rows
+        idx, fields, h, pos = idx[walk], fields[walk], h[walk], pos[walk] + 1
+
+
+def _inserted(index, new):
+    """``index`` with the sorted entries ``new`` inserted: one ``np.insert`` per column."""
+    at = np.searchsorted(index[0], new[0])
+    return tuple(np.insert(col, at, vals) for col, vals in zip(index, new))
+
+
 class _Shard:
     """One shard: growable row arrays plus one hashed index of its entries.
 
-    The index holds every (field, key) pair of the shard in three columns,
-    sorted by ``h = key ^ mix(field)`` with ``mix`` splitmix64's finalizer:
-    ``_hash`` (uint64), ``_field`` (uint32) and ``_row`` (int32), 16 bytes
-    per entry. A batch of lookups is one ``searchsorted`` on ``_hash`` and a
-    batch of inserts one stable sort plus one ``np.insert`` per column, for
-    all fields at once. A hit needs an equal ``h`` and an equal field, which
-    is exact: ``key = h ^ mix(field)``, so the two fix the key. Distinct
-    pairs share an ``h`` only with distinct fields, which is astronomically
-    rare but kept correct: ``find`` walks each run of equal ``h`` until the
-    field matches or the run ends, a loop that in practice runs once. The
-    index is the only record of which (field, key) a row holds.
+    The index holds every (field, key) pair of the shard as ``(hash, field,
+    row)`` columns, uint64, uint32 and int32 (16 bytes per entry), sorted by
+    ``h = key ^ mix(field)`` with ``mix`` splitmix64's finalizer. A hit needs
+    an equal ``h`` and an equal field, which is exact: ``key = h ^
+    mix(field)``, so the two fix the key. Distinct pairs share an ``h`` only
+    with distinct fields, which is astronomically rare but kept correct:
+    ``_probe`` walks each run of equal ``h`` until the field matches or the
+    run ends, a loop that in practice runs once.
+
+    Each pair sits in exactly one of two sorted indexes, ``_base`` and
+    ``_delta``. ``append`` inserts new pairs into the delta, which costs a
+    copy of the delta, not of the whole index. Once the delta holds more
+    than ``_MAX_DELTA_SHARE`` of the base's entries, one ``np.insert`` per
+    column merges it into the base and the delta starts empty again. A
+    lookup that inserts nothing merges a non-empty delta too, so a table
+    that has stopped growing answers each find with one probe, and one that
+    alternates inserts with quiet lookups copies its index no more often
+    than a single sorted index would. ``find`` probes the base, then the
+    delta for the pairs the base lacks. Rows are assigned in append order
+    and never move, so merging re-sorts the index only and a row found once
+    stays valid. The index is the only record of which (field, key) a row
+    holds.
     """
 
     def __init__(self, name, dim, slot_widths, dtype):
@@ -309,7 +365,7 @@ class _Shard:
         self.dim = dim
         self.slot_widths = dict(slot_widths)
         self.dtype = np.dtype(dtype)
-        self._hash, self._field, self._row = _EMPTY_INDEX
+        self._base = self._delta = _EMPTY_INDEX
         self.n_rows = 0
         cap = 64
         self.weights = np.zeros((cap, dim), dtype=self.dtype)
@@ -331,22 +387,12 @@ class _Shard:
 
     def find(self, fields, keys):
         """Row of each (field, key) pair, -1 where the pair has no entry."""
-        rows = np.full(len(fields), -1, dtype=np.int64)
-        n = len(self._hash)
-        if not n:
-            return rows
         h = keys ^ _mix_field(fields)
-        pos = np.searchsorted(self._hash, h)
-        idx = np.arange(len(fields))
-        while True:
-            at = np.minimum(pos, n - 1)
-            same = (pos < n) & (self._hash[at] == h)
-            hit = same & (self._field[at] == fields)
-            rows[idx[hit]] = self._row[at[hit]]
-            walk = same & ~hit
-            if not walk.any():
-                return rows
-            idx, fields, h, pos = idx[walk], fields[walk], h[walk], pos[walk] + 1
+        rows = _probe(self._base, h, fields)
+        miss = np.flatnonzero(rows < 0)
+        if miss.size:
+            rows[miss] = _probe(self._delta, h[miss], fields[miss])
+        return rows
 
     def append(self, fields, keys, weights, slots=None):
         """Add entries for new, distinct (field, key) pairs; returns their rows."""
@@ -362,19 +408,22 @@ class _Shard:
         self.n_rows += count
         h = keys ^ _mix_field(fields)
         order = np.argsort(h, kind="stable")
-        h = h[order]
-        at = np.searchsorted(self._hash, h)
-        self._hash = np.insert(self._hash, at, h)
-        self._field = np.insert(self._field, at, fields[order].astype(np.uint32))
-        self._row = np.insert(self._row, at, (start + order).astype(np.int32))
+        self._delta = _inserted(self._delta, (
+            h[order], fields[order].astype(np.uint32), (start + order).astype(np.int32)
+        ))
+        if len(self._delta[0]) > _MAX_DELTA_SHARE * len(self._base[0]):
+            self._merge()
         return rows
+
+    def _merge(self):
+        self._base, self._delta = _inserted(self._base, self._delta), _EMPTY_INDEX
 
     def sorted_entries(self):
         """(fields, keys, rows) of every entry, in ascending (field, key) order."""
-        keys = self._hash ^ _mix_field(self._field)
-        order = np.lexsort((keys, self._field))
-        return (self._field[order].astype(np.int64), keys[order],
-                self._row[order].astype(np.int64))
+        h, fields, rows = (np.concatenate(cols) for cols in zip(self._base, self._delta))
+        keys = h ^ _mix_field(fields)
+        order = np.lexsort((keys, fields))
+        return fields[order].astype(np.int64), keys[order], rows[order].astype(np.int64)
 
     def ensure_rows(self, fields, keys, init):
         """Rows for (fields, keys), inserting missing pairs with ``init``.
@@ -382,7 +431,8 @@ class _Shard:
         ``init`` is called once with every new pair and must return one row
         per pair. Its result is checked before anything is committed, so an
         ``init`` that raises or returns the wrong shape leaves the shard
-        unchanged.
+        unchanged. A lookup that finds every pair merges the delta (see
+        ``_Shard``).
         """
         fields = np.asarray(fields, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
@@ -400,6 +450,8 @@ class _Shard:
                     f"{weights.shape} for {want} new rows"
                 )
             rows[miss] = self.append(new_f, new_k, weights)[inverse]
+        elif len(self._delta[0]):
+            self._merge()
         return rows
 
     def rows_of(self, fields, keys):
@@ -419,9 +471,10 @@ class _Shard:
 class ShardedWeightTable:
     """Dynamic (field, key) -> vector table partitioned over N shards.
 
-    ``lookup`` inserts missing entries with the table initializer;
-    ``apply_update`` replaces weights and optimizer slots for existing
-    entries. Both verify that the caller owns the fields it touches.
+    ``lookup`` resolves (field, key) pairs to rows, inserting missing
+    entries with the table initializer, and verifies that the caller owns
+    the fields it touches. ``slot_values`` and ``apply_update`` read and
+    replace the optimizer slots and weights of rows a lookup returned.
 
     ``init`` is "uniform" (``seeded_uniform_init``), "zeros", or a callable
     ``init(fields, keys, dim, dtype)``. A callable receives arrays: the new
@@ -474,26 +527,61 @@ class ShardedWeightTable:
             )
 
     def lookup(self, shard_idx, fields, keys):
-        """Weights for (fields, keys) on one shard, inserting missing entries.
+        """Rows and weights for (fields, keys) on one shard, inserting missing entries.
 
-        Returns a copy; table state only changes through apply_update.
+        Returns ``(rows, weights)``: the row of each pair, which
+        ``slot_values`` and ``apply_update`` take, and a copy of its weights.
+        Stored weights and slots change only through apply_update.
         """
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
         rows = shard.ensure_rows(fields, keys, self._init)
-        return shard.weights[rows]
+        return rows, shard.weights[rows]
 
-    def slot_values(self, shard_idx, fields, keys):
-        """Optimizer slot arrays for existing entries, as copies."""
+    def rows_of(self, shard_idx, fields, keys):
+        """Rows of existing (fields, keys) on one shard.
+
+        Raises ``ConsistencyError`` naming the first pair that no lookup has
+        created.
+        """
         self._check_placement(shard_idx, fields)
+        return self._shards[shard_idx].rows_of(fields, keys)
+
+    def _shard_rows(self, shard_idx, rows):
+        """The shard and ``rows`` as a 1-D integer array of rows it holds."""
+        if not 0 <= shard_idx < self.n_shards:
+            raise PlacementError(f"shard {shard_idx} out of range for {self.n_shards} shards")
         shard = self._shards[shard_idx]
-        rows = shard.rows_of(fields, keys)
+        rows = np.asarray(rows)
+        if not rows.size:
+            return shard, np.empty(0, dtype=np.int64)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ConsistencyError(
+                f"table {self.name!r}: rows must be a 1-D integer array, got {rows.dtype} "
+                f"{rows.shape}"
+            )
+        bad = np.flatnonzero((rows < 0) | (rows >= shard.n_rows))
+        if bad.size:
+            raise ConsistencyError(
+                f"table {self.name!r}: row {int(rows[bad[0]])} is outside [0, {shard.n_rows}) "
+                f"of shard {shard_idx}"
+            )
+        return shard, rows
+
+    def slot_values(self, shard_idx, rows):
+        """Optimizer slot arrays of existing rows, as copies."""
+        shard, rows = self._shard_rows(shard_idx, rows)
         return {name: arr[rows] for name, arr in shard.slots.items()}
 
-    def apply_update(self, shard_idx, fields, keys, weights, slots):
-        self._check_placement(shard_idx, fields)
-        shard = self._shards[shard_idx]
-        rows = shard.rows_of(fields, keys)
+    def apply_update(self, shard_idx, rows, weights, slots):
+        """Replace the weights and optimizer slots of existing rows.
+
+        Every argument is checked before anything is written: a row outside
+        the shard, a weight shape other than ``(len(rows), dim)`` or slot
+        names other than the table's raise ``ConsistencyError`` and leave the
+        table unchanged.
+        """
+        shard, rows = self._shard_rows(shard_idx, rows)
         weights = np.asarray(weights, dtype=self.dtype)
         if weights.shape != (len(rows), self.dim):
             raise ConsistencyError(
@@ -507,7 +595,6 @@ class ShardedWeightTable:
         shard.weights[rows] = weights
         for name, arr in slots.items():
             shard.slots[name][rows] = np.asarray(arr, dtype=self.dtype)
-        return rows
 
     def n_entries(self, shard_idx=None):
         if shard_idx is None:
@@ -580,11 +667,14 @@ class ShardedWeightTable:
     def load(cls, directory, name, n_shards, seed=0, init="uniform", init_scale=0.01):
         """Rebuild a table from the files written by save.
 
-        Raises ``ValueError`` naming the file when it is not a shard
-        checkpoint, when its length disagrees with the record count in its
-        header, when a record's field belongs to another shard, or when a
-        (field, key) pair repeats.
+        Raises ``ValueError`` for fewer than one shard, and ``ValueError``
+        naming the file when it is not a shard checkpoint, when its dim,
+        dtype or slot widths differ from shard 0's, when its length disagrees
+        with the record count in its header, when a record's field belongs to
+        another shard, or when a (field, key) pair repeats.
         """
+        if n_shards < 1:
+            raise ValueError(f"need at least one shard, got {n_shards}")
         table = None
         for idx in range(n_shards):
             path = os.path.join(directory, f"{name}-shard-{idx:04d}.bin")
@@ -599,6 +689,12 @@ class ShardedWeightTable:
             if table is None:
                 table = cls(n_shards, dim, seed=seed, init=init, init_scale=init_scale,
                             slot_widths=slot_widths, dtype=dtype, name=name)
+            elif (dim, dtype, slot_widths) != (table.dim, table.dtype, table.slot_widths):
+                raise ValueError(
+                    f"{path}: dim {dim}, dtype {dtype.name}, slots {slot_widths} differ from "
+                    f"shard 0's dim {table.dim}, dtype {table.dtype.name}, slots "
+                    f"{table.slot_widths}"
+                )
             fcode = "<f4" if dtype == np.float32 else "<f8"
             rec_dtype = [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (dim,))]
             for nm in slot_widths:

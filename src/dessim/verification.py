@@ -239,7 +239,7 @@ def _engine_grad_maps(engine, grads):
     for rank_grads in grads:
         for out, entry in ((linear, rank_grads.linear), (latent, rank_grads.latent)):
             if entry is not None:
-                uf, uk, _, g = entry
+                uf, uk, _, _, g = entry
                 for f, k, row in zip(uf, uk, g):
                     out[(int(f), int(k))] = row.copy()
     full_fc = None

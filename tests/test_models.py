@@ -391,7 +391,9 @@ class TestReplicaDivergence:
 
 
 class TestPairsResolvedOnce:
-    def test_fm_step_dedups_once_per_rank_and_finds_three_times_per_table(self, monkeypatch):
+    def test_fm_step_dedups_and_searches_once_per_rank_and_table(self, monkeypatch):
+        # lookup resolves each rank's pairs to rows; the optimizer then reads
+        # and writes by those rows without searching the index again
         engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=4), WorkerGroup(2))
         batch = tiny_batch(np.random.default_rng(45), 4)
         dedups = []
@@ -410,7 +412,7 @@ class TestPairsResolvedOnce:
         monkeypatch.setattr(sparse._Shard, "find", find)
         engine.train_step(batch)
         assert len(dedups) == 2
-        assert sorted(finds.values()) == [3, 3, 3, 3]
+        assert sorted(finds.values()) == [1, 1, 1, 1]
         assert sorted(name for name, _ in finds) == ["latent", "latent", "linear", "linear"]
 
 

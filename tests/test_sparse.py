@@ -142,7 +142,7 @@ class TestBatchedUniformInit:
                     table.lookup(shard, fields[mine], keys[mine])
             for shard in range(n_shards):
                 mine = np.flatnonzero(fields % n_shards == shard)
-                got = table.lookup(shard, fields[mine], keys[mine])
+                got = table.lookup(shard, fields[mine], keys[mine])[1]
                 for row, i in zip(got, mine):
                     want = per_key_uniform(11, int(fields[i]), int(keys[i]), 3, np.float32, 0.5)
                     assert np.array_equal(row, want)
@@ -156,19 +156,19 @@ def make_table(n_shards=2, dim=4, **kw):
 class TestLookup:
     def test_zeros_init(self):
         table = make_table(init="zeros")
-        w = table.lookup(0, [0, 2], [10, 11])
+        w = table.lookup(0, [0, 2], [10, 11])[1]
         assert np.array_equal(w, np.zeros((2, 4), dtype=np.float32))
 
     def test_existing_key_returns_stored_value(self):
         table = make_table(init="zeros")
-        table.lookup(0, [0], [10])
+        rows, _ = table.lookup(0, [0], [10])
         new = np.full((1, 4), 0.25, dtype=np.float32)
-        table.apply_update(0, [0], [10], new, {"acc": np.zeros((1, 4), np.float32)})
-        assert np.array_equal(table.lookup(0, [0], [10]), new)
+        table.apply_update(0, rows, new, {"acc": np.zeros((1, 4), np.float32)})
+        assert np.array_equal(table.lookup(0, [0], [10])[1], new)
 
     def test_fresh_uniform_reproducible_across_tables(self):
-        a = make_table().lookup(1, [1, 3], [7, 9])
-        b = make_table().lookup(1, [1, 3], [7, 9])
+        a = make_table().lookup(1, [1, 3], [7, 9])[1]
+        b = make_table().lookup(1, [1, 3], [7, 9])[1]
         assert np.array_equal(a, b)
 
     def test_insertion_order_independent(self):
@@ -179,17 +179,17 @@ class TestLookup:
         # reversed discovery order in the second table
         t2.lookup(0, [2], [5])
         t2.lookup(0, [0], [1])
-        assert np.array_equal(t1.lookup(0, [0, 2], [1, 5]), t2.lookup(0, [0, 2], [1, 5]))
+        assert np.array_equal(t1.lookup(0, [0, 2], [1, 5])[1], t2.lookup(0, [0, 2], [1, 5])[1])
 
     def test_lookup_returns_copy(self):
         table = make_table()
-        w = table.lookup(0, [0], [1])
+        w = table.lookup(0, [0], [1])[1]
         w[:] = 99.0
-        assert not np.array_equal(table.lookup(0, [0], [1]), w)
+        assert not np.array_equal(table.lookup(0, [0], [1])[1], w)
 
     def test_duplicate_keys_share_one_entry(self):
         table = make_table()
-        w = table.lookup(0, [0, 0], [3, 3])
+        w = table.lookup(0, [0, 0], [3, 3])[1]
         assert np.array_equal(w[0], w[1])
         assert table.n_entries(0) == 1
 
@@ -222,7 +222,7 @@ class TestIndex:
             n = int(rng.integers(0, 30))
             fields = rng.integers(0, 10, n) * 3 + shard
             keys = pool[rng.integers(0, len(pool), n)]
-            got = table.lookup(shard, fields, keys)
+            got = table.lookup(shard, fields, keys)[1]
             for (f, k), row in zip(zip(fields.tolist(), keys.tolist()), got):
                 want = shadow.setdefault((f, k), init([f], [k], 2, np.float32)[0])
                 assert np.array_equal(row, want)
@@ -230,11 +230,13 @@ class TestIndex:
             if n and rng.random() < 0.5:
                 uf, uk, _ = unique_with_inverse(fields, keys)
                 new = rng.uniform(-1, 1, (len(uf), 2)).astype(np.float32)
-                rows = table.apply_update(shard, uf, uk, new, {"acc": new * 2})
+                rows = table.rows_of(shard, uf, uk)
+                table.apply_update(shard, rows, new, {"acc": new * 2})
                 assert len(set(rows.tolist())) == len(uf)
                 for f, k, w in zip(uf.tolist(), uk.tolist(), new):
                     shadow[(f, k)] = w
-                assert np.array_equal(table.slot_values(shard, uf, uk)["acc"], new * 2)
+                assert np.array_equal(
+                    table.slot_values(shard, table.rows_of(shard, uf, uk))["acc"], new * 2)
         got = table.weight_map()
         assert got.keys() == shadow.keys()
         for fk, want in shadow.items():
@@ -244,9 +246,9 @@ class TestIndex:
         table = make_table()
         table.lookup(1, [1, 3], [7, 9])
         with pytest.raises(ConsistencyError, match=r"field=3, key=99\)"):
-            table.slot_values(1, [1, 3, 3], [7, 9, 99])
+            table.slot_values(1, table.rows_of(1, [1, 3, 3], [7, 9, 99]))
         with pytest.raises(ConsistencyError, match=r"field=5, key=7\)"):
-            table.slot_values(1, [5], [7])
+            table.slot_values(1, table.rows_of(1, [5], [7]))
 
     def test_raising_initializer_leaves_table_unchanged(self):
         def init(fields, keys, dim, dtype):
@@ -263,8 +265,8 @@ class TestIndex:
         assert table.weight_map().keys() == before.keys()
         for fk in ((2, 5), (2, 13)):
             with pytest.raises(ConsistencyError):
-                table.slot_values(0, [fk[0]], [fk[1]])
-        assert np.array_equal(table.lookup(0, [2, 0], [5, 1]), [[5, 5], [1, 1]])
+                table.slot_values(0, table.rows_of(0, [fk[0]], [fk[1]]))
+        assert np.array_equal(table.lookup(0, [2, 0], [5, 1])[1], [[5, 5], [1, 1]])
 
     @pytest.mark.parametrize("result", [
         lambda f, k, dim, dtype: np.zeros((len(f), dim + 1), dtype=dtype),
@@ -289,13 +291,13 @@ class TestIndex:
             table.lookup(0, [0, 2], [1, 7])
         assert table.n_entries() == 1
         with pytest.raises(ConsistencyError):
-            table.slot_values(0, [2], [7])
+            table.slot_values(0, table.rows_of(0, [2], [7]))
 
     def test_integer_initializer_result_is_cast(self):
         table = ShardedWeightTable(
             1, 2, init=lambda f, k, dim, dtype: np.ones((len(f), dim), dtype=np.int64)
         )
-        got = table.lookup(0, [0, 1], [3, 3])
+        got = table.lookup(0, [0, 1], [3, 3])[1]
         assert got.dtype == np.float32 and np.array_equal(got, np.ones((2, 2)))
 
     def test_custom_initializer_receives_each_new_pair_once(self):
@@ -349,26 +351,27 @@ class TestHashCollisions:
             # every lookup repeats the pairs already inserted, so hits and misses mix
             seen = [i for i in range(len(fields)) if (int(fields[i]), int(keys[i])) in shadow]
             sel = np.array(seen + chunk)
-            got = table.lookup(0, fields[sel], keys[sel])
+            got = table.lookup(0, fields[sel], keys[sel])[1]
             for i, row in zip(sel.tolist(), got):
                 fk = (int(fields[i]), int(keys[i]))
                 want = shadow.setdefault(fk, init([fk[0]], [fk[1]], 3, np.float32)[0])
                 assert np.array_equal(row, want), fk
         assert table.n_entries() == len(fields)
-        index = table._shards[0]._hash
+        shard = table._shards[0]
+        index = np.concatenate([shard._base[0], shard._delta[0]])
         assert len(set(index.tolist())) == len(fields) - 2
 
         sel = np.array([2, 0, 4])
         new = np.arange(9, dtype=np.float32).reshape(3, 3)
-        table.apply_update(0, fields[sel], keys[sel], new, {"acc": -new})
+        table.apply_update(0, table.rows_of(0, fields[sel], keys[sel]), new, {"acc": -new})
         for i, w in zip(sel.tolist(), new):
             shadow[(int(fields[i]), int(keys[i]))] = w
-        acc = table.slot_values(0, fields, keys)["acc"]
+        acc = table.slot_values(0, table.rows_of(0, fields, keys))["acc"]
         assert np.array_equal(acc[[2, 0, 4]], -new)
         assert not acc[[1, 3, 5]].any()
         absent = H ^ splitmix_finalizer(8)
         with pytest.raises(ConsistencyError, match=f"field=8, key={absent}"):
-            table.slot_values(0, [8, 0], [absent, keys[0]])
+            table.slot_values(0, table.rows_of(0, [8, 0], [absent, keys[0]]))
 
         got = table.weight_map()
         assert got.keys() == shadow.keys()
@@ -376,8 +379,8 @@ class TestHashCollisions:
             assert np.array_equal(got[fk], want)
         table.save(tmp_path)
         loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=4, init_scale=1.0)
-        assert np.array_equal(loaded.lookup(0, fields, keys), table.lookup(0, fields, keys))
-        assert np.array_equal(loaded.slot_values(0, fields, keys)["acc"], acc)
+        assert np.array_equal(loaded.lookup(0, fields, keys)[1], table.lookup(0, fields, keys)[1])
+        assert np.array_equal(loaded.slot_values(0, loaded.rows_of(0, fields, keys))["acc"], acc)
         assert loaded.n_entries() == len(fields)
 
     def test_equal_small_keys_across_fields(self, tmp_path):
@@ -389,11 +392,82 @@ class TestHashCollisions:
         for chunk in np.array_split(rng.permutation(len(keys)), 7):
             table.lookup(0, fields[chunk], keys[chunk])
         assert table.n_entries() == len(keys)
-        got = table.lookup(0, fields, keys)
+        got = table.lookup(0, fields, keys)[1]
         for row, f, k in zip(got, fields.tolist(), keys.tolist()):
             assert np.array_equal(row, per_key_uniform(3, f, k, 2, np.float32, 0.01))
         saved = [(f, k) for f, k, _, _ in table.entries(0)]
         assert saved == list(zip(fields.tolist(), keys.tolist()))
+
+
+def in_index(index, field, key):
+    """Whether one (hash, field, row) index holds the pair."""
+    h = int(key) ^ splitmix_finalizer(int(field))
+    return any(int(hh) == h and int(ff) == field for hh, ff in zip(index[0], index[1]))
+
+
+class TestDeltaIndex:
+    """The base-plus-delta index against a dict shadow, across many merges."""
+
+    def test_against_dict_shadow_across_merges(self, tmp_path):
+        rng = np.random.default_rng(23)
+        init = seeded_uniform_init(6, scale=1.0)
+        table = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
+        shard = table._shards[0]
+        shadow = {}  # (field, key) -> row, rows in append order
+        pool_f = rng.integers(0, 20, 3000) * 2
+        pool_k = rng.integers(0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True)
+        pool_k[:1000] %= np.uint64(40)  # small keys that recur in many fields
+        twins = {}  # colliding pair index -> "base" or "delta" right after its insert
+        sizes = [200, 5, 1, 3, 17, 60, 250, 2, 40, 700, 9, 1, 120, 33, 400, 6, 80, 1500]
+        base_sizes = set()
+        for step, size in enumerate(sizes):
+            pick = rng.integers(0, len(pool_f), size)
+            # repeat pairs already inserted, so hits and misses mix
+            fields, keys = pool_f[pick], pool_k[pick]
+            extra = {0: [0], 1: [1], 4: [2, 3], 9: [4, 5]}.get(step, [])
+            fields = np.concatenate([fields, COLLIDING_FIELDS[extra], fields[: size // 3]])
+            keys = np.concatenate([keys, COLLIDING_KEYS[extra], keys[: size // 3]])
+            for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
+                shadow[(f, k)] = len(shadow)
+            rows, weights = table.lookup(0, fields, keys)
+            want = [shadow[fk] for fk in zip(fields.tolist(), keys.tolist())]
+            assert rows.tolist() == want
+            for (f, k), w in zip(zip(fields.tolist(), keys.tolist()), weights):
+                assert np.array_equal(w, init([f], [k], 2, np.float32)[0])
+            for i in extra:
+                in_base = in_index(shard._base, COLLIDING_FIELDS[i], COLLIDING_KEYS[i])
+                twins[i] = "base" if in_base else "delta"
+
+            all_f = np.array([f for f, _ in shadow], dtype=np.int64)
+            all_k = np.array([k for _, k in shadow], dtype=np.uint64)
+            assert table.rows_of(0, all_f, all_k).tolist() == list(shadow.values())
+            assert table.n_entries(0) == len(shadow)
+            cols = (shard._base, shard._delta)
+            assert sum(col.nbytes for index in cols for col in index) == 16 * len(shadow)
+            for index in cols:
+                assert np.all(index[0][1:] >= index[0][:-1])
+            h, f, r = (np.concatenate(c) for c in zip(*cols))
+            assert sorted(r.tolist()) == list(range(len(shadow)))
+            assert len(set(zip(h.tolist(), f.tolist()))) == len(shadow)
+            base_sizes.add(len(shard._base[0]))
+
+            one = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
+            one.lookup(0, all_f, all_k)
+            table.save(tmp_path / "grown")
+            one.save(tmp_path / "one")
+            for name in ("table-shard-0000.bin", "table-shard-0001.bin"):
+                assert (tmp_path / "grown" / name).read_bytes() == (
+                    tmp_path / "one" / name).read_bytes()
+        # the first twin was merged into the base before its partner arrived in the delta
+        assert twins[0] == "base" and twins[1] == "delta"
+        assert len(base_sizes) >= 5  # the delta merged several times
+
+        # a lookup that inserts nothing folds a non-empty delta into the base
+        rows, _ = table.lookup(0, [0], [2**64 - 1])
+        assert len(shard._delta[0]) == 1
+        assert table.lookup(0, all_f[:50], all_k[:50])[0].tolist() == list(shadow.values())[:50]
+        assert len(shard._delta[0]) == 0 and len(shard._base[0]) == len(shadow) + 1
+        assert table.rows_of(0, [0], [2**64 - 1]).tolist() == rows.tolist() == [len(shadow)]
 
 
 class TestFieldRange:
@@ -403,8 +477,8 @@ class TestFieldRange:
         for bad in (2**32 + 5, -1):
             for call in (
                 lambda: table.lookup(0, [bad], [7]),
-                lambda: table.slot_values(0, [bad], [7]),
-                lambda: table.apply_update(0, [bad], [7], w, {"acc": w}),
+                lambda: table.slot_values(0, table.rows_of(0, [bad], [7])),
+                lambda: table.apply_update(0, table.rows_of(0, [bad], [7]), w, {"acc": w}),
             ):
                 with pytest.raises(DimensionError, match=rf"'lin'.*field {bad}\b"):
                     call()
@@ -418,20 +492,20 @@ class TestFieldRange:
 class TestApplyUpdate:
     def test_round_trip_bitwise(self):
         table = make_table(init="zeros")
-        table.lookup(0, [0], [42])
+        rows, _ = table.lookup(0, [0], [42])
         w = np.array([[1.5, -2.0, 0.25, 8.0]], dtype=np.float32)
         s = {"acc": np.array([[0.1, 0.2, 0.3, 0.4]], dtype=np.float32)}
-        table.apply_update(0, [0], [42], w, s)
-        assert np.array_equal(table.lookup(0, [0], [42]), w)
-        assert np.array_equal(table.slot_values(0, [0], [42])["acc"], s["acc"])
+        table.apply_update(0, rows, w, s)
+        assert np.array_equal(table.lookup(0, [0], [42])[1], w)
+        assert np.array_equal(table.slot_values(0, table.rows_of(0, [0], [42]))["acc"], s["acc"])
 
     def test_zero_delta_leaves_table_identical(self):
         table = make_table()
         table.lookup(0, [0, 2], [1, 2])
         before = table.weight_map()
-        w = table.lookup(0, [0, 2], [1, 2])
-        s = table.slot_values(0, [0, 2], [1, 2])
-        table.apply_update(0, [0, 2], [1, 2], w, s)
+        rows, w = table.lookup(0, [0, 2], [1, 2])
+        s = table.slot_values(0, rows)
+        table.apply_update(0, rows, w, s)
         after = table.weight_map()
         assert before.keys() == after.keys()
         for key in before:
@@ -441,27 +515,44 @@ class TestApplyUpdate:
         table = make_table()
         with pytest.raises(ConsistencyError):
             table.apply_update(
-                0, [0], [99], np.zeros((1, 4), np.float32),
+                0, table.rows_of(0, [0], [99]), np.zeros((1, 4), np.float32),
                 {"acc": np.zeros((1, 4), np.float32)},
             )
 
     def test_wrong_slot_names_rejected(self):
         table = make_table()
-        table.lookup(0, [0], [1])
+        rows, _ = table.lookup(0, [0], [1])
         with pytest.raises(ConsistencyError):
             table.apply_update(
-                0, [0], [1], np.zeros((1, 4), np.float32),
+                0, rows, np.zeros((1, 4), np.float32),
                 {"momentum": np.zeros((1, 4), np.float32)},
             )
 
     def test_wrong_shape_rejected(self):
         table = make_table()
-        table.lookup(0, [0], [1])
+        rows, _ = table.lookup(0, [0], [1])
         with pytest.raises(ConsistencyError):
             table.apply_update(
-                0, [0], [1], np.zeros((1, 3), np.float32),
+                0, rows, np.zeros((1, 3), np.float32),
                 {"acc": np.zeros((1, 4), np.float32)},
             )
+
+    @pytest.mark.parametrize("bad", [[-1], [3], [1, 3], [1.0]])
+    def test_row_outside_shard_rejected_and_table_unchanged(self, bad):
+        table = make_table()
+        rows, _ = table.lookup(0, [0, 2, 4], [1, 2, 3])
+        ones = np.ones((3, 4), np.float32)
+        table.apply_update(0, rows, ones, {"acc": ones})
+        before = {fk: w.tobytes() for fk, w in table.weight_map().items()}
+        acc = table.slot_values(0, rows)["acc"].tobytes()
+        w = np.zeros((len(bad), 4), np.float32)
+        with pytest.raises(ConsistencyError, match=r"'table'.*row"):
+            table.slot_values(0, bad)
+        with pytest.raises(ConsistencyError, match=r"'table'.*row"):
+            table.apply_update(0, bad, w, {"acc": w})
+        assert {fk: w.tobytes() for fk, w in table.weight_map().items()} == before
+        assert table.slot_values(0, rows)["acc"].tobytes() == acc
+        assert table.n_entries() == 3
 
     def test_thousand_random_updates_match_shadow_map(self):
         rng = np.random.default_rng(11)
@@ -471,10 +562,10 @@ class TestApplyUpdate:
             field = int(rng.integers(0, 9))
             key = int(rng.integers(0, 50))
             shard = field % 3
-            table.lookup(shard, [field], [key])
+            rows, _ = table.lookup(shard, [field], [key])
             shadow.setdefault((field, key), np.zeros(2, dtype=np.float32))
             w = rng.uniform(-1, 1, (1, 2)).astype(np.float32)
-            table.apply_update(shard, [field], [key], w,
+            table.apply_update(shard, rows, w,
                                {"acc": np.zeros((1, 2), np.float32)})
             shadow[(field, key)] = w[0].copy()
         got = table.weight_map()
@@ -499,11 +590,11 @@ class TestPersistence:
             field = int(rng.integers(0, 8))
             key = int(rng.integers(0, 1000))
             shard = field % table.n_shards
-            table.lookup(shard, [field], [key])
+            rows, _ = table.lookup(shard, [field], [key])
             w = rng.uniform(-1, 1, (1, table.dim)).astype(np.float32)
             s = {name: rng.uniform(0, 1, (1, wd)).astype(np.float32)
                  for name, wd in table.slot_widths.items()}
-            table.apply_update(shard, [field], [key], w, s)
+            table.apply_update(shard, rows, w, s)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -530,10 +621,10 @@ class TestPersistence:
             saved = list(table.entries(shard_idx))
             fields = [e[0] for e in saved]
             keys = [e[1] for e in saved]
-            got = loaded.lookup(shard_idx, fields, keys)
+            got = loaded.lookup(shard_idx, fields, keys)[1]
             assert np.array_equal(got, np.stack([e[2] for e in saved]))
             assert np.array_equal(
-                loaded.slot_values(shard_idx, fields, keys)["z"],
+                loaded.slot_values(shard_idx, loaded.rows_of(shard_idx, fields, keys))["z"],
                 np.stack([e[3]["z"] for e in saved]),
             )
         assert loaded.n_entries() == n
@@ -603,6 +694,30 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(str(path)) + r".*field=0, key=1\) repeats"):
             ShardedWeightTable.load(tmp_path, "table", 1)
+
+    def test_load_rejects_fewer_than_one_shard(self, tmp_path):
+        self.saved_shard(tmp_path)
+        for n_shards in (0, -1):
+            with pytest.raises(ValueError, match="at least one shard"):
+                ShardedWeightTable.load(tmp_path, "table", n_shards)
+
+    @pytest.mark.parametrize("other", [
+        {"dim": 3},
+        {"dtype": np.float64},
+        {"slot_widths": {"m": 2}},
+        {"slot_widths": {"acc": 1}},
+    ])
+    def test_load_rejects_shard_unlike_shard_0(self, tmp_path, other):
+        like = {"dim": 2, "dtype": np.float32, "slot_widths": {"acc": 2}}
+        for sub, kw in (("a", like), ("b", {**like, **other})):
+            table = ShardedWeightTable(2, kw["dim"], seed=1, dtype=kw["dtype"],
+                                       slot_widths=kw["slot_widths"])
+            table.lookup(1, [1, 3], [5, 6])
+            table.save(tmp_path / sub)
+        path = tmp_path / "a" / "table-shard-0001.bin"
+        path.write_bytes((tmp_path / "b" / "table-shard-0001.bin").read_bytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*differ from shard 0"):
+            ShardedWeightTable.load(tmp_path / "a", "table", 2)
 
     def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
         table = ShardedWeightTable(1, 2, seed=2)
