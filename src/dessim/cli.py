@@ -1,4 +1,4 @@
-"""Command-line surface: train, verify, bench-comm, report.
+"""Command-line surface: train, verify, bench-comm, digest, report.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.
 """
@@ -13,7 +13,7 @@ import sys
 from .artifacts import replacing
 from .costmodel import report_to_json, report_to_tsv
 from .models import MODEL_KINDS, ModelGraph
-from .training import RunConfig, bench_comm, metrics_to_tsv, train
+from .training import RunConfig, bench_comm, bits_digest, metrics_to_tsv, train
 from .verification import DEFAULT_N_GRID, run_verify
 
 USAGE_ERROR = 2
@@ -56,6 +56,10 @@ def _build_parser():
     p_bench.add_argument("--fc-width", type=int, default=16)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", metavar="DIR", help="write comm-report.tsv/.json here")
+
+    sub.add_parser(
+        "digest", help="checkpoint, metric and ledger digests of 30 fixed training runs"
+    )
 
     p_report = sub.add_parser("report", help="render a metrics or comm report file")
     p_report.add_argument("path", metavar="FILE")
@@ -158,6 +162,12 @@ def _cmd_bench(args):
     return 0 if exact else CHECK_FAILURE
 
 
+def _cmd_digest(args):
+    for line in bits_digest():
+        print(line, flush=True)
+    return 0
+
+
 def _cmd_report(args):
     if not os.path.exists(args.path):
         print(f"dessim report: file not found: {args.path}", file=sys.stderr)
@@ -200,6 +210,7 @@ def main(argv=None):
         "train": _cmd_train,
         "verify": _cmd_verify,
         "bench-comm": _cmd_bench,
+        "digest": _cmd_digest,
         "report": _cmd_report,
     }
     try:

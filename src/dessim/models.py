@@ -368,9 +368,10 @@ class RankPass:
     """One rank's state from a forward pass: what its backward and apply need.
 
     The rank's (field, key) pairs are resolved once per step: ``pairs`` is
-    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``. For
-    each table, one ``lookup`` gives every unique pair's shard row
-    (``linear_rows``, ``latent_rows``) and the weights it read
+    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
+    ``rows`` is every unique pair's row in the shard index the model's
+    tables share. The first table's ``lookup`` finds them, and the other
+    table takes them as they are. Each lookup gives the weights it read
     (``linear_weights``, ``latent_weights``). The optimizer writes back by
     those rows, which stay valid through the step because table rows never
     move. ``latents`` is the latent vector of each feature occurrence,
@@ -381,9 +382,8 @@ class RankPass:
 
     slice_: BatchSlice
     pairs: tuple
-    linear_rows: np.ndarray | None = None
+    rows: np.ndarray | None = None
     linear_weights: np.ndarray | None = None
-    latent_rows: np.ndarray | None = None
     latent_weights: np.ndarray | None = None
     latents: np.ndarray | None = None
     agg_m1: np.ndarray | None = None
@@ -411,14 +411,17 @@ class ForwardPass:
 class RankGradients:
     """One rank's gradients of a pass.
 
-    ``linear`` and ``latent`` are ``(fields, keys, rows, weights, grads)``
-    over the rank's unique pairs: the shard rows the optimizer writes, and
-    the weights the forward pass read from them. They are None where the
-    model has no such table. ``fc_block`` is None without a tower.
+    ``pairs`` are the rank's unique ``(fields, keys)`` and ``rows`` their
+    shard rows, which the optimizer writes in both tables. ``linear`` and
+    ``latent`` are ``(weights, grads)`` over those pairs: the weights the
+    forward pass read and their gradients. They are None where the model
+    has no such table. ``fc_block`` is None without a tower.
     """
 
     dense: dict = field(default_factory=dict)
     fc_block: np.ndarray | None = None
+    pairs: tuple | None = None
+    rows: np.ndarray | None = None
     linear: tuple | None = None
     latent: tuple | None = None
 
@@ -426,11 +429,12 @@ class RankGradients:
 class SubstitutedModel:
     """Executes one model graph over a worker group.
 
-    Weights-rich state is sharded by field (linear and latent tables, plus
-    each worker's row block of the first fully-connected layer); everything
-    above the aggregation points is replicated and must stay bitwise
-    identical across workers. Forward checks that every rank computed the
-    same logit, and train_step compares the replicas every iteration.
+    Weights-rich state is sharded by field (linear and latent tables, which
+    share one row index per shard, plus each worker's row block of the first
+    fully-connected layer); everything above the aggregation points is
+    replicated and must stay bitwise identical across workers. Forward
+    checks that every rank computed the same logit, and train_step compares
+    the replicas every iteration.
     """
 
     def __init__(self, graph, group, dtype=np.float32):
@@ -452,7 +456,7 @@ class SubstitutedModel:
             self.latent_table = ShardedWeightTable(
                 n, graph.embedding_dim, seed=graph.seed, init="uniform",
                 slot_widths=graph.embedding_opt.slot_widths(graph.embedding_dim),
-                dtype=self.dtype, name="latent",
+                dtype=self.dtype, name="latent", index=self.linear_table,
             )
 
         self.rank_fields = [
@@ -548,9 +552,9 @@ class SubstitutedModel:
         uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
         rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
         if self.linear_table is not None:
-            rp.linear_rows, rp.linear_weights = self.linear_table.lookup(r, uf, uk)
+            rp.rows, rp.linear_weights = self.linear_table.lookup(r, uf, uk)
         if self.latent_table is not None:
-            rp.latent_rows, rp.latent_weights = self.latent_table.lookup(r, uf, uk)
+            rp.rows, rp.latent_weights = self.latent_table.lookup(r, uf, uk, rows=rp.rows)
             rp.latents = rp.latent_weights[inv]
         ids, values = slice_.sample_ids, slice_.values
         logit = np.zeros(B, dtype=self.dtype)
@@ -614,12 +618,12 @@ class SubstitutedModel:
         dense = self.dense[r]
         sl = rp.slice_
         uf, uk, inv = rp.pairs
-        grads = RankGradients()
+        grads = RankGradients(pairs=(uf, uk), rows=rp.rows)
 
         if graph.uses_linear:
             grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
             g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
-            grads.linear = (uf, uk, rp.linear_rows, rp.linear_weights, g)
+            grads.linear = (rp.linear_weights, g)
 
         latent_contrib = None
         if graph.uses_second_order:
@@ -642,7 +646,7 @@ class SubstitutedModel:
 
         if self.latent_table is not None:
             g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
-            grads.latent = (uf, uk, rp.latent_rows, rp.latent_weights, g)
+            grads.latent = (rp.latent_weights, g)
         return grads
 
     # -- update -----------------------------------------------------------
@@ -664,11 +668,11 @@ class SubstitutedModel:
             (self.linear_table, graph.first_order_opt, grads.linear),
             (self.latent_table, graph.embedding_opt, grads.latent),
         ):
-            if entry is not None and len(entry[0]):
-                _, _, rows, w, g = entry
-                slots = table.slot_values(r, rows)
+            if entry is not None and len(grads.rows):
+                w, g = entry
+                slots = table.slot_values(r, grads.rows)
                 new_w, new_slots = optim_step(opt, w, slots, g)
-                table.apply_update(r, rows, new_w, new_slots)
+                table.apply_update(r, grads.rows, new_w, new_slots)
         if grads.fc_block is not None and self.fc_blocks[r].size:
             self.fc_blocks[r], self.fc_state[r] = dense_step(
                 graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_block

@@ -10,19 +10,27 @@ Each shard finds its rows through one index over all of its fields: the
 (field, key) pairs sorted by ``key ^ mix(field)``, where ``mix`` is
 splitmix64's finalizer, a bijection on 64 bits. Together with the stored
 field that value fixes the key, so a match is exact; the rare distinct pairs
-that share a value are told apart by their fields (see ``_Shard``). Field ids
-must lie in ``[0, 2**32)``, the range of the index and checkpoint columns.
-The index is a large sorted base plus a small sorted delta that takes new
-pairs, merged into the base once it outgrows a fixed share of it, so an
-insert copies the delta rather than the whole index: the two-level form of
-the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
+that share a value are told apart by their fields (see ``_RowIndex``). Field
+ids must lie in ``[0, 2**32)``, the range of the index and checkpoint
+columns. The index is a large sorted base plus a small sorted delta that
+takes new pairs, merged into the base once it outgrows a fixed share of it,
+so an insert copies the delta rather than the whole index: the two-level
+form of the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
 
 Pairs are resolved to rows once: ``lookup`` returns each pair's row with
 its weights, and ``slot_values`` and ``apply_update`` address rows. A row is
-the pair's position in the shard's row arrays, assigned in append order.
-Rows never move and are never freed, so a row stays valid for the life of
-the table; only the index is re-sorted. ``rows_of`` resolves pairs that
-must already exist.
+the pair's position in the shard's row arrays, assigned in the order the
+index creates rows. Rows never move and are never freed, so a row stays
+valid for the life of the table; only the index is re-sorted. ``rows_of``
+resolves pairs that must already exist.
+
+Tables keyed by the same pairs share one index per shard (``index=``), so
+the shard holds each pair's 16 index bytes once, and a step's pairs are
+found, and new ones inserted, once for all such tables. One table's
+``lookup`` resolves the pairs; each other table takes the rows it returned
+(``lookup(..., rows=rows)``), initializes the rows it has not stored yet and
+gathers the rest. Each table still stores its own weights and slots and
+writes its own checkpoint files.
 
 Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
 hash seed's 8 little-endian bytes. One keyed state per seed is built once and
@@ -333,8 +341,8 @@ def _inserted(index, new):
     return tuple(np.insert(col, at, vals) for col, vals in zip(index, new))
 
 
-class _Shard:
-    """One shard: growable row arrays plus one hashed index of its entries.
+class _RowIndex:
+    """One shard's (field, key) -> row index, shared by the tables built on it.
 
     The index holds every (field, key) pair of the shard as ``(hash, field,
     row)`` columns, uint64, uint32 and int32 (16 bytes per entry), sorted by
@@ -346,26 +354,96 @@ class _Shard:
     run ends, a loop that in practice runs once.
 
     Each pair sits in exactly one of two sorted indexes, ``_base`` and
-    ``_delta``. ``append`` inserts new pairs into the delta, which costs a
-    copy of the delta, not of the whole index. Once the delta holds more
-    than ``_MAX_DELTA_SHARE`` of the base's entries, one ``np.insert`` per
-    column merges it into the base and the delta starts empty again. A
-    lookup that inserts nothing merges a non-empty delta too, so a table
-    that has stopped growing answers each find with one probe, and one that
-    alternates inserts with quiet lookups copies its index no more often
-    than a single sorted index would. ``find`` probes the base, then the
-    delta for the pairs the base lacks. Rows are assigned in append order
-    and never move, so merging re-sorts the index only and a row found once
-    stays valid. The index is the only record of which (field, key) a row
-    holds.
+    ``_delta``. ``add`` inserts new pairs into the delta, which costs a copy
+    of the delta, not of the whole index. Once the delta holds more than
+    ``_MAX_DELTA_SHARE`` of the base's entries, one ``np.insert`` per column
+    merges it into the base and the delta starts empty again. A ``resolve``
+    that inserts nothing merges a non-empty delta too, so an index that has
+    stopped growing answers each find with one probe, and one that alternates
+    inserts with quiet lookups copies itself no more often than a single
+    sorted index would. ``find`` probes the base, then the delta for the
+    pairs the base lacks. Rows are assigned in ``add`` order, ``0 ..
+    n_rows - 1``, and never move, so merging re-sorts the index only and a
+    row found once stays valid. The index is the only record of which
+    (field, key) a row holds.
     """
 
-    def __init__(self, name, dim, slot_widths, dtype):
+    def __init__(self):
+        self._base = self._delta = _EMPTY_INDEX
+        self.n_rows = 0
+
+    def find(self, fields, keys):
+        """Row of each (field, key) pair, -1 where the pair has no entry."""
+        h = keys ^ _mix_field(fields)
+        rows = _probe(self._base, h, fields)
+        miss = np.flatnonzero(rows < 0)
+        if miss.size:
+            rows[miss] = _probe(self._delta, h[miss], fields[miss])
+        return rows
+
+    def resolve(self, fields, keys):
+        """Row of each pair, giving each distinct missing pair the next free row.
+
+        The new rows follow ``n_rows`` in ascending (field, key) order of
+        their pairs and are not indexed until ``add`` receives those pairs.
+        Missing pairs that arrive strictly ascending, as the engine's
+        deduplicated pairs do, are taken as they are; others are
+        deduplicated first. A call that finds every pair merges the delta.
+        """
+        rows = self.find(fields, keys)
+        miss = np.flatnonzero(rows < 0)
+        if miss.size:
+            f, k = fields[miss], keys[miss]
+            if np.all((f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (k[1:] > k[:-1]))):
+                rows[miss] = np.arange(self.n_rows, self.n_rows + miss.size)
+            else:
+                rows[miss] = self.n_rows + unique_with_inverse(f, k)[2]
+        elif len(self._delta[0]):
+            self._merge()
+        return rows
+
+    def add(self, fields, keys, name):
+        """Index new, distinct (field, key) pairs as the next rows, in order."""
+        start = self.n_rows
+        if start + len(fields) > _ROW_LIMIT:
+            raise DimensionError(f"table {name!r}: a shard holds at most {_ROW_LIMIT} rows")
+        h = keys ^ _mix_field(fields)
+        order = np.argsort(h, kind="stable")
+        self._delta = _inserted(self._delta, (
+            h[order], fields[order].astype(np.uint32), (start + order).astype(np.int32)
+        ))
+        self.n_rows += len(fields)
+        if len(self._delta[0]) > _MAX_DELTA_SHARE * len(self._base[0]):
+            self._merge()
+
+    def _merge(self):
+        self._base, self._delta = _inserted(self._base, self._delta), _EMPTY_INDEX
+
+    def sorted_entries(self):
+        """(fields, keys, rows) of every entry, in ascending (field, key) order."""
+        h, fields, rows = (np.concatenate(cols) for cols in zip(self._base, self._delta))
+        keys = h ^ _mix_field(fields)
+        order = np.lexsort((keys, fields))
+        return fields[order].astype(np.int64), keys[order], rows[order].astype(np.int64)
+
+
+class _Shard:
+    """One table's rows on one shard: weights and optimizer slots, by row.
+
+    Rows come from the shard's ``_RowIndex``, which the table owns or shares
+    with the other tables built on it; array row i holds the pair the index
+    gave row i. The table stores rows ``0 .. n_rows - 1`` and stores a row
+    the first time a lookup returns it, so every table on one index must be
+    handed the rows the index creates in creation order. The engine does so
+    by passing each step's rows from one table's lookup to the next.
+    """
+
+    def __init__(self, name, dim, slot_widths, dtype, index):
         self.name = name
         self.dim = dim
         self.slot_widths = dict(slot_widths)
         self.dtype = np.dtype(dtype)
-        self._base = self._delta = _EMPTY_INDEX
+        self.index = index
         self.n_rows = 0
         cap = 64
         self.weights = np.zeros((cap, dim), dtype=self.dtype)
@@ -385,80 +463,68 @@ class _Shard:
         self.weights = grown(self.weights)
         self.slots = {name: grown(arr) for name, arr in self.slots.items()}
 
-    def find(self, fields, keys):
-        """Row of each (field, key) pair, -1 where the pair has no entry."""
-        h = keys ^ _mix_field(fields)
-        rows = _probe(self._base, h, fields)
-        miss = np.flatnonzero(rows < 0)
-        if miss.size:
-            rows[miss] = _probe(self._delta, h[miss], fields[miss])
-        return rows
-
-    def append(self, fields, keys, weights, slots=None):
-        """Add entries for new, distinct (field, key) pairs; returns their rows."""
+    def store(self, weights, slots=None):
+        """Store the next rows, ``n_rows`` on, with these weights and slots."""
         start = self.n_rows
-        count = len(fields)
-        if start + count > _ROW_LIMIT:
-            raise DimensionError(f"table {self.name!r}: a shard holds at most {_ROW_LIMIT} rows")
-        rows = np.arange(start, start + count, dtype=np.int64)
-        self._grow(start + count)
-        self.weights[rows] = weights
+        end = start + len(weights)
+        self._grow(end)
+        self.weights[start:end] = weights
         for name, arr in (slots or {}).items():
-            self.slots[name][rows] = arr
-        self.n_rows += count
-        h = keys ^ _mix_field(fields)
-        order = np.argsort(h, kind="stable")
-        self._delta = _inserted(self._delta, (
-            h[order], fields[order].astype(np.uint32), (start + order).astype(np.int32)
-        ))
-        if len(self._delta[0]) > _MAX_DELTA_SHARE * len(self._base[0]):
-            self._merge()
-        return rows
-
-    def _merge(self):
-        self._base, self._delta = _inserted(self._base, self._delta), _EMPTY_INDEX
+            self.slots[name][start:end] = arr
+        self.n_rows = end
 
     def sorted_entries(self):
-        """(fields, keys, rows) of every entry, in ascending (field, key) order."""
-        h, fields, rows = (np.concatenate(cols) for cols in zip(self._base, self._delta))
-        keys = h ^ _mix_field(fields)
-        order = np.lexsort((keys, fields))
-        return fields[order].astype(np.int64), keys[order], rows[order].astype(np.int64)
+        """(fields, keys, rows) of every stored row, in ascending (field, key) order."""
+        fields, keys, rows = self.index.sorted_entries()
+        mine = rows < self.n_rows
+        return fields[mine], keys[mine], rows[mine]
 
-    def ensure_rows(self, fields, keys, init):
-        """Rows for (fields, keys), inserting missing pairs with ``init``.
+    def ensure_rows(self, fields, keys, init, rows=None):
+        """Rows for (fields, keys), storing with ``init`` each row not stored yet.
 
-        ``init`` is called once with every new pair and must return one row
-        per pair. Its result is checked before anything is committed, so an
-        ``init`` that raises or returns the wrong shape leaves the shard
-        unchanged. A lookup that finds every pair merges the delta (see
-        ``_Shard``).
+        Without ``rows`` the index resolves the pairs and indexes the new
+        ones; ``rows`` are the pairs' rows on a shared index. Each row past
+        ``n_rows`` is initialized from its pair: ``init`` is called once with
+        those pairs in row order and must return one row per pair. Its result
+        is checked before anything is committed, so an ``init`` that raises
+        or returns the wrong shape leaves the shard unchanged, and so does a
+        lookup whose new rows skip a row this table has not stored.
         """
-        fields = np.asarray(fields, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
-        rows = self.find(fields, keys)
-        miss = rows < 0
-        if miss.any():
-            new_f, new_k, inverse = unique_with_inverse(fields[miss], keys[miss])
-            weights = np.asarray(init(new_f, new_k, self.dim, self.dtype))
-            want = (len(new_f), self.dim)
-            real = np.issubdtype(weights.dtype, np.integer) or np.issubdtype(
-                weights.dtype, np.floating)
-            if weights.shape != want or not real:
-                raise DimensionError(
-                    f"table {self.name!r}: initializer returned {weights.dtype} "
-                    f"{weights.shape} for {want} new rows"
-                )
-            rows[miss] = self.append(new_f, new_k, weights)[inverse]
-        elif len(self._delta[0]):
-            self._merge()
+        index = self.index
+        if rows is None:
+            rows = index.resolve(fields, keys)
+        start = self.n_rows
+        fresh = np.flatnonzero(rows >= start)
+        if not fresh.size:
+            return rows
+        at = np.full(int(rows[fresh].max()) + 1 - start, -1, dtype=np.intp)
+        at[rows[fresh] - start] = fresh
+        if at.min() < 0:
+            raise ConsistencyError(
+                f"table {self.name!r}: row {start + int(np.argmax(at < 0))} of the shard index "
+                "was never looked up in this table"
+            )
+        new_f, new_k = fields[at], keys[at]
+        weights = np.asarray(init(new_f, new_k, self.dim, self.dtype))
+        want = (len(at), self.dim)
+        real = np.issubdtype(weights.dtype, np.integer) or np.issubdtype(
+            weights.dtype, np.floating)
+        if weights.shape != want or not real:
+            raise DimensionError(
+                f"table {self.name!r}: initializer returned {weights.dtype} "
+                f"{weights.shape} for {want} new rows"
+            )
+        indexed = index.n_rows - start
+        if indexed < len(at):
+            index.add(new_f[indexed:], new_k[indexed:], self.name)
+        self.store(weights)
         return rows
 
     def rows_of(self, fields, keys):
         fields = np.asarray(fields, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
-        rows = self.find(fields, keys)
-        missing = np.flatnonzero(rows < 0)
+        rows = self.index.find(fields, keys)
+        missing = np.flatnonzero((rows < 0) | (rows >= self.n_rows))
         if missing.size:
             i = missing[0]
             raise ConsistencyError(
@@ -476,6 +542,12 @@ class ShardedWeightTable:
     the fields it touches. ``slot_values`` and ``apply_update`` read and
     replace the optimizer slots and weights of rows a lookup returned.
 
+    Tables keyed by the same pairs can share one row index per shard:
+    ``index`` is a table with the same shard count whose index this table
+    uses instead of its own. A lookup in one of them resolves the pairs and
+    indexes the new ones; passing its rows to ``lookup(..., rows=rows)`` in
+    another stores the rows that one has not stored yet, without searching.
+
     ``init`` is "uniform" (``seeded_uniform_init``), "zeros", or a callable
     ``init(fields, keys, dim, dtype)``. A callable receives arrays: the new
     pairs of one lookup, fields as int64 and keys as uint64, each pair once.
@@ -484,7 +556,7 @@ class ShardedWeightTable:
     """
 
     def __init__(self, n_shards, dim, seed=0, init="uniform", init_scale=0.01,
-                 slot_widths=None, dtype=np.float32, name="table"):
+                 slot_widths=None, dtype=np.float32, name="table", index=None):
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
         if dim < 1:
@@ -504,9 +576,15 @@ class ShardedWeightTable:
             self._init = init
         else:
             raise ValueError(f"unknown initializer {init!r}")
+        if index is not None and index.n_shards != self.n_shards:
+            raise ValueError(
+                f"table {name!r} has {self.n_shards} shards, but the index of table "
+                f"{index.name!r} has {index.n_shards}"
+            )
         self._shards = [
-            _Shard(self.name, self.dim, self.slot_widths, self.dtype)
-            for _ in range(self.n_shards)
+            _Shard(self.name, self.dim, self.slot_widths, self.dtype,
+                   _RowIndex() if index is None else index._shards[i].index)
+            for i in range(self.n_shards)
         ]
 
     def _check_placement(self, shard_idx, fields):
@@ -526,16 +604,29 @@ class ShardedWeightTable:
                 f"field {int(bad)} does not belong to shard {shard_idx} of {self.n_shards}"
             )
 
-    def lookup(self, shard_idx, fields, keys):
+    def lookup(self, shard_idx, fields, keys, rows=None):
         """Rows and weights for (fields, keys) on one shard, inserting missing entries.
 
         Returns ``(rows, weights)``: the row of each pair, which
         ``slot_values`` and ``apply_update`` take, and a copy of its weights.
         Stored weights and slots change only through apply_update.
+
+        ``rows``, if given, are the pairs' rows from a lookup in a table on
+        the same index; the index is then not searched. A row the index has
+        not created, or ``rows`` that are not a 1-D integer array as long as
+        ``fields``, raise ``ConsistencyError`` and leave the table unchanged.
         """
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
-        rows = shard.ensure_rows(fields, keys, self._init)
+        fields = np.asarray(fields, dtype=np.int64)
+        keys = np.asarray(keys, dtype=np.uint64)
+        if rows is not None:
+            rows = self._checked_rows(shard_idx, rows, shard.index.n_rows)
+            if len(rows) != len(fields):
+                raise ConsistencyError(
+                    f"table {self.name!r}: {len(rows)} rows for {len(fields)} pairs"
+                )
+        rows = shard.ensure_rows(fields, keys, self._init, rows)
         return rows, shard.weights[rows]
 
     def rows_of(self, shard_idx, fields, keys):
@@ -552,21 +643,25 @@ class ShardedWeightTable:
         if not 0 <= shard_idx < self.n_shards:
             raise PlacementError(f"shard {shard_idx} out of range for {self.n_shards} shards")
         shard = self._shards[shard_idx]
+        return shard, self._checked_rows(shard_idx, rows, shard.n_rows)
+
+    def _checked_rows(self, shard_idx, rows, n_rows):
+        """``rows`` as a 1-D integer array of rows in ``[0, n_rows)`` of the shard."""
         rows = np.asarray(rows)
         if not rows.size:
-            return shard, np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ConsistencyError(
                 f"table {self.name!r}: rows must be a 1-D integer array, got {rows.dtype} "
                 f"{rows.shape}"
             )
-        bad = np.flatnonzero((rows < 0) | (rows >= shard.n_rows))
+        bad = np.flatnonzero((rows < 0) | (rows >= n_rows))
         if bad.size:
             raise ConsistencyError(
-                f"table {self.name!r}: row {int(rows[bad[0]])} is outside [0, {shard.n_rows}) "
+                f"table {self.name!r}: row {int(rows[bad[0]])} is outside [0, {n_rows}) "
                 f"of shard {shard_idx}"
             )
-        return shard, rows
+        return rows
 
     def slot_values(self, shard_idx, rows):
         """Optimizer slot arrays of existing rows, as copies."""
@@ -718,9 +813,9 @@ class ShardedWeightTable:
             if len(uf) != n_rows:
                 i = int(np.argmax(np.bincount(inverse) > 1))
                 raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
-            table._shards[idx].append(
-                fields, keys, recs["w"], {nm: recs[f"s_{nm}"] for nm in slot_widths},
-            )
+            shard = table._shards[idx]
+            shard.index.add(fields, keys, name)
+            shard.store(recs["w"], {nm: recs[f"s_{nm}"] for nm in slot_widths})
         return table
 
 
@@ -731,6 +826,8 @@ def _read_header(raw, path):
     off += 9
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
+    if code not in _CODE_DTYPES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
     (n_slots,) = struct.unpack_from("<B", raw, off)
     off += 1
     slot_widths = {}

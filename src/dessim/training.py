@@ -10,8 +10,10 @@ checkpoint byte.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -31,7 +33,7 @@ from .costmodel import (
 )
 from .data import SyntheticSpec, gen_synthetic, read_criteo_batches
 from .metrics import auc as auc_metric, logloss as logloss_metric
-from .models import ModelGraph, SubstitutedModel
+from .models import MODEL_KINDS, ModelGraph, SubstitutedModel
 from .errors import MetricError
 
 RUN_CONFIG_VERSION = 1
@@ -276,3 +278,44 @@ def bench_comm(n_workers=4, dim=8, first_fc_width=16, rows=None, n_fields=10, se
                 )
             )
     return reports
+
+
+# ---------------------------------------------------------------------------
+# bit-identity digest
+
+DIGEST_WORKERS = (1, 3, 4)
+DIGEST_BATCHES = (256, 2048)
+
+
+def bits_digest():
+    """One line per model kind, worker count and batch size: what a bit-exact change keeps.
+
+    Each case trains 2 epochs on synthetic data (10 fields, vocab 300, 4,096
+    training and 2,048 held-out samples, seed 7). Its line gives the sha256
+    over the checkpoint files' names and bytes in name order, the final
+    held-out AUC and log loss as float hex, and the sha256 of
+    ``ledger.records()`` as JSON.
+    """
+    for kind in MODEL_KINDS:
+        for n_workers in DIGEST_WORKERS:
+            for batch_size in DIGEST_BATCHES:
+                cfg = RunConfig(
+                    graph=ModelGraph(kind=kind, n_fields=10, seed=7),
+                    n_workers=n_workers, batch_size=batch_size, epochs=2, seed=7,
+                    synthetic=SyntheticSpec(n_fields=10, vocab_per_field=300),
+                    train_samples=4096, test_samples=2048,
+                )
+                result = train(cfg)
+                checkpoint = hashlib.sha256()
+                with tempfile.TemporaryDirectory() as tmp:
+                    for path in result.engine.save_checkpoint(tmp):
+                        checkpoint.update(os.path.basename(path).encode("utf-8"))
+                        with open(path, "rb") as fh:
+                            checkpoint.update(fh.read())
+                records = json.dumps(result.group.ledger.records()).encode("utf-8")
+                snap = result.snapshots[-1]
+                yield (
+                    f"{kind}/{n_workers}/{batch_size} checkpoint={checkpoint.hexdigest()} "
+                    f"auc={float(snap.auc).hex()} logloss={float(snap.logloss).hex()} "
+                    f"ledger={hashlib.sha256(records).hexdigest()}"
+                )

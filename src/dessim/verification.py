@@ -239,8 +239,8 @@ def _engine_grad_maps(engine, grads):
     for rank_grads in grads:
         for out, entry in ((linear, rank_grads.linear), (latent, rank_grads.latent)):
             if entry is not None:
-                uf, uk, _, _, g = entry
-                for f, k, row in zip(uf, uk, g):
+                uf, uk = rank_grads.pairs
+                for f, k, row in zip(uf, uk, entry[1]):
                     out[(int(f), int(k))] = row.copy()
     full_fc = None
     if graph.uses_tower:

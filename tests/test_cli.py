@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -167,6 +168,29 @@ class TestBenchCommand:
         )
         assert cli.main(["bench-comm"]) == 0
         assert "yes" in capsys.readouterr().out
+
+
+class TestDigestCommand:
+    def test_one_line_per_case_and_repeatable(self, monkeypatch, capsys):
+        import dessim.training as training
+
+        monkeypatch.setattr(training, "MODEL_KINDS", ("lr", "fm"))
+        monkeypatch.setattr(training, "DIGEST_WORKERS", (1, 3))
+        monkeypatch.setattr(training, "DIGEST_BATCHES", (2048,))
+        outs = []
+        for _ in range(2):
+            assert cli.main(["digest"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        lines = outs[0].splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "lr/1/2048", "lr/3/2048", "fm/1/2048", "fm/3/2048"]
+        pattern = (r"\S+ checkpoint=[0-9a-f]{64} auc=0x1\.[0-9a-f]+p-1 "
+                   r"logloss=0x1\.[0-9a-f]+p-1 ledger=[0-9a-f]{64}")
+        assert all(re.fullmatch(pattern, line) for line in lines)
+        # one shard and three write different shard files and ledger records
+        assert lines[0].split()[1] != lines[1].split()[1]
+        assert lines[0].split()[4] != lines[1].split()[4]
 
 
 class TestReportCommand:

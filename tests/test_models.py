@@ -391,29 +391,54 @@ class TestReplicaDivergence:
 
 
 class TestPairsResolvedOnce:
-    def test_fm_step_dedups_and_searches_once_per_rank_and_table(self, monkeypatch):
-        # lookup resolves each rank's pairs to rows; the optimizer then reads
-        # and writes by those rows without searching the index again
-        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=4), WorkerGroup(2))
-        batch = tiny_batch(np.random.default_rng(45), 4)
-        dedups = []
-        finds = Counter()
-        real_dedup, real_find = models.unique_with_inverse, sparse._Shard.find
+    @pytest.mark.parametrize("kind", ["fm", "wdl", "deepfm"])
+    def test_step_dedups_and_searches_once_per_rank(self, monkeypatch, kind):
+        # the linear lookup resolves each rank's pairs in the one index per
+        # shard both tables share and indexes the new ones; the latent table
+        # takes those rows, and the optimizer reads and writes by them
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(2))
+        indexes = [shard.index for shard in engine.linear_table._shards]
+        assert [shard.index for shard in engine.latent_table._shards] == indexes
+        rng = np.random.default_rng(45)
+        dedups, table_dedups = [], []
+        finds, adds = Counter(), Counter()
+        real_dedup, real_find, real_add = (
+            models.unique_with_inverse, sparse._RowIndex.find, sparse._RowIndex.add)
 
         def dedup(fields, keys):
             dedups.append(len(fields))
             return real_dedup(fields, keys)
 
-        def find(shard, fields, keys):
-            finds[shard.name, id(shard)] += 1
-            return real_find(shard, fields, keys)
+        def table_dedup(fields, keys):
+            table_dedups.append(len(fields))
+            return real_dedup(fields, keys)
+
+        def find(index, fields, keys):
+            finds[indexes.index(index)] += 1
+            return real_find(index, fields, keys)
+
+        def add(index, fields, keys, name):
+            adds[indexes.index(index)] += 1
+            return real_add(index, fields, keys, name)
 
         monkeypatch.setattr(models, "unique_with_inverse", dedup)
-        monkeypatch.setattr(sparse._Shard, "find", find)
-        engine.train_step(batch)
-        assert len(dedups) == 2
-        assert sorted(finds.values()) == [1, 1, 1, 1]
-        assert sorted(name for name, _ in finds) == ["latent", "latent", "linear", "linear"]
+        monkeypatch.setattr(sparse, "unique_with_inverse", table_dedup)
+        monkeypatch.setattr(sparse._RowIndex, "find", find)
+        monkeypatch.setattr(sparse._RowIndex, "add", add)
+        for step in range(3):
+            dedups.clear()
+            finds.clear()
+            adds.clear()
+            engine.train_step(tiny_batch(rng, 4))
+            assert len(dedups) == 2
+            assert finds == {0: 1, 1: 1}
+            assert all(count <= 1 for count in adds.values())
+            if step == 0:
+                assert adds == {0: 1, 1: 1}
+        # the pairs arrive deduplicated and ascending, so the table never sorts them again
+        assert table_dedups == []
+        assert engine.linear_table.n_entries() == engine.latent_table.n_entries()
+        assert engine.linear_table.n_entries() == sum(index.n_rows for index in indexes)
 
 
 class TestDenseConstruction:

@@ -313,6 +313,32 @@ class TestIndex:
         assert calls == [(np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1])]
 
 
+    def test_unsorted_duplicated_pairs_create_one_entry_each(self, monkeypatch):
+        # only pairs that do not arrive strictly ascending are deduplicated
+        dedups = []
+        real_dedup = sparse.unique_with_inverse
+
+        def dedup(fields, keys):
+            dedups.append(len(fields))
+            return real_dedup(fields, keys)
+
+        monkeypatch.setattr(sparse, "unique_with_inverse", dedup)
+        table = make_table(n_shards=1)
+        table.lookup(0, [2, 0], [7, 1])
+        assert dedups == [2]
+        fields = np.array([3, 0, 3, 1, 0, 2, 3, 0])
+        keys = np.array([4, 9, 4, 2**64 - 1, 9, 7, 0, 1], dtype=np.uint64)
+        rows, weights = table.lookup(0, fields, keys)
+        assert dedups == [2, 6]  # six occurrences of the four pairs the table lacks
+        assert table.n_entries() == 6
+        # new rows follow the table's rows in ascending (field, key) order
+        assert rows.tolist() == [5, 2, 5, 3, 2, 1, 4, 0]
+        assert np.array_equal(weights, seeded_uniform_init(5)(fields, keys, 4, np.float32))
+        table.lookup(0, [0, 3, 4], [10, 1, 0])
+        assert dedups == [2, 6]  # strictly ascending: taken as they are
+        assert table.rows_of(0, [0, 3, 4], [10, 1, 0]).tolist() == [6, 7, 8]
+
+
 M64 = 2**64 - 1
 
 
@@ -357,9 +383,9 @@ class TestHashCollisions:
                 want = shadow.setdefault(fk, init([fk[0]], [fk[1]], 3, np.float32)[0])
                 assert np.array_equal(row, want), fk
         assert table.n_entries() == len(fields)
-        shard = table._shards[0]
-        index = np.concatenate([shard._base[0], shard._delta[0]])
-        assert len(set(index.tolist())) == len(fields) - 2
+        index = table._shards[0].index
+        hashes = np.concatenate([index._base[0], index._delta[0]])
+        assert len(set(hashes.tolist())) == len(fields) - 2
 
         sel = np.array([2, 0, 4])
         new = np.arange(9, dtype=np.float32).reshape(3, 3)
@@ -412,7 +438,7 @@ class TestDeltaIndex:
         rng = np.random.default_rng(23)
         init = seeded_uniform_init(6, scale=1.0)
         table = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
-        shard = table._shards[0]
+        index = table._shards[0].index
         shadow = {}  # (field, key) -> row, rows in append order
         pool_f = rng.integers(0, 20, 3000) * 2
         pool_k = rng.integers(0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True)
@@ -435,21 +461,21 @@ class TestDeltaIndex:
             for (f, k), w in zip(zip(fields.tolist(), keys.tolist()), weights):
                 assert np.array_equal(w, init([f], [k], 2, np.float32)[0])
             for i in extra:
-                in_base = in_index(shard._base, COLLIDING_FIELDS[i], COLLIDING_KEYS[i])
+                in_base = in_index(index._base, COLLIDING_FIELDS[i], COLLIDING_KEYS[i])
                 twins[i] = "base" if in_base else "delta"
 
             all_f = np.array([f for f, _ in shadow], dtype=np.int64)
             all_k = np.array([k for _, k in shadow], dtype=np.uint64)
             assert table.rows_of(0, all_f, all_k).tolist() == list(shadow.values())
             assert table.n_entries(0) == len(shadow)
-            cols = (shard._base, shard._delta)
-            assert sum(col.nbytes for index in cols for col in index) == 16 * len(shadow)
-            for index in cols:
-                assert np.all(index[0][1:] >= index[0][:-1])
+            cols = (index._base, index._delta)
+            assert sum(col.nbytes for part in cols for col in part) == 16 * len(shadow)
+            for part in cols:
+                assert np.all(part[0][1:] >= part[0][:-1])
             h, f, r = (np.concatenate(c) for c in zip(*cols))
             assert sorted(r.tolist()) == list(range(len(shadow)))
             assert len(set(zip(h.tolist(), f.tolist()))) == len(shadow)
-            base_sizes.add(len(shard._base[0]))
+            base_sizes.add(len(index._base[0]))
 
             one = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
             one.lookup(0, all_f, all_k)
@@ -464,10 +490,163 @@ class TestDeltaIndex:
 
         # a lookup that inserts nothing folds a non-empty delta into the base
         rows, _ = table.lookup(0, [0], [2**64 - 1])
-        assert len(shard._delta[0]) == 1
+        assert len(index._delta[0]) == 1
         assert table.lookup(0, all_f[:50], all_k[:50])[0].tolist() == list(shadow.values())[:50]
-        assert len(shard._delta[0]) == 0 and len(shard._base[0]) == len(shadow) + 1
+        assert len(index._delta[0]) == 0 and len(index._base[0]) == len(shadow) + 1
         assert table.rows_of(0, [0], [2**64 - 1]).tolist() == rows.tolist() == [len(shadow)]
+
+
+class TestSharedIndex:
+    """Two tables on one row index per shard against two standalone tables."""
+
+    def tables(self, index=True):
+        lin = ShardedWeightTable(2, 1, seed=6, init="zeros", slot_widths={"acc": 1},
+                                 name="linear")
+        lat = ShardedWeightTable(2, 3, seed=6, init_scale=1.0, slot_widths={"m": 3, "v": 3},
+                                 name="latent", index=lin if index else None)
+        return lin, lat
+
+    def test_against_standalone_tables_and_dict_shadow(self, tmp_path):
+        rng = np.random.default_rng(29)
+        init = seeded_uniform_init(6, scale=1.0)
+        lin, lat = self.tables()
+        solo_lin, solo_lat = self.tables(index=False)
+        shadow = {}  # (field, key) -> [row, linear weight, latent weight]
+        pool_f = rng.integers(0, 20, 2000) * 2
+        pool_k = rng.integers(0, 2**64 - 1, 2000, dtype=np.uint64, endpoint=True)
+        pool_k[:600] %= np.uint64(30)
+        sizes = [150, 4, 1, 20, 300, 7, 60, 500, 2, 90, 900, 12]
+        base_sizes = set()
+        for step, size in enumerate(sizes):
+            pick = rng.integers(0, len(pool_f), size)
+            extra = {0: [0], 5: [1], 8: [2, 3, 4, 5]}.get(step, [])
+            fields = np.concatenate([pool_f[pick], COLLIDING_FIELDS[extra]])
+            keys = np.concatenate([pool_k[pick], COLLIDING_KEYS[extra]])
+            if step % 2:  # the engine's case: unique pairs in ascending order
+                fields, keys, _ = unique_with_inverse(fields, keys)
+            for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
+                shadow[(f, k)] = [len(shadow), np.zeros(1, np.float32),
+                                  init([f], [k], 3, np.float32)[0]]
+            rows, lin_w = lin.lookup(0, fields, keys)
+            got_rows, lat_w = lat.lookup(0, fields, keys, rows=rows)
+            assert got_rows is rows
+            want = [shadow[fk] for fk in zip(fields.tolist(), keys.tolist())]
+            assert rows.tolist() == [row for row, _, _ in want]
+            assert np.array_equal(lin_w, np.array([w for _, w, _ in want]).reshape(-1, 1))
+            assert np.array_equal(lat_w, np.array([w for _, _, w in want]).reshape(-1, 3))
+            solo_rows, solo_lin_w = solo_lin.lookup(0, fields, keys)
+            assert np.array_equal(solo_rows, rows)
+            assert np.array_equal(solo_lin_w, lin_w)
+            assert np.array_equal(solo_lat.lookup(0, fields, keys)[1], lat_w)
+
+            # one update per step through the shared rows, mirrored on the solo tables
+            uf, uk, _ = unique_with_inverse(fields, keys)
+            urows = lin.rows_of(0, uf, uk)
+            assert np.array_equal(lat.rows_of(0, uf, uk), urows)
+            w1 = rng.uniform(-1, 1, (len(uf), 1)).astype(np.float32)
+            w3 = rng.uniform(-1, 1, (len(uf), 3)).astype(np.float32)
+            for a, b in ((lin, solo_lin), (lat, solo_lat)):
+                new = w1 if a.dim == 1 else w3
+                slots = {name: new * (i + 2) for i, name in enumerate(sorted(a.slot_widths))}
+                a.apply_update(0, urows, new, slots)
+                b.apply_update(0, b.rows_of(0, uf, uk), new, slots)
+            for fk, v1, v3 in zip(zip(uf.tolist(), uk.tolist()), w1, w3):
+                shadow[fk][1:] = [v1, v3]
+
+            index = lin._shards[0].index
+            assert lat._shards[0].index is index
+            assert index.n_rows == lin.n_entries(0) == lat.n_entries(0) == len(shadow)
+            index_bytes = sum(col.nbytes for part in (index._base, index._delta) for col in part)
+            assert index_bytes == 16 * len(shadow)
+            base_sizes.add(len(index._base[0]))
+        assert len(base_sizes) >= 4  # the delta merged several times
+
+        for a, b in ((lin, solo_lin), (lat, solo_lat)):
+            assert len(a.weight_map()) == len(shadow)
+            a.save(tmp_path / "shared")
+            b.save(tmp_path / "solo")
+        names = sorted(p.name for p in (tmp_path / "solo").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "shared").iterdir())
+        assert len(names) == 4
+        for name in names:
+            assert (tmp_path / "shared" / name).read_bytes() == (
+                tmp_path / "solo" / name).read_bytes()
+
+    def state(self, table, tmp_path):
+        table.save(tmp_path)
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        index = table._shards[1].index
+        return files, table.n_entries(), index.n_rows, len(index._base[0]), len(index._delta[0])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([-1, 0]),
+        np.array([0, 2]),  # the index has created rows 0 and 1 only
+        np.array([0.0, 1.0]),
+        np.array([[0, 1]]),
+        np.array([0]),  # one row for two pairs
+        np.array([0, 1, 1]),
+    ])
+    def test_bad_rows_leave_table_unchanged(self, tmp_path, bad):
+        lin, lat = self.tables()
+        rows, _ = lin.lookup(1, [1, 3], [5, 6])
+        lat.lookup(1, [1, 3], [5, 6], rows=rows)
+        before = self.state(lat, tmp_path / "before")
+        with pytest.raises(ConsistencyError, match="'latent'"):
+            lat.lookup(1, [1, 3], [5, 6], rows=bad)
+        assert self.state(lat, tmp_path / "after") == before
+
+    def test_foreign_rows_leave_table_unchanged(self, tmp_path):
+        lin, lat = self.tables()
+        rows, _ = lin.lookup(1, [1, 3], [5, 6])
+        lat.lookup(1, [1, 3], [5, 6], rows=rows)
+        # rows of a table on another index: that index created a row this one has not
+        other = ShardedWeightTable(2, 1, init="zeros")
+        other.lookup(1, [1, 1, 3], [4, 5, 6])
+        foreign, _ = other.lookup(1, [1, 3], [5, 6])
+        before = self.state(lat, tmp_path / "before")
+        with pytest.raises(ConsistencyError, match=r"row 2 is outside \[0, 2\) of shard 1"):
+            lat.lookup(1, [1, 3], [5, 6], rows=foreign)
+        assert self.state(lat, tmp_path / "after") == before
+        # a row the index created that never reached this table
+        lin.lookup(1, [5], [7])
+        skip, _ = lin.lookup(1, [5], [8])
+        before = self.state(lat, tmp_path / "before2")
+        with pytest.raises(ConsistencyError, match="row 2 of the shard index was never looked up"):
+            lat.lookup(1, [5], [8], rows=skip)
+        with pytest.raises(ConsistencyError, match=r"field=5, key=7\)"):
+            lat.rows_of(1, [5], [7])
+        assert self.state(lat, tmp_path / "after2") == before
+        # its checkpoint holds the two rows it stores, not the four the index has
+        assert ShardedWeightTable.load(tmp_path / "after2", "latent", 2).n_entries() == 2
+        # handed over in creation order, both rows arrive
+        rows, _ = lin.lookup(1, [5, 5], [7, 8])
+        lat.lookup(1, [5, 5], [7, 8], rows=rows)
+        assert lat.n_entries(1) == lin.n_entries(1) == 4
+
+    def test_raising_initializer_leaves_index_and_table_unchanged(self, tmp_path):
+        def init(fields, keys, dim, dtype):
+            if np.any(keys == 13):
+                raise RuntimeError("init failed")
+            return np.zeros((len(fields), dim), dtype=dtype)
+
+        lin = ShardedWeightTable(2, 1, init="zeros", name="linear")
+        lat = ShardedWeightTable(2, 2, init=init, name="latent", index=lin)
+        for table in (lat, lin):  # the index owner can be either table
+            before = self.state(table, tmp_path / f"{table.name}-before")
+            with pytest.raises(RuntimeError, match="init failed"):
+                other = lin if table is lat else lat
+                rows, _ = table.lookup(1, [1, 3], [5, 13])
+                other.lookup(1, [1, 3], [5, 13], rows=rows)
+            if table is lin:
+                # the linear lookup indexed both pairs; only the latent table refused them
+                assert lin.n_entries(1) == 2 and lat.n_entries(1) == 0
+            else:
+                assert self.state(table, tmp_path / f"{table.name}-after") == before
+
+    def test_index_with_other_shard_count_rejected(self):
+        lin = ShardedWeightTable(2, 1, init="zeros", name="linear")
+        with pytest.raises(ValueError, match="'latent' has 3 shards.*'linear' has 2"):
+            ShardedWeightTable(3, 2, name="latent", index=lin)
 
 
 class TestFieldRange:
@@ -677,6 +856,15 @@ class TestPersistence:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 ShardedWeightTable.load(tmp_path, "table", 1)
+
+    def test_load_rejects_unknown_dtype_code(self, tmp_path):
+        path = self.saved_shard(tmp_path)
+        raw = bytearray(path.read_bytes())
+        assert raw[16] == 4  # the dtype byte follows magic, version and dim
+        raw[16] = 5
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": unknown dtype code 5"):
+            ShardedWeightTable.load(tmp_path, "table", 1)
 
     def test_load_rejects_field_of_another_shard(self, tmp_path):
         path = self.saved_shard(tmp_path, n_shards=2)

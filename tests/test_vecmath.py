@@ -238,7 +238,7 @@ def train_and_checkpoint(kind, n_workers, directory):
     grads = []
     for rank in engine.backward(fwd):
         grads += [g.tobytes() for _, g in sorted(rank.dense.items())]
-        grads += [e[4].tobytes() for e in (rank.linear, rank.latent) if e is not None]
+        grads += [e[1].tobytes() for e in (rank.linear, rank.latent) if e is not None]
         if rank.fc_block is not None:
             grads.append(rank.fc_block.tobytes())
     engine.save_checkpoint(directory)
