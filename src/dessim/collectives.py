@@ -56,10 +56,8 @@ class CommLedger:
 
     def __init__(self):
         self.entries: list[LedgerEntry] = []
-        self.calls = 0
 
     def charge(self, phase, op, epoch, per_rank_bytes):
-        self.calls += 1
         for rank, nbytes in enumerate(per_rank_bytes):
             self.entries.append(LedgerEntry(phase, op, epoch, rank, int(nbytes)))
 
@@ -89,7 +87,7 @@ class CommLedger:
         return sum(1 for _ in self._select(phase, op, 0, epoch))  # one rank-0 row per call
 
     def ops_in_order(self, phase=None, epoch=None):
-        """(op, payload bytes per rank) for each call, in call order."""
+        """(op, bytes each rank sent under the ring schedule) for each call, in call order."""
         out = []
         for i, e in enumerate(self.entries):
             if e.rank == 0:

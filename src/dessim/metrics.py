@@ -25,15 +25,11 @@ def auc(scores, labels):
             f"AUC undefined with {n_pos} positive and {n_neg} negative labels"
         )
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    ranks[order] = np.arange(1, scores.shape[0] + 1, dtype=np.float64)
-    # average the ranks of tied scores
     sorted_scores = scores[order]
     bounds = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1], True])
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi - lo > 1:
-            ranks[order[lo:hi]] = 0.5 * (lo + 1 + hi)
+    # each run of tied scores takes its average rank; a run of one keeps its own
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + 1 + bounds[1:]), np.diff(bounds))
     pos_rank_sum = ranks[pos].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

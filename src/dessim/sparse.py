@@ -2,9 +2,10 @@
 
 Placement follows the field id: field f lives on shard f mod N, so a worker
 only ever touches weights for fields it owns. Entries are created lazily on
-first lookup, and the initial vector is a pure function of (seed, field, key).
-That makes table contents independent of insertion order and of the shard
-count, which is what lets runs at different N start from identical weights.
+first lookup, and the initial vector is a pure function of (seed, field,
+key). That makes table contents independent of insertion order and of the
+shard count, which is what lets runs at different N start from identical
+weights.
 
 Each shard finds its rows through one index over all of its fields: the
 (field, key) pairs sorted by ``key ^ mix(field)``, where ``mix`` is
@@ -39,17 +40,12 @@ prefix, so a caller hashing many texts under one prefix pays only for each
 text's own bytes.
 
 Initializers are batched: one call per lookup receives every new (field,
-key) pair and returns one row each. The default draw for a pair is
-``default_rng(SeedSequence((seed, field, key))).uniform(-scale, scale,
-dim)``, and ``seeded_uniform_init`` reproduces it bit for bit without
-building a generator per key. It runs numpy's own integer steps on arrays
-of rows: SeedSequence's uint32 pool hash (its multipliers do not depend on
-the data, so they are precomputed), ``generate_state(4, uint64)``, PCG64's
-seeding and 128-bit LCG emulated on (hi, lo) uint64 pairs, reached for all
-``dim`` outputs at once by precomputed jump-ahead constants, the XSL-RR
-output, and the float64 map ``low + (high - low) * (x >> 11) * 2**-53``.
-Every step is exact integer arithmetic, or the same float64 operations in
-the same order, so no value differs from the per-key route.
+key) pair and returns one row each. The default, ``seeded_uniform_init``,
+is a counter-based hash: each value is splitmix64 of the seed, the field,
+the key and the column, mapped to uniform(-scale, scale) in float64 and
+cast. Every value depends only on those four, never on which other pairs
+share the call, so a row is the same whatever the insertion order or
+shard count.
 """
 
 from __future__ import annotations
@@ -113,33 +109,8 @@ def hash_feature(field_id, token, seed=0):
     return hash_text(f"{field_id}:{token}", seed)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four uint32
-# words, filled and cross-mixed by a multiply-xorshift hash whose multiplier
-# advances on every call, then expanded into output words by a second hash.
-_SS_POOL = 4
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SS_SHIFT = np.uint32(16)
-# the pool words each pool word is mixed into, in SeedSequence's order
-_SS_OTHERS = [np.array([d for d in range(_SS_POOL) if d != s]) for s in range(_SS_POOL)]
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32 = 0xFFFFFFFF
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 over the golden ratio
 _M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_U32 = np.uint64(32)
-
-
-def _uint32_words(n):
-    """SeedSequence's entropy words of a nonnegative int: uint32, low word first."""
-    if n < 0:
-        raise ValueError(f"seed words need a nonnegative integer, got {n}")
-    words = [n & _M32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
 
 
 def _read_only(*arrays):
@@ -148,139 +119,52 @@ def _read_only(*arrays):
     return arrays
 
 
-@functools.lru_cache(maxsize=None)
-def _hash_constants(init, mult, count):
-    """The (xor, multiply) constants of ``count`` successive hash calls, as (count, 1)."""
-    xors, mults = [], []
-    h = init
-    for _ in range(count):
-        xors.append(h)
-        h = (h * mult) & _M32
-        mults.append(h)
-    return _read_only(np.array(xors, dtype=np.uint32)[:, None],
-                      np.array(mults, dtype=np.uint32)[:, None])
+def _mix64(z):
+    """splitmix64's finalizer (Steele et al., OOPSLA'14) of each value, a bijection on uint64."""
+    z = np.asarray(z, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-@functools.lru_cache(maxsize=None)
-def _lcg_jumps(dim):
-    """[MULT**(j+1); sum_{i<=j} MULT**i] for j = 1..dim as (hi, lo), shape (2, 1, dim).
-
-    Output j of a PCG64 seeded with (s, inc) reads the state MULT**(j+1) *
-    (s + inc) + (sum_{i<=j} MULT**i) * inc, so all ``dim`` states take two
-    multiplies and no loop over j.
-    """
-    power, total = _PCG_MULT, 1
-    consts = [[], []]
-    for _ in range(dim):
-        total = (total + power) & _M128
-        power = (power * _PCG_MULT) & _M128
-        consts[0].append(power)
-        consts[1].append(total)
-    hi = np.array([[v >> 64 for v in row] for row in consts], dtype=np.uint64)
-    lo = np.array([[v & _M64 for v in row] for row in consts], dtype=np.uint64)
-    return _read_only(hi[:, None, :], lo[:, None, :])
-
-
-def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult
-    return value ^ (value >> _SS_SHIFT)
-
-
-def _mix(x, y):
-    r = _SS_MIX_L * x - _SS_MIX_R * y
-    return r ^ (r >> _SS_SHIFT)
-
-
-def _mul_hi64(a, b):
-    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
-    m32 = np.uint64(_M32)
-    a0, a1 = a & m32, a >> _U32
-    b0, b1 = b & m32, b >> _U32
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = ((a0 * b0) >> _U32) + (p01 & m32) + (p10 & m32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+def _splitmix64(z):
+    """splitmix64's output for each uint64 state z: the finalizer of z + golden."""
+    return _mix64(z + _GOLDEN)
 
 
 def seeded_uniform_init(seed, scale=0.01):
     """Batched initializer: uniform(-scale, scale) per (field, key), order-free.
 
-    Row i equals ``np.random.default_rng(np.random.SeedSequence((seed,
-    fields[i], keys[i]))).uniform(-scale, scale, dim).astype(dtype)`` bit for
-    bit, computed for all rows at once. A negative seed raises ``ValueError``
-    here, as ``SeedSequence`` would.
+    Each row is a counter-based hash. The seed's 64-bit words, low first, are
+    folded into one state by ``s = splitmix64(s ^ word)`` from ``s = 0``. A
+    pair's stream starts at ``b = splitmix64(splitmix64(s ^ field) ^ key)``
+    and column j draws ``x = splitmix64(b + j * golden)``. The top p bits of
+    x, p being the dtype's mantissa precision (24 for float32, 53 for
+    float64), give ``u = (x >> (64 - p)) * 2**-p``; the row holds ``-scale +
+    2 * scale * u``, computed in float64 and cast to the dtype. With p bits
+    the cast cannot round up to ``scale`` or past it, so every value lies in
+    ``[-scale, scale)`` in the dtype. A negative seed raises ``ValueError``
+    here, a negative field when it reaches the initializer.
     """
-    seed_words = _uint32_words(int(seed))
-    n_seed = len(seed_words)
-    seed_col = np.array(seed_words, dtype=np.uint32)[:, None]
-    # entropy is the seed words, one or two field words, one or two key words
-    fill_xor, fill_mult = _hash_constants(_SS_INIT_A, _SS_MULT_A, _SS_POOL * (n_seed + 4))
-    out_xor, out_mult = _hash_constants(_SS_INIT_B, _SS_MULT_B, 2 * _SS_POOL)
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    state = _splitmix64(np.array([seed & _M64], dtype=np.uint64))
+    while seed >> 64:
+        seed >>= 64
+        state = _splitmix64(state ^ np.uint64(seed & _M64))
     low = -float(scale)
     span = float(scale) - low
 
     def init(fields, keys, dim, dtype):
         fields = np.asarray(fields, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
-        n = len(fields)
-        if n and fields.min() < 0:
+        if len(fields) and fields.min() < 0:
             raise ValueError(f"fields must be nonnegative, got {int(fields.min())}")
-        f = fields.astype(np.uint64)
-        f_wide = (f >> _U32) != 0
-        k_wide = (keys >> _U32) != 0
-        any_f, any_k = bool(f_wide.any()), bool(k_wide.any())
-        words = np.zeros((max(_SS_POOL, n_seed + 2 + any_f + any_k), n), dtype=np.uint32)
-        words[:n_seed] = seed_col
-        words[n_seed] = f.astype(np.uint32)
-        if any_f:
-            words[n_seed + 1] = (f >> _U32).astype(np.uint32)
-        at = n_seed + 1 + f_wide
-        cols = np.arange(n)
-        words[at, cols] = keys.astype(np.uint32)
-        if any_k:
-            words[at + 1, cols] = (keys >> _U32).astype(np.uint32)
-
-        # mix_entropy: hash the first four words into the pool (zero words
-        # past a row's entropy are exactly SeedSequence's padding), mix every
-        # pool word into every other, then mix in each word past the fourth.
-        c = _SS_POOL
-        pool = _hashmix(words[:c], fill_xor[:c], fill_mult[:c])
-        for src, dst in enumerate(_SS_OTHERS):
-            h = _hashmix(pool[src], fill_xor[c : c + 3], fill_mult[c : c + 3])
-            pool[dst] = _mix(pool[dst], h)
-            c += 3
-        if len(words) > _SS_POOL:
-            length = n_seed + 2 + f_wide + k_wide
-            for src in range(_SS_POOL, len(words)):
-                h = _hashmix(words[src], fill_xor[c : c + 4], fill_mult[c : c + 4])
-                pool = np.where(length > src, _mix(pool, h), pool)
-                c += 4
-
-        # generate_state(4, uint64): eight hashed words cycling over the pool,
-        # paired little-endian into (seed hi, seed lo, inc hi, inc lo).
-        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], out_xor, out_mult).astype(np.uint64)
-        s_hi, s_lo, i_hi, i_lo = state[0::2] | (state[1::2] << _U32)
-
-        # PCG64 set_seed: inc = (i << 1) | 1, then every state by jump-ahead:
-        # [MULT**(j+1); sum MULT**i] times [s + inc; inc], summed, mod 2**128.
-        one = np.uint64(1)
-        inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
-        inc_lo = (i_lo << one) | one
-        t_lo = s_lo + inc_lo
-        t_hi = s_hi + inc_hi + (t_lo < inc_lo)
-        b_hi = np.stack([t_hi, inc_hi])[:, :, None]
-        b_lo = np.stack([t_lo, inc_lo])[:, :, None]
-        a_hi, a_lo = _lcg_jumps(dim)
-        p_lo = a_lo * b_lo
-        p_hi = _mul_hi64(a_lo, b_lo) + a_hi * b_lo + a_lo * b_hi
-        lo = p_lo[0] + p_lo[1]
-        hi = p_hi[0] + p_hi[1] + (lo < p_lo[0])
-
-        # XSL-RR output, then Generator.uniform: low + (high - low) * u.
-        x = hi ^ lo
-        rot = hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        u = (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        base = _splitmix64(_splitmix64(state ^ fields.astype(np.uint64)) ^ keys)
+        x = _splitmix64(base[:, None] + _GOLDEN * np.arange(dim, dtype=np.uint64))
+        bits = np.finfo(dtype).nmant + 1
+        u = (x >> np.uint64(64 - bits)).astype(np.float64) * 2.0**-bits
         return (low + span * u).astype(dtype)
 
     return init
@@ -301,14 +185,6 @@ _EMPTY_INDEX = _read_only(
 # base's entries. A smaller share copies the delta less per insert but the
 # base more often; 1/8 was about optimal at ~100k entries per shard.
 _MAX_DELTA_SHARE = 1 / 8
-
-
-def _mix_field(fields):
-    """splitmix64's finalizer (Steele et al., OOPSLA'14) of each field id, as uint64."""
-    z = np.asarray(fields).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def _probe(index, h, fields):
@@ -374,7 +250,7 @@ class _RowIndex:
 
     def find(self, fields, keys):
         """Row of each (field, key) pair, -1 where the pair has no entry."""
-        h = keys ^ _mix_field(fields)
+        h = keys ^ _mix64(fields)
         rows = _probe(self._base, h, fields)
         miss = np.flatnonzero(rows < 0)
         if miss.size:
@@ -407,7 +283,7 @@ class _RowIndex:
         start = self.n_rows
         if start + len(fields) > _ROW_LIMIT:
             raise DimensionError(f"table {name!r}: a shard holds at most {_ROW_LIMIT} rows")
-        h = keys ^ _mix_field(fields)
+        h = keys ^ _mix64(fields)
         order = np.argsort(h, kind="stable")
         self._delta = _inserted(self._delta, (
             h[order], fields[order].astype(np.uint32), (start + order).astype(np.int32)
@@ -422,7 +298,7 @@ class _RowIndex:
     def sorted_entries(self):
         """(fields, keys, rows) of every entry, in ascending (field, key) order."""
         h, fields, rows = (np.concatenate(cols) for cols in zip(self._base, self._delta))
-        keys = h ^ _mix_field(fields)
+        keys = h ^ _mix64(fields)
         order = np.lexsort((keys, fields))
         return fields[order].astype(np.int64), keys[order], rows[order].astype(np.int64)
 

@@ -57,6 +57,11 @@ class RunConfig:
             raise ValueError("need positive worker count and batch size")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.train_samples < 0 or self.test_samples < 0:
+            raise ValueError(
+                f"sample counts must be nonnegative, got train_samples={self.train_samples} "
+                f"and test_samples={self.test_samples}"
+            )
 
     def to_json(self):
         doc = {
@@ -170,6 +175,10 @@ def train(cfg):
     engine = SubstitutedModel(cfg.graph, group)
     train_batches = load_batches(cfg, "train")
     test_batches = load_batches(cfg, "test")
+    if cfg.epochs and not train_batches:
+        why = (f"train_samples={cfg.train_samples}" if cfg.data == "synthetic"
+               else f"{cfg.data} has no training lines")
+        raise ValueError(f"the training split is empty ({why}); no epoch can train")
     if cfg.epochs and not test_batches:
         why = (f"test_samples={cfg.test_samples}" if cfg.data == "synthetic"
                else f"every 20th line is held out and {cfg.data} has fewer than 20")
@@ -294,7 +303,9 @@ def bits_digest():
     training and 2,048 held-out samples, seed 7). Its line gives the sha256
     over the checkpoint files' names and bytes in name order, the final
     held-out AUC and log loss as float hex, and the sha256 of
-    ``ledger.records()`` as JSON.
+    ``ledger.records()`` as JSON. The ledger hashes are the same on every
+    host; the rest depends on the numpy/BLAS build (see ``vecmath``), so
+    compare lines printed on one host and build.
     """
     for kind in MODEL_KINDS:
         for n_workers in DIGEST_WORKERS:

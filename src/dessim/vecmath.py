@@ -1,37 +1,27 @@
 """Small dense kernels shared by the sharded engine and its reference paths.
 
-``matmul_rows`` multiplies every row of x by a matrix and adds the K
-products of each output element strictly first-to-last, in the matrix's row
-order. ``scatter_add_rows`` sums value rows into target rows, each target
-seeing its values in occurrence order. The engine and the unsharded reference
-both go through them, so a sharded computation evaluated at one worker
-reproduces the unsharded one bit for bit.
+``matmul_rows`` multiplies every row of x by a matrix with BLAS. Its inner
+dimension K goes to BLAS in chunks of at most ``K_CHUNK`` rows of the
+matrix, one product of C-contiguous operands per chunk, and the chunk
+products are added first to last into a C-contiguous result. BLAS picks
+its own summation order within a chunk, so the bits depend on the numpy
+and BLAS build and on the host, but not on the operands' memory layout
+(C-order, F-order and transposed views all reach BLAS as the same
+C-contiguous buffers). With OpenBLAS they do not depend on the number of
+BLAS threads either. OpenBLAS threads a product over its outputs, never
+over the inner sum, but it blocks a long inner sum in one place when
+serial and in another when threaded. A chunk no longer than its smallest
+inner block (GEMM_Q, at least 256 for its x86-64 kernels) is summed in one
+block either way. The engine and the
+unsharded reference both go through ``matmul_rows``, so a sharded
+computation evaluated at one worker reproduces the unsharded one bit for
+bit on any one build.
 
-``matmul_rows`` has two routes to that one sequence, picked by shape alone.
-When the inner dimension K is at most the output size M*N (the forward
-shapes), it loops over K and adds one rank-1 product per pass into an (N, M)
-accumulator whose inner axis is the batch. When K exceeds M*N (the
-weight-gradient products, whose inner axis is the batch), the loop would make
-K small passes, so it writes a block of products into a C-contiguous
-(K, N*M) buffer, adds the running sum into its first row and reduces it with
-``np.add.reduce`` down axis 0. numpy reduces an axis that is not the
-innermost by adding whole rows to the result one after the other, so every
-output element sees the same operands in the same order as the loop, and
-adding the zero-initialised running sum first turns a leading -0.0 into +0.0
-exactly as the loop does. The order holds only because the buffer is
-allocated C-contiguous and the reduced axis is the outer one: over the
-innermost axis numpy sums pairwise, which reorders the additions. That is
-why the products go into an explicit ``out=`` buffer rather than into
-whatever layout the transposed operand would give, and why single-output
-products (M*N = 1, where the only axis left is the reduced one) keep a
-``np.cumsum`` scan, which adds strictly in order on any axis. Blocks hold at
-most ``SCAN_BLOCK_ELEMS`` products, each seeded with the previous block's
-total, so memory stays bounded for large K. Both routes return C-contiguous
-arrays, so reductions downstream see the layout they always saw.
-
-``scatter_add_rows`` runs numpy's one-dimensional ``np.add.at`` once per
-column into a column-major buffer. That path adds in occurrence order, as
-the two-dimensional ``np.add.at`` does, at a fraction of its cost.
+``scatter_add_rows`` sums value rows into target rows, each target seeing
+its values in occurrence order. It runs numpy's one-dimensional
+``np.add.at`` once per column into a column-major buffer. That path adds in
+occurrence order, as the two-dimensional ``np.add.at`` does, at a fraction
+of its cost.
 """
 
 import numpy as np
@@ -39,38 +29,19 @@ import numpy as np
 from .errors import DimensionError
 
 SIGMOID_CLAMP = 1e-15
-SCAN_BLOCK_ELEMS = 1 << 16
+K_CHUNK = 256
 
 
 def matmul_rows(x, mat):
-    """Every row of x against mat, each output summed in mat's row order."""
-    x = np.asarray(x)
-    mat = np.asarray(mat)
+    """Every row of x against mat: BLAS products over chunks of K, added in order."""
+    x = np.ascontiguousarray(x)
+    mat = np.ascontiguousarray(mat)
     if x.ndim != 2 or mat.ndim != 2 or x.shape[1] != mat.shape[0]:
         raise DimensionError(f"matmul_rows: incompatible shapes {x.shape} and {mat.shape}")
-    m, k = x.shape
-    n = mat.shape[1]
-    dtype = np.result_type(x, mat)
-    if 0 < m * n < k:
-        if m * n == 1:
-            prods = x[0] * mat[:, 0]
-            prods[0] += dtype.type(0)
-            return np.cumsum(prods, dtype=dtype)[-1:].reshape(1, 1)
-        block = max(1, SCAN_BLOCK_ELEMS // (m * n))
-        acc = np.zeros(n * m, dtype=dtype)
-        for lo in range(0, k, block):
-            hi = min(k, lo + block)
-            prods = np.empty((hi - lo, n, m), dtype=dtype)
-            np.multiply(mat[lo:hi, :, None], x.T[lo:hi, None, :], out=prods)
-            prods = prods.reshape(hi - lo, n * m)
-            prods[0] += acc
-            acc = np.add.reduce(prods, axis=0)
-        return np.ascontiguousarray(acc.reshape(n, m).T)
-    acc = np.zeros((n, m), dtype=dtype)
-    xt = np.ascontiguousarray(x.T)
-    for r in range(k):
-        acc += mat[r, :, None] * xt[r]
-    return np.ascontiguousarray(acc.T)
+    out = np.ascontiguousarray(x[:, :K_CHUNK] @ mat[:K_CHUNK])
+    for lo in range(K_CHUNK, x.shape[1], K_CHUNK):
+        out += x[:, lo : lo + K_CHUNK] @ mat[lo : lo + K_CHUNK]
+    return out
 
 
 def scatter_add_rows(index, values, n_rows):

@@ -23,6 +23,23 @@ def brute_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def loop_auc(scores, labels):
+    """Rank AUC with tied ranks averaged by a Python loop over the runs of ties."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.arange(1, len(scores) + 1, dtype=np.float64)
+    sorted_scores = scores[order]
+    bounds = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1], True])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo > 1:
+            ranks[order[lo:hi]] = 0.5 * (lo + 1 + hi)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 class TestAuc:
     def test_hand_case(self):
         got = auc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1.0]))
@@ -62,6 +79,19 @@ class TestAuc:
             # coarse grid forces plenty of ties
             scores = rng.integers(0, 5, n) / 4.0
             assert abs(auc(scores, labels) - brute_auc(scores, labels)) < 1e-12, trial
+
+
+    def test_bit_identical_to_tie_loop(self):
+        rng = np.random.default_rng(81)
+        for trial in range(40):
+            n = int(rng.integers(2, 5000))
+            labels = rng.integers(0, 2, n).astype(np.float64)
+            labels[:2] = (0.0, 1.0)
+            # from a handful of distinct scores to nearly all distinct
+            scores = rng.integers(0, int(rng.integers(1, 2 * n)), n) / 7.0
+            if trial % 4 == 0:
+                scores = scores.astype(np.float32)
+            assert auc(scores, labels).hex() == loop_auc(scores, labels).hex(), trial
 
 
 class TestLogloss:

@@ -84,17 +84,58 @@ class TestInitializers:
         assert not np.array_equal(init([3], [17], 8, np.float32), init([4], [17], 8, np.float32))
 
 
+M64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix_finalizer(z):
+    """splitmix64's finalizer on a Python int: the field mix the index keys on."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def splitmix64(z):
+    """splitmix64's output for state z, on Python ints."""
+    return splitmix_finalizer((z + GOLDEN) & M64)
+
+
+def finalizer_inverse(z):
+    """The x with splitmix_finalizer(x) == z: each xorshift and product undone in turn."""
+    z = z ^ (z >> 31) ^ (z >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & M64
+    z = z ^ (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & M64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def seed_state(seed):
+    """The seed's 64-bit words, low first, folded by s = splitmix64(s ^ word)."""
+    state = splitmix64(seed & M64)
+    while seed >> 64:
+        seed >>= 64
+        state = splitmix64(state ^ (seed & M64))
+    return state
+
+
 def per_key_uniform(seed, field_id, key, dim, dtype, scale):
-    """One SeedSequence and Generator per key: the values seeded_uniform_init keeps."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, field_id, key)))
-    return rng.uniform(-scale, scale, dim).astype(dtype)
+    """One key's draws in plain Python ints and floats: the values seeded_uniform_init keeps."""
+    base = splitmix64(splitmix64(seed_state(seed) ^ field_id) ^ key)
+    bits = np.finfo(dtype).nmant + 1
+    low = -float(scale)
+    span = float(scale) - low
+    draws = []
+    for j in range(dim):
+        x = splitmix64((base + j * GOLDEN) & M64)
+        draws.append(low + span * ((x >> (64 - bits)) * 2.0**-bits))
+    return np.array(draws, dtype=np.float64).astype(dtype)
 
 
 EDGE_KEYS = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
 
 
 class TestBatchedUniformInit:
-    """seeded_uniform_init against the per-key SeedSequence route, bit for bit."""
+    """seeded_uniform_init against the per-key pure-Python route, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
     def test_bitwise_against_per_key_route(self, seed):
@@ -104,7 +145,7 @@ class TestBatchedUniformInit:
                 EDGE_KEYS,
                 rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
             ])[:n]
-            # wide fields take two entropy words, like wide keys
+            # fields past 32 bits, as the hash takes all 64 bits of a field
             fields = np.concatenate([[0, 7, 2**32, 2**40 + 3], rng.integers(0, 40, n)])[:n]
             for dim in (1, 3, 8):
                 for dtype in (np.float32, np.float64):
@@ -118,6 +159,36 @@ class TestBatchedUniformInit:
                         ).reshape(n, dim)
                         assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (
                             n, dim, dtype, scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draws_stay_in_half_open_range(self, dtype):
+        """Every draw lies in [-scale, scale) in the dtype, the two extreme draws included.
+
+        Two keys are solved, through splitmix64's inverse, so that column 0
+        hashes to 0 and to 2**64 - 1, the lowest and the highest draw.
+        """
+        seed, field = 3, 5
+        prefix = splitmix64(seed_state(seed) ^ field)
+        extremes = []
+        for x in (0, M64):
+            base = (finalizer_inverse(x) - GOLDEN) & M64
+            extremes.append(((finalizer_inverse(base) - GOLDEN) & M64) ^ prefix)
+        rng = np.random.default_rng(8)
+        keys = np.concatenate([
+            np.array(extremes, dtype=np.uint64),
+            rng.integers(0, 2**64 - 1, 2000, dtype=np.uint64, endpoint=True),
+        ])
+        fields = np.full(len(keys), field)
+        top = 1.0 - 2.0 ** -(np.finfo(dtype).nmant + 1)
+        scales = np.concatenate([[1e-30, 0.01, 0.1, 1.0, 3.0, 1e30],
+                                 10.0 ** rng.uniform(-6, 6, 50)])
+        for scale in scales.tolist():
+            got = seeded_uniform_init(seed, scale)(fields, keys, 4, dtype)
+            limit = dtype(scale)
+            assert np.all(got >= -limit) and np.all(got < limit), scale
+            assert got[0, 0] == dtype(-scale)
+            assert got[1, 0] == dtype(-scale + 2 * scale * top)
+            assert got[1, 0] == got.max()
 
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -337,16 +408,6 @@ class TestIndex:
         table.lookup(0, [0, 3, 4], [10, 1, 0])
         assert dedups == [2, 6]  # strictly ascending: taken as they are
         assert table.rows_of(0, [0, 3, 4], [10, 1, 0]).tolist() == [6, 7, 8]
-
-
-M64 = 2**64 - 1
-
-
-def splitmix_finalizer(z):
-    """splitmix64's finalizer on a Python int: the field mix the index keys on."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-    return z ^ (z >> 31)
 
 
 # Pairs on shard 0 of 2, by index value: H three times (a three-way

@@ -66,8 +66,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config(epochs=-1)
 
+    @pytest.mark.parametrize("split", ["train_samples", "test_samples"])
+    def test_negative_sample_count_rejected(self, split):
+        with pytest.raises(ValueError, match=f"{split}=-5"):
+            tiny_config(**{split: -5})
+
 
 class TestTrainLoop:
+    def test_empty_training_split_fails_before_training(self):
+        with pytest.raises(ValueError, match=r"training split is empty \(train_samples=0\)"):
+            train(tiny_config(train_samples=0))
+        assert train(tiny_config(train_samples=0, epochs=0)).snapshots == []
+
+    def test_criteo_file_without_training_line(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty.tsv has no training lines"):
+            train(tiny_config(data=str(path)))
+
     def test_zero_epochs_take_no_snapshots(self):
         result = train(tiny_config(epochs=0))
         assert result.snapshots == []

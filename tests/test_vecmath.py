@@ -1,23 +1,58 @@
-"""Dense kernel contracts: accumulation order, dimension checks, clamping."""
+"""Dense kernel contracts: layout and thread independence, rounding, dimension checks, clamping."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dessim
 from dessim import vecmath
 from dessim.collectives import WorkerGroup
+from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import DimensionError
 from dessim.models import ModelGraph, SparseBatch, SubstitutedModel
 from dessim.vecmath import SIGMOID_CLAMP, matmul_rows, relu, scatter_add_rows, sigmoid
 
+# (m, k, n) of the engine's products: forward products up to B=2048, weight
+# gradients summed over the batch, and single outputs, which numpy hands to
+# BLAS as dot products
+ENGINE_SHAPES = [
+    (2048, 24, 16), (512, 16, 16), (512, 16, 1), (2048, 16, 1), (2048, 3, 1),
+    (16, 512, 16), (24, 2048, 16), (1, 512, 24), (2048, 3000, 1), (700, 1500, 2),
+    (1, 9, 1), (1, 10, 1), (1, 1000, 1), (2, 9, 1), (1, 9, 2), (3, 64, 3),
+]
+
 
 def row_order_reference(x, mat):
-    """The row-order loop both matmul_rows routes must reproduce bit for bit."""
+    """The textbook product: every output summed first-to-last in mat's row order."""
     acc = np.zeros((x.shape[0], mat.shape[1]), dtype=np.result_type(x, mat))
     for r in range(mat.shape[0]):
         acc += x[:, r : r + 1] * mat[r]
     return acc
+
+
+def assert_within_sum_rounding(got, want, x, mat):
+    """got and want are x @ mat in got's dtype, summed in any two orders.
+
+    Each order of the K additions, with or without fused multiply-adds, is
+    within about K * eps / 2 * (|x| @ |mat|) of the exact product, so two
+    orders differ by at most about K * eps times that; the bound allows twice.
+    """
+    assert got.dtype == want.dtype == np.result_type(x, mat) and got.shape == want.shape
+    size = row_order_reference(np.abs(x).astype(np.float64), np.abs(mat).astype(np.float64))
+    gap = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    assert np.all(gap <= 2 * (x.shape[1] + 1) * np.finfo(got.dtype).eps * size)
+
+
+def relayouts(a):
+    """The values of a as a C-order array, an F-order array and a transposed view."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a), np.ascontiguousarray(a.T).T]
 
 
 def add_at_reference(index, values, n_rows):
@@ -33,7 +68,7 @@ def dot(a, b):
 
 
 def matvec_t(v, mat):
-    """matmul_rows on a single row: v times mat, summed in mat's row order."""
+    """matmul_rows on a single row: v times mat."""
     return matmul_rows(np.asarray(v)[None, :], mat)[0]
 
 
@@ -43,7 +78,7 @@ def assert_bitwise(got, want):
 
 
 class TestDot:
-    """A one-by-one ``matmul_rows`` is a first-to-last inner product."""
+    """A one-by-one ``matmul_rows`` is the inner product of two vectors."""
 
     def test_orthogonal(self):
         assert dot(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
@@ -85,6 +120,7 @@ class TestMatvecT:
         assert np.array_equal(out, np.array([5.0, 11.0]))
 
     def test_against_double_loop_oracle(self):
+        # BLAS sums in its own order, so the oracle agrees up to rounding
         rng = np.random.default_rng(1)
         for _ in range(25):
             rows = int(rng.integers(1, 9))
@@ -95,26 +131,53 @@ class TestMatvecT:
             for r in range(rows):
                 for c in range(cols):
                     want[c] += v[r] * mat[r, c]
-            assert np.array_equal(matvec_t(v, mat), want)
+            assert_within_sum_rounding(matvec_t(v, mat)[None, :], want[None, :], v[None, :], mat)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             matvec_t(np.ones(3), np.ones((2, 2)))
 
 
+def product_digest():
+    """sha256 over matmul_rows at every engine shape, on inputs seeded by the shape.
+
+    The two wide products past the engine shapes have inner dimensions that
+    OpenBLAS, given them whole, blocks one way when serial and another when
+    threaded.
+    """
+    digest = hashlib.sha256()
+    for m, k, n in ENGINE_SHAPES + [(64, 1500, 64), (400, 1100, 400)]:
+        rng = np.random.default_rng([m, k, n])
+        x = rng.standard_normal((m, k)).astype(np.float32)
+        mat = rng.standard_normal((k, n)).astype(np.float32)
+        digest.update(matmul_rows(x, mat).tobytes())
+    return digest.hexdigest()
+
+
+def engine_digest():
+    """sha256 over the logits and checkpoint of three deepfm steps at N=2, B=2048."""
+    engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=10, seed=5), WorkerGroup(2))
+    digest = hashlib.sha256()
+    for batch in gen_synthetic(SyntheticSpec(n_fields=10), 3 * 2048, 2048, 5):
+        digest.update(engine.train_step(batch).logit.tobytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in sorted(engine.save_checkpoint(tmp)):
+            digest.update(Path(path).read_bytes())
+    return digest.hexdigest()
+
+
 class TestMatmulRows:
-    def test_is_batched_matvec_t_bitwise(self):
+    def test_is_batched_matvec_t(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (5, 4)).astype(np.float32)
         mat = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
         out = matmul_rows(x, mat)
         for i in range(x.shape[0]):
-            assert np.array_equal(out[i], matvec_t(x[i], mat))
+            assert_within_sum_rounding(out[i : i + 1], matvec_t(x[i], mat)[None, :], x[i : i + 1], mat)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_both_routes_match_row_order_loop(self, dtype):
+    def test_random_shapes_match_row_order_loop(self, dtype):
         rng = np.random.default_rng(3)
-        routes = set()
         for _ in range(200):
             m, k, n = (int(v) for v in rng.integers([1, 0, 1], [7, 200, 5]))
             # x arrives as a transposed view, as in the weight-gradient products
@@ -122,36 +185,57 @@ class TestMatmulRows:
             mat = rng.standard_normal((k, n)).astype(dtype)
             x[rng.random(x.shape) < 0.1] = -0.0
             mat[rng.random(mat.shape) < 0.1] = -0.0
-            routes.add(m * n < k)
-            assert_bitwise(matmul_rows(x, mat), row_order_reference(x, mat))
-        assert routes == {True, False}
+            got = matmul_rows(x, mat)
+            assert got.flags.c_contiguous
+            assert_within_sum_rounding(got, row_order_reference(x, mat), x, mat)
 
-    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("margin", [None, 7])
     @pytest.mark.parametrize("layout", ["C", "transposed"])
-    @pytest.mark.parametrize(
-        "m, k, n",
-        [
-            (2048, 24, 16), (512, 16, 16), (512, 16, 1), (2048, 16, 1), (2048, 3, 1),
-            (16, 512, 16), (24, 2048, 16), (1, 512, 24), (2048, 3000, 1), (700, 1500, 2),
-            (1, 9, 1), (1, 10, 1), (1, 1000, 1), (2, 9, 1), (1, 9, 2), (3, 64, 3),
-        ],
-    )
-    def test_engine_shapes_match_row_order_loop(self, monkeypatch, m, k, n, layout, block):
-        # shapes of both routes: forward products up to B=2048, weight gradients
-        # over the batch, and single outputs past the 8 terms where pairwise
-        # summation starts to differ from a first-to-last sum
-        if block is not None:
-            monkeypatch.setattr(vecmath, "SCAN_BLOCK_ELEMS", block)
+    @pytest.mark.parametrize("m, k, n", ENGINE_SHAPES)
+    def test_engine_shapes_match_row_order_loop(self, m, k, n, layout, margin):
+        """Same bytes from every operand layout, within rounding of the row-order loop.
+
+        x is C-order or the transpose of a C-order array (as the weight
+        gradients pass it), and owns its buffer or is cut ``margin`` columns
+        into a wider one; either way, and as an F-order array, it gives the
+        bytes of its C-order copy, as do all three layouts of the matrix.
+        """
         rng = np.random.default_rng([m, k, n])
-        if layout == "C":
-            x = rng.standard_normal((m, k)).astype(np.float32)
-        else:
-            x = rng.standard_normal((k, m)).astype(np.float32).T
+        rows, cols = (m, k) if layout == "C" else (k, m)
+        buf = rng.standard_normal((rows, cols + (margin or 0))).astype(np.float32)
+        x = buf[:, margin:] if layout == "C" else buf[:, margin:].T
         mat = rng.standard_normal((k, n)).astype(np.float32)
         x[rng.random(x.shape) < 0.05] = -0.0
         got = matmul_rows(x, mat)
         assert got.flags.c_contiguous
-        assert_bitwise(got, row_order_reference(x, mat))
+        for x_layout in relayouts(x):
+            for mat_layout in relayouts(mat):
+                assert_bitwise(matmul_rows(x_layout, mat_layout), got)
+        assert_within_sum_rounding(got, row_order_reference(x, mat), x, mat)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        """Every engine shape, and three deepfm training steps, in fresh processes.
+
+        BLAS reads its thread count once, at load, so each count needs its
+        own interpreter.
+        """
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import test_vecmath as t; "
+            "print(t.product_digest(), t.engine_digest())"
+        )
+        paths = [os.path.dirname(os.path.dirname(dessim.__file__)), os.environ.get("PYTHONPATH", "")]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            done = subprocess.run(
+                [sys.executable, "-c", code, os.path.dirname(__file__)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_signed_zero_products_sum_to_positive_zero(self):
         for m in (1, 2):
@@ -165,14 +249,6 @@ class TestMatmulRows:
         for m, n in ((3, 2), (1, 1)):
             out = matmul_rows(np.ones((m, 0), np.float32), np.ones((0, n), np.float32))
             assert_bitwise(out, np.zeros((m, n), np.float32))
-
-    def test_scan_blocks_carry_the_running_sum(self, monkeypatch):
-        monkeypatch.setattr(vecmath, "SCAN_BLOCK_ELEMS", 10)
-        rng = np.random.default_rng(4)
-        for m, k, n in ((1, 97, 1), (1, 45, 2), (2, 50, 3), (3, 1000, 3)):
-            x = rng.standard_normal((m, k)).astype(np.float32)
-            mat = rng.standard_normal((k, n)).astype(np.float32)
-            assert_bitwise(matmul_rows(x, mat), row_order_reference(x, mat))
 
     def test_shape_check(self):
         with pytest.raises(DimensionError):
@@ -223,10 +299,8 @@ def random_batch(rng, n_fields, batch_size, vocab):
 
 def train_and_checkpoint(kind, n_workers, directory):
     """Bytes of two training steps' logits, a third step's gradients, and the checkpoint."""
-    # small widths put every weight gradient of a 64-sample batch on the scan
-    # route (M*N < K) and every forward product on the loop route; the second
-    # hidden layer makes a bias gradient sum a loop-route output down axis 0,
-    # which is where the output's memory layout reaches the bits
+    # the second hidden layer makes a bias gradient sum a product's output
+    # down axis 0, which is where the output's memory layout reaches the bits
     graph = ModelGraph(kind=kind, n_fields=4, embedding_dim=3, first_fc_width=4,
                        hidden_widths=(5, 6), seed=11)
     engine = SubstitutedModel(graph, WorkerGroup(n_workers))
@@ -248,13 +322,13 @@ def train_and_checkpoint(kind, n_workers, directory):
 @pytest.mark.parametrize("n_workers", [1, 3])
 @pytest.mark.parametrize("kind", ["fm", "wdl", "deepfm", "dcn-demo"])
 def test_engine_bits_equal_reference_kernels(monkeypatch, tmp_path, kind, n_workers):
-    """The engine trained on the fast kernels and on their plain references agrees bit for bit.
+    """The engine trained on the fast scatter kernel and on its plain reference agrees bit for bit.
 
     The unsharded reference model shares the engine's kernels, so only a run
-    on independent reference kernels can see a kernel that reorders a sum.
+    on an independent reference kernel can see a kernel that reorders a sum.
+    ``matmul_rows`` sums in BLAS's order, which has no bit-exact reference.
     """
     fast = train_and_checkpoint(kind, n_workers, tmp_path / "fast")
-    monkeypatch.setattr(vecmath, "matmul_rows", row_order_reference)
     monkeypatch.setattr(vecmath, "scatter_add_rows", add_at_reference)
     reference = train_and_checkpoint(kind, n_workers, tmp_path / "reference")
     assert fast[0] == reference[0]
