@@ -29,7 +29,7 @@ from .baselines import MonolithicModel
 from .metrics import auc, logloss
 from .models import ModelGraph, SparseBatch, SubstitutedModel
 from .optim import OptimizerConfig
-from .sparse import ShardedWeightTable, hash_feature, hash_text, shard_of
+from .sparse import ShardedWeightTable, TablePart, hash_feature, hash_text, shard_of
 from .training import MetricsSnapshot, RunConfig, bench_comm, evaluate, train
 from .verification import run_verify
 
@@ -54,6 +54,7 @@ __all__ = [
     "SparseBatch",
     "SubstitutedModel",
     "SyntheticSpec",
+    "TablePart",
     "WorkerGroup",
     "auc",
     "bench_comm",

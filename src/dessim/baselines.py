@@ -59,8 +59,9 @@ class MonolithicModel:
         reassembled into the full matrix in global field order.
         """
         graph = engine.graph
-        linear_map = engine.linear_table.weight_map() if engine.linear_table else {}
-        latent_map = engine.latent_table.weight_map() if engine.latent_table else {}
+        parts = engine.table.parts
+        linear_map = engine.table.weight_map("linear") if "linear" in parts else {}
+        latent_map = engine.table.weight_map("latent") if "latent" in parts else {}
         full_fc = None
         if graph.uses_tower:
             d = graph.embedding_dim

@@ -44,67 +44,58 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class LedgerEntry:
+    """One collective call: its tags and the bytes each rank sent, by rank."""
+
     phase: str
     op: str
     epoch: int
-    rank: int
-    nbytes: int
+    sent: tuple
 
 
 class CommLedger:
-    """Append-only record of bytes sent per rank, tagged by phase, op, and epoch."""
+    """Append-only record of the bytes each rank sent, one entry per collective call."""
 
     def __init__(self):
         self.entries: list[LedgerEntry] = []
 
     def charge(self, phase, op, epoch, per_rank_bytes):
-        for rank, nbytes in enumerate(per_rank_bytes):
-            self.entries.append(LedgerEntry(phase, op, epoch, rank, int(nbytes)))
+        self.entries.append(LedgerEntry(phase, op, epoch, tuple(int(b) for b in per_rank_bytes)))
 
-    def _select(self, phase=None, op=None, rank=None, epoch=None):
+    def _select(self, phase=None, op=None, epoch=None):
         for e in self.entries:
             if phase is not None and e.phase != phase:
                 continue
             if op is not None and e.op != op:
-                continue
-            if rank is not None and e.rank != rank:
                 continue
             if epoch is not None and e.epoch != epoch:
                 continue
             yield e
 
     def total_bytes(self, phase=None, op=None, rank=None, epoch=None):
-        return sum(e.nbytes for e in self._select(phase, op, rank, epoch))
+        ranks = slice(None) if rank is None else slice(rank, rank + 1)
+        return sum(sum(e.sent[ranks]) for e in self._select(phase, op, epoch))
 
     def per_rank_bytes(self, n_ranks, phase=None, op=None, epoch=None):
         out = [0] * n_ranks
-        for e in self._select(phase, op, None, epoch):
-            out[e.rank] += e.nbytes
+        for e in self._select(phase, op, epoch):
+            for rank, nbytes in enumerate(e.sent):
+                out[rank] += nbytes
         return out
 
     def op_count(self, phase=None, op=None, epoch=None):
-        """Number of collective calls matching the filter (not per-rank rows)."""
-        return sum(1 for _ in self._select(phase, op, 0, epoch))  # one rank-0 row per call
+        """Number of collective calls matching the filter."""
+        return sum(1 for _ in self._select(phase, op, epoch))
 
     def ops_in_order(self, phase=None, epoch=None):
         """(op, bytes each rank sent under the ring schedule) for each call, in call order."""
-        out = []
-        for i, e in enumerate(self.entries):
-            if e.rank == 0:
-                if phase is not None and e.phase != phase:
-                    continue
-                if epoch is not None and e.epoch != epoch:
-                    continue
-                n = 1
-                while i + n < len(self.entries) and self.entries[i + n].rank != 0:
-                    n += 1
-                out.append((e.op, [x.nbytes for x in self.entries[i : i + n]]))
-        return out
+        return [(e.op, list(e.sent)) for e in self._select(phase, None, epoch)]
 
     def records(self):
+        """One plain dict per rank per call, in call then rank order."""
         return [
-            {"phase": e.phase, "op": e.op, "epoch": e.epoch, "rank": e.rank, "bytes": e.nbytes}
+            {"phase": e.phase, "op": e.op, "epoch": e.epoch, "rank": rank, "bytes": nbytes}
             for e in self.entries
+            for rank, nbytes in enumerate(e.sent)
         ]
 
 

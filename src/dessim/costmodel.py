@@ -13,7 +13,7 @@ transport in ``collectives``; tests require the two to agree byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import MetricError
 
@@ -206,31 +206,14 @@ class CommReportRow:
     measured_bytes: int
     deviation: float
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "batch_size": self.batch_size,
-            "n_workers": self.n_workers,
-            "uniq_feats": self.uniq_feats,
-            "q_mesh": self.q_mesh,
-            "q_des": self.q_des,
-            "ratio": self.ratio,
-            "measured_bytes": self.measured_bytes,
-            "deviation": self.deviation,
-        }
 
-
-_REPORT_COLUMNS = (
-    "model", "batch_size", "n_workers", "uniq_feats",
-    "q_mesh", "q_des", "ratio", "measured_bytes", "deviation",
-)
+_REPORT_COLUMNS = tuple(f.name for f in fields(CommReportRow))
 
 
 def report_to_tsv(rows):
     lines = ["\t".join(_REPORT_COLUMNS)]
     for row in rows:
-        d = row.to_dict()
-        lines.append("\t".join(_format_cell(d[c]) for c in _REPORT_COLUMNS))
+        lines.append("\t".join(_format_cell(v) for v in asdict(row).values()))
     return "\n".join(lines) + "\n"
 
 
@@ -241,4 +224,4 @@ def _format_cell(v):
 
 
 def report_to_json(rows):
-    return json.dumps({"version": 1, "rows": [r.to_dict() for r in rows]}, indent=2) + "\n"
+    return json.dumps({"version": 1, "rows": [asdict(r) for r in rows]}, indent=2) + "\n"

@@ -33,7 +33,7 @@ from .artifacts import replacing
 from .collectives import PHASE_BACKWARD, PHASE_FORWARD, PHASE_OPTIMIZER
 from .errors import ConsistencyError, DimensionError, ProtocolError
 from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_step
-from .sparse import ShardedWeightTable, unique_with_inverse
+from .sparse import ShardedWeightTable, TablePart, unique_with_inverse
 
 MODEL_KINDS = ("lr", "fm", "wdl", "deepfm", "dcn-demo")
 CONFIG_VERSION = 1
@@ -72,16 +72,18 @@ class SparseBatch:
     def batch_size(self):
         return self.labels.shape[0]
 
-    def shard_slice(self, rank, n_workers):
-        """The feature occurrences owned by one worker, order preserved."""
-        mask = self.fields % n_workers == rank
-        return BatchSlice(
-            batch_size=self.batch_size,
-            sample_ids=self.sample_ids[mask],
-            fields=self.fields[mask],
-            keys=self.keys[mask],
-            values=self.values[mask],
-        )
+    def shard_slices(self, n_workers):
+        """Each worker's feature occurrences, by rank, in batch order within each.
+
+        Field f belongs to worker f mod N. One stable sort by owner groups
+        the occurrences, and each rank's slice is a run of that order.
+        """
+        owner = self.fields % n_workers
+        order = np.argsort(owner, kind="stable")
+        bounds = np.cumsum(np.bincount(owner, minlength=n_workers))[:-1]
+        columns = zip(*(np.split(a[order], bounds) for a in (
+            self.sample_ids, self.fields, self.keys, self.values)))
+        return [BatchSlice(self.batch_size, *cols) for cols in columns]
 
     @staticmethod
     def from_samples(labels, samples):
@@ -369,13 +371,11 @@ class RankPass:
 
     The rank's (field, key) pairs are resolved once per step: ``pairs`` is
     ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
-    ``rows`` is every unique pair's row in the shard index the model's
-    tables share. The first table's ``lookup`` finds them, and the other
-    table takes them as they are. Each lookup gives the weights it read
-    (``linear_weights``, ``latent_weights``). The optimizer writes back by
+    one table ``lookup`` gives every unique pair's ``rows`` and the
+    ``weights`` it read, ``{part: weights}``. The optimizer writes back by
     those rows, which stay valid through the step because table rows never
     move. ``latents`` is the latent vector of each feature occurrence,
-    ``latent_weights[inverse]``. ``cache`` is the rank's replicated-stack
+    ``weights["latent"][inverse]``. ``cache`` is the rank's replicated-stack
     cache (the mlp's or the cross stack's). Fields a model does not use stay
     None.
     """
@@ -383,8 +383,7 @@ class RankPass:
     slice_: BatchSlice
     pairs: tuple
     rows: np.ndarray | None = None
-    linear_weights: np.ndarray | None = None
-    latent_weights: np.ndarray | None = None
+    weights: dict | None = None
     latents: np.ndarray | None = None
     agg_m1: np.ndarray | None = None
     pooled: np.ndarray | None = None
@@ -412,10 +411,10 @@ class RankGradients:
     """One rank's gradients of a pass.
 
     ``pairs`` are the rank's unique ``(fields, keys)`` and ``rows`` their
-    shard rows, which the optimizer writes in both tables. ``linear`` and
-    ``latent`` are ``(weights, grads)`` over those pairs: the weights the
-    forward pass read and their gradients. They are None where the model
-    has no such table. ``fc_block`` is None without a tower.
+    table rows, which the optimizer writes in every part. ``linear`` and
+    ``latent`` are ``(weights, grads)`` of that table part over those pairs:
+    the weights the forward pass read and their gradients. They are None
+    where the model has no such part. ``fc_block`` is None without a tower.
     """
 
     dense: dict = field(default_factory=dict)
@@ -429,8 +428,8 @@ class RankGradients:
 class SubstitutedModel:
     """Executes one model graph over a worker group.
 
-    Weights-rich state is sharded by field (linear and latent tables, which
-    share one row index per shard, plus each worker's row block of the first
+    Weights-rich state is sharded by field (one table whose rows hold each
+    pair's linear and latent parts, plus each worker's row block of the first
     fully-connected layer); everything above the aggregation points is
     replicated and must stay bitwise identical across workers. Forward
     checks that every rank computed the same logit, and train_step compares
@@ -444,20 +443,13 @@ class SubstitutedModel:
         n = group.n_workers
         self.n_workers = n
 
-        self.linear_table = None
+        parts = []
         if graph.uses_linear:
-            self.linear_table = ShardedWeightTable(
-                n, 1, seed=graph.seed, init="zeros",
-                slot_widths=graph.first_order_opt.slot_widths(1),
-                dtype=self.dtype, name="linear",
-            )
-        self.latent_table = None
+            parts.append(TablePart("linear", 1, "zeros", graph.first_order_opt.slot_widths(1)))
         if graph.uses_second_order or graph.uses_tower:
-            self.latent_table = ShardedWeightTable(
-                n, graph.embedding_dim, seed=graph.seed, init="uniform",
-                slot_widths=graph.embedding_opt.slot_widths(graph.embedding_dim),
-                dtype=self.dtype, name="latent", index=self.linear_table,
-            )
+            d = graph.embedding_dim
+            parts.append(TablePart("latent", d, "uniform", graph.embedding_opt.slot_widths(d)))
+        self.table = ShardedWeightTable(n, parts, seed=graph.seed, dtype=self.dtype)
 
         self.rank_fields = [
             [f for f in range(graph.n_fields) if f % n == r] for r in range(n)
@@ -532,7 +524,8 @@ class SubstitutedModel:
         group.set_phase(phase)
         n = self.n_workers
         B = batch.batch_size
-        outs = group.run(self._rank_forward(r, batch.shard_slice(r, n), B) for r in range(n))
+        slices = batch.shard_slices(n)
+        outs = group.run(self._rank_forward(r, slices[r], B) for r in range(n))
         logit = outs[0][0]
         for r, (rank_logit, _) in enumerate(outs[1:], start=1):
             if rank_logit.tobytes() != logit.tobytes():
@@ -551,16 +544,14 @@ class SubstitutedModel:
         dense = self.dense[r]
         uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
         rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
-        if self.linear_table is not None:
-            rp.rows, rp.linear_weights = self.linear_table.lookup(r, uf, uk)
-        if self.latent_table is not None:
-            rp.rows, rp.latent_weights = self.latent_table.lookup(r, uf, uk, rows=rp.rows)
-            rp.latents = rp.latent_weights[inv]
+        rp.rows, rp.weights = self.table.lookup(r, uf, uk)
+        if "latent" in rp.weights:
+            rp.latents = rp.weights["latent"][inv]
         ids, values = slice_.sample_ids, slice_.values
         logit = np.zeros(B, dtype=self.dtype)
 
         if graph.uses_linear:
-            partial = linear_partial(rp.linear_weights[inv], values, ids, B)
+            partial = linear_partial(rp.weights["linear"][inv], values, ids, B)
             logit = logit + dense["bias"][0]
             logit = logit + (yield "linear.partial", partial)
 
@@ -623,7 +614,7 @@ class SubstitutedModel:
         if graph.uses_linear:
             grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
             g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
-            grads.linear = (rp.linear_weights, g)
+            grads.linear = (rp.weights["linear"], g)
 
         latent_contrib = None
         if graph.uses_second_order:
@@ -644,9 +635,9 @@ class SubstitutedModel:
             contrib = g_pooled[sl.sample_ids, self._field_pos[r][sl.fields]] * sl.values[:, None]
             latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
 
-        if self.latent_table is not None:
+        if latent_contrib is not None:
             g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
-            grads.latent = (rp.latent_weights, g)
+            grads.latent = (rp.weights["latent"], g)
         return grads
 
     # -- update -----------------------------------------------------------
@@ -664,15 +655,15 @@ class SubstitutedModel:
     def _rank_apply(self, r, grads):
         """Rank r's optimizer step on its shards, its fc block and its replica."""
         graph = self.graph
-        for table, opt, entry in (
-            (self.linear_table, graph.first_order_opt, grads.linear),
-            (self.latent_table, graph.embedding_opt, grads.latent),
+        for part, opt, entry in (
+            ("linear", graph.first_order_opt, grads.linear),
+            ("latent", graph.embedding_opt, grads.latent),
         ):
             if entry is not None and len(grads.rows):
                 w, g = entry
-                slots = table.slot_values(r, grads.rows)
+                slots = self.table.slot_values(r, grads.rows, part)
                 new_w, new_slots = optim_step(opt, w, slots, g)
-                table.apply_update(r, grads.rows, new_w, new_slots)
+                self.table.apply_update(r, grads.rows, part, new_w, new_slots)
         if grads.fc_block is not None and self.fc_blocks[r].size:
             self.fc_blocks[r], self.fc_state[r] = dense_step(
                 graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_block
@@ -703,15 +694,11 @@ class SubstitutedModel:
     # -- persistence ------------------------------------------------------
 
     def save_checkpoint(self, directory):
-        """Tables as shard files, dense replicas (worker 0) as .npy tensors."""
+        """Table parts as shard files, dense replicas (worker 0) as .npy tensors."""
         import os
 
         os.makedirs(directory, exist_ok=True)
-        paths = []
-        if self.linear_table is not None:
-            paths += self.linear_table.save(directory)
-        if self.latent_table is not None:
-            paths += self.latent_table.save(directory)
+        paths = self.table.save(directory)
         for r in range(self.n_workers):
             if self.fc_blocks[r] is not None:
                 p = os.path.join(directory, f"fc-block-{r:04d}.npy")

@@ -1,11 +1,13 @@
 """Sharded dynamic weight table with co-located optimizer state.
 
 Placement follows the field id: field f lives on shard f mod N, so a worker
-only ever touches weights for fields it owns. Entries are created lazily on
-first lookup, and the initial vector is a pure function of (seed, field,
-key). That makes table contents independent of insertion order and of the
-shard count, which is what lets runs at different N start from identical
-weights.
+only ever touches weights for fields it owns. A table row holds all of one
+(field, key) pair's state, in named parts (``TablePart``): each part has its
+own width, initializer and optimizer slots, as a model's linear weight and
+latent vector do. Rows are created lazily on first lookup, and each part's
+initial vector is a pure function of (seed, field, key). That makes table
+contents independent of insertion order and of the shard count, which is
+what lets runs at different N start from identical weights.
 
 Each shard finds its rows through one index over all of its fields: the
 (field, key) pairs sorted by ``key ^ mix(field)``, where ``mix`` is
@@ -19,19 +21,11 @@ so an insert copies the delta rather than the whole index: the two-level
 form of the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
 
 Pairs are resolved to rows once: ``lookup`` returns each pair's row with
-its weights, and ``slot_values`` and ``apply_update`` address rows. A row is
-the pair's position in the shard's row arrays, assigned in the order the
-index creates rows. Rows never move and are never freed, so a row stays
-valid for the life of the table; only the index is re-sorted. ``rows_of``
-resolves pairs that must already exist.
-
-Tables keyed by the same pairs share one index per shard (``index=``), so
-the shard holds each pair's 16 index bytes once, and a step's pairs are
-found, and new ones inserted, once for all such tables. One table's
-``lookup`` resolves the pairs; each other table takes the rows it returned
-(``lookup(..., rows=rows)``), initializes the rows it has not stored yet and
-gathers the rest. Each table still stores its own weights and slots and
-writes its own checkpoint files.
+the weights of every part, and ``slot_values`` and ``apply_update`` address
+rows of one part. A row is the pair's position in the shard's row arrays,
+assigned in the order the index creates rows; row i of every part holds the
+pair the index gave row i. Rows never move and are never freed, so a row
+stays valid for the life of the table; only the index is re-sorted.
 
 Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
 hash seed's 8 little-endian bytes. One keyed state per seed is built once and
@@ -39,13 +33,13 @@ copied per text; ``text_hasher`` hands out a copy that has also absorbed a
 prefix, so a caller hashing many texts under one prefix pays only for each
 text's own bytes.
 
-Initializers are batched: one call per lookup receives every new (field,
-key) pair and returns one row each. The default, ``seeded_uniform_init``,
-is a counter-based hash: each value is splitmix64 of the seed, the field,
-the key and the column, mapped to uniform(-scale, scale) in float64 and
-cast. Every value depends only on those four, never on which other pairs
-share the call, so a row is the same whatever the insertion order or
-shard count.
+Initializers are batched: one call per lookup and part receives every new
+(field, key) pair and returns one row each. The "uniform" initializer,
+``seeded_uniform_init``, is a counter-based hash: each value is splitmix64
+of the seed, the field, the key and the column, mapped to uniform(-0.01,
+0.01) in float64 and cast. Every value depends only on those four, never on
+which other pairs share the call, so a row is the same whatever the
+insertion order or shard count.
 """
 
 from __future__ import annotations
@@ -54,6 +48,7 @@ import functools
 import hashlib
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,7 +213,7 @@ def _inserted(index, new):
 
 
 class _RowIndex:
-    """One shard's (field, key) -> row index, shared by the tables built on it.
+    """One shard's (field, key) -> row index.
 
     The index holds every (field, key) pair of the shard as ``(hash, field,
     row)`` columns, uint64, uint32 and int32 (16 bytes per entry), sorted by
@@ -260,29 +255,29 @@ class _RowIndex:
     def resolve(self, fields, keys):
         """Row of each pair, giving each distinct missing pair the next free row.
 
-        The new rows follow ``n_rows`` in ascending (field, key) order of
-        their pairs and are not indexed until ``add`` receives those pairs.
-        Missing pairs that arrive strictly ascending, as the engine's
-        deduplicated pairs do, are taken as they are; others are
-        deduplicated first. A call that finds every pair merges the delta.
+        Returns ``(rows, new_fields, new_keys)``: the new pairs in row order,
+        which follow ``n_rows`` in ascending (field, key) order and are not
+        indexed until ``add`` receives them. Missing pairs that arrive
+        strictly ascending, as the engine's deduplicated pairs do, are taken
+        as they are; others are deduplicated first. A call that finds every
+        pair merges the delta.
         """
         rows = self.find(fields, keys)
         miss = np.flatnonzero(rows < 0)
+        f, k = fields[miss], keys[miss]
         if miss.size:
-            f, k = fields[miss], keys[miss]
             if np.all((f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (k[1:] > k[:-1]))):
                 rows[miss] = np.arange(self.n_rows, self.n_rows + miss.size)
             else:
-                rows[miss] = self.n_rows + unique_with_inverse(f, k)[2]
+                f, k, inverse = unique_with_inverse(f, k)
+                rows[miss] = self.n_rows + inverse
         elif len(self._delta[0]):
             self._merge()
-        return rows
+        return rows, f, k
 
-    def add(self, fields, keys, name):
+    def add(self, fields, keys):
         """Index new, distinct (field, key) pairs as the next rows, in order."""
         start = self.n_rows
-        if start + len(fields) > _ROW_LIMIT:
-            raise DimensionError(f"table {name!r}: a shard holds at most {_ROW_LIMIT} rows")
         h = keys ^ _mix64(fields)
         order = np.argsort(h, kind="stable")
         self._delta = _inserted(self._delta, (
@@ -303,165 +298,105 @@ class _RowIndex:
         return fields[order].astype(np.int64), keys[order], rows[order].astype(np.int64)
 
 
-class _Shard:
-    """One table's rows on one shard: weights and optimizer slots, by row.
+class TablePart(NamedTuple):
+    """One named part of every table row.
 
-    Rows come from the shard's ``_RowIndex``, which the table owns or shares
-    with the other tables built on it; array row i holds the pair the index
-    gave row i. The table stores rows ``0 .. n_rows - 1`` and stores a row
-    the first time a lookup returns it, so every table on one index must be
-    handed the rows the index creates in creation order. The engine does so
-    by passing each step's rows from one table's lookup to the next.
+    Each row holds ``dim`` weights of the part, set at creation by ``init``
+    ("uniform", ``seeded_uniform_init`` of the table seed, or "zeros"), and
+    one optimizer slot array per ``slot_widths`` entry, ``{slot: width}``,
+    zero at creation. The name names the part's checkpoint files.
     """
 
-    def __init__(self, name, dim, slot_widths, dtype, index):
-        self.name = name
-        self.dim = dim
-        self.slot_widths = dict(slot_widths)
-        self.dtype = np.dtype(dtype)
-        self.index = index
-        self.n_rows = 0
+    name: str
+    dim: int
+    init: str = "uniform"
+    slot_widths: dict | None = None
+
+
+class _Shard:
+    """One shard's rows: its index, and each part's weights and optimizer slots by row.
+
+    Row i of every part holds the pair the index gave row i, and the index's
+    ``n_rows`` counts the rows stored. The arrays keep spare capacity past it.
+    """
+
+    def __init__(self, parts, dtype):
+        self.index = _RowIndex()
         cap = 64
-        self.weights = np.zeros((cap, dim), dtype=self.dtype)
-        self.slots = {name: np.zeros((cap, w), dtype=self.dtype) for name, w in slot_widths.items()}
+        self.weights = {p.name: np.zeros((cap, p.dim), dtype=dtype) for p in parts}
+        self.slots = {
+            p.name: {s: np.zeros((cap, w), dtype=dtype) for s, w in p.slot_widths.items()}
+            for p in parts
+        }
 
-    def _grow(self, need):
-        cap = self.weights.shape[0]
-        if need <= cap:
-            return
-        new_cap = max(need, cap * 2)
+    def insert(self, fields, keys, weights, slots=None):
+        """Store new, distinct pairs as the next rows, ``index.n_rows`` on, and index them.
 
-        def grown(arr):
-            out = np.zeros((new_cap,) + arr.shape[1:], dtype=arr.dtype)
-            out[: self.n_rows] = arr[: self.n_rows]
+        ``weights`` is ``{part: weights}`` and ``slots`` is ``{part: {slot:
+        values}}``; slots not given are zero. The rows count only once the
+        index holds their pairs, so an insert that raises changes nothing.
+        """
+        start = self.index.n_rows
+        end = start + len(fields)
+        if end > _ROW_LIMIT:
+            raise DimensionError(f"a shard holds at most {_ROW_LIMIT} rows")
+
+        def fit(arr):
+            if end <= arr.shape[0]:
+                return arr
+            out = np.zeros((max(end, 2 * arr.shape[0]),) + arr.shape[1:], dtype=arr.dtype)
+            out[:start] = arr[:start]
             return out
 
-        self.weights = grown(self.weights)
-        self.slots = {name: grown(arr) for name, arr in self.slots.items()}
+        for part, w in weights.items():
+            self.weights[part] = fit(self.weights[part])
+            self.weights[part][start:end] = w
+            part_slots = self.slots[part]
+            for name in part_slots:
+                part_slots[name] = fit(part_slots[name])
+                part_slots[name][start:end] = 0 if slots is None else slots[part][name]
+        self.index.add(fields, keys)
 
-    def store(self, weights, slots=None):
-        """Store the next rows, ``n_rows`` on, with these weights and slots."""
-        start = self.n_rows
-        end = start + len(weights)
-        self._grow(end)
-        self.weights[start:end] = weights
-        for name, arr in (slots or {}).items():
-            self.slots[name][start:end] = arr
-        self.n_rows = end
 
-    def sorted_entries(self):
-        """(fields, keys, rows) of every stored row, in ascending (field, key) order."""
-        fields, keys, rows = self.index.sorted_entries()
-        mine = rows < self.n_rows
-        return fields[mine], keys[mine], rows[mine]
-
-    def ensure_rows(self, fields, keys, init, rows=None):
-        """Rows for (fields, keys), storing with ``init`` each row not stored yet.
-
-        Without ``rows`` the index resolves the pairs and indexes the new
-        ones; ``rows`` are the pairs' rows on a shared index. Each row past
-        ``n_rows`` is initialized from its pair: ``init`` is called once with
-        those pairs in row order and must return one row per pair. Its result
-        is checked before anything is committed, so an ``init`` that raises
-        or returns the wrong shape leaves the shard unchanged, and so does a
-        lookup whose new rows skip a row this table has not stored.
-        """
-        index = self.index
-        if rows is None:
-            rows = index.resolve(fields, keys)
-        start = self.n_rows
-        fresh = np.flatnonzero(rows >= start)
-        if not fresh.size:
-            return rows
-        at = np.full(int(rows[fresh].max()) + 1 - start, -1, dtype=np.intp)
-        at[rows[fresh] - start] = fresh
-        if at.min() < 0:
-            raise ConsistencyError(
-                f"table {self.name!r}: row {start + int(np.argmax(at < 0))} of the shard index "
-                "was never looked up in this table"
-            )
-        new_f, new_k = fields[at], keys[at]
-        weights = np.asarray(init(new_f, new_k, self.dim, self.dtype))
-        want = (len(at), self.dim)
-        real = np.issubdtype(weights.dtype, np.integer) or np.issubdtype(
-            weights.dtype, np.floating)
-        if weights.shape != want or not real:
-            raise DimensionError(
-                f"table {self.name!r}: initializer returned {weights.dtype} "
-                f"{weights.shape} for {want} new rows"
-            )
-        indexed = index.n_rows - start
-        if indexed < len(at):
-            index.add(new_f[indexed:], new_k[indexed:], self.name)
-        self.store(weights)
-        return rows
-
-    def rows_of(self, fields, keys):
-        fields = np.asarray(fields, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
-        rows = self.index.find(fields, keys)
-        missing = np.flatnonzero((rows < 0) | (rows >= self.n_rows))
-        if missing.size:
-            i = missing[0]
-            raise ConsistencyError(
-                f"update addressed entry (field={int(fields[i])}, key={int(keys[i])}) that was "
-                "never created by a lookup"
-            )
-        return rows
+def _record_dtype(dim, dtype, slot_widths):
+    """A shard file's record: field u32, key u64, d u32, the weights, then the slots in order."""
+    fcode = "<f4" if dtype == np.float32 else "<f8"
+    return np.dtype(
+        [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (dim,))]
+        + [(f"s_{name}", fcode, (width,)) for name, width in slot_widths.items()]
+    )
 
 
 class ShardedWeightTable:
-    """Dynamic (field, key) -> vector table partitioned over N shards.
+    """Dynamic (field, key) -> row table partitioned over N shards.
 
-    ``lookup`` resolves (field, key) pairs to rows, inserting missing
-    entries with the table initializer, and verifies that the caller owns
-    the fields it touches. ``slot_values`` and ``apply_update`` read and
-    replace the optimizer slots and weights of rows a lookup returned.
-
-    Tables keyed by the same pairs can share one row index per shard:
-    ``index`` is a table with the same shard count whose index this table
-    uses instead of its own. A lookup in one of them resolves the pairs and
-    indexes the new ones; passing its rows to ``lookup(..., rows=rows)`` in
-    another stores the rows that one has not stored yet, without searching.
-
-    ``init`` is "uniform" (``seeded_uniform_init``), "zeros", or a callable
-    ``init(fields, keys, dim, dtype)``. A callable receives arrays: the new
-    pairs of one lookup, fields as int64 and keys as uint64, each pair once.
-    It returns an integer or floating array of shape ``(len(fields), dim)``;
-    any other result raises ``DimensionError`` and inserts nothing.
+    Every row holds one vector per part of ``parts``, ``TablePart``s with
+    distinct names. ``lookup`` resolves (field, key) pairs to rows, creating
+    missing rows with each part's initializer, and verifies that the caller
+    owns the fields it touches. ``slot_values`` and ``apply_update`` read and
+    replace one part's optimizer slots and weights of rows a lookup returned.
     """
 
-    def __init__(self, n_shards, dim, seed=0, init="uniform", init_scale=0.01,
-                 slot_widths=None, dtype=np.float32, name="table", index=None):
+    def __init__(self, n_shards, parts, seed=0, dtype=np.float32):
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
-        if dim < 1:
-            raise ValueError(f"need a positive dim, got {dim}")
         self.n_shards = int(n_shards)
-        self.dim = int(dim)
         self.dtype = np.dtype(dtype)
         if self.dtype not in _DTYPE_CODES:
             raise ValueError(f"unsupported dtype {dtype}")
-        self.name = name
-        self.slot_widths = dict(slot_widths or {})
-        if init == "uniform":
-            self._init = seeded_uniform_init(seed, init_scale)
-        elif init == "zeros":
-            self._init = zeros_init
-        elif callable(init):
-            self._init = init
-        else:
-            raise ValueError(f"unknown initializer {init!r}")
-        if index is not None and index.n_shards != self.n_shards:
-            raise ValueError(
-                f"table {name!r} has {self.n_shards} shards, but the index of table "
-                f"{index.name!r} has {index.n_shards}"
-            )
-        self._shards = [
-            _Shard(self.name, self.dim, self.slot_widths, self.dtype,
-                   _RowIndex() if index is None else index._shards[i].index)
-            for i in range(self.n_shards)
-        ]
+        parts = [TablePart(p.name, int(p.dim), p.init, dict(p.slot_widths or {})) for p in parts]
+        self.parts = {p.name: p for p in parts}
+        if not parts or len(self.parts) != len(parts):
+            raise ValueError(f"need parts with distinct names, got {[p.name for p in parts]}")
+        inits = {"uniform": seeded_uniform_init(seed), "zeros": zeros_init}
+        for p in parts:
+            if p.dim < 1 or p.init not in inits:
+                raise ValueError(
+                    f"part {p.name!r} needs a positive dim and init 'uniform' or 'zeros', "
+                    f"got {p.dim} and {p.init!r}"
+                )
+        self._inits = {p.name: inits[p.init] for p in parts}
+        self._shards = [_Shard(parts, self.dtype) for _ in range(self.n_shards)]
 
     def _check_placement(self, shard_idx, fields):
         if not 0 <= shard_idx < self.n_shards:
@@ -471,130 +406,101 @@ class ShardedWeightTable:
             return
         outside = (fields < 0) | (fields >= _FIELD_LIMIT)
         if outside.any():
-            raise DimensionError(
-                f"table {self.name!r}: field {int(fields[outside][0])} is outside [0, 2**32)"
-            )
+            raise DimensionError(f"field {int(fields[outside][0])} is outside [0, 2**32)")
         if not np.all(fields % self.n_shards == shard_idx):
             bad = fields[fields % self.n_shards != shard_idx][0]
             raise PlacementError(
                 f"field {int(bad)} does not belong to shard {shard_idx} of {self.n_shards}"
             )
 
-    def lookup(self, shard_idx, fields, keys, rows=None):
-        """Rows and weights for (fields, keys) on one shard, inserting missing entries.
+    def lookup(self, shard_idx, fields, keys):
+        """Rows and weights for (fields, keys) on one shard, creating missing rows.
 
-        Returns ``(rows, weights)``: the row of each pair, which
-        ``slot_values`` and ``apply_update`` take, and a copy of its weights.
-        Stored weights and slots change only through apply_update.
-
-        ``rows``, if given, are the pairs' rows from a lookup in a table on
-        the same index; the index is then not searched. A row the index has
-        not created, or ``rows`` that are not a 1-D integer array as long as
-        ``fields``, raise ``ConsistencyError`` and leave the table unchanged.
+        Returns ``(rows, {part: weights})``: the row of each pair, which
+        ``slot_values`` and ``apply_update`` take, and a copy of each part's
+        weights. Every part of the new rows is initialized before any of them
+        is stored or indexed, so an initializer that raises leaves the table
+        unchanged. Stored weights and slots change only through apply_update.
         """
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
         fields = np.asarray(fields, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.uint64)
-        if rows is not None:
-            rows = self._checked_rows(shard_idx, rows, shard.index.n_rows)
-            if len(rows) != len(fields):
-                raise ConsistencyError(
-                    f"table {self.name!r}: {len(rows)} rows for {len(fields)} pairs"
-                )
-        rows = shard.ensure_rows(fields, keys, self._init, rows)
-        return rows, shard.weights[rows]
+        rows, new_f, new_k = shard.index.resolve(fields, keys)
+        if len(new_f):
+            shard.insert(new_f, new_k, {
+                name: self._inits[name](new_f, new_k, part.dim, self.dtype)
+                for name, part in self.parts.items()
+            })
+        return rows, {name: w[rows] for name, w in shard.weights.items()}
 
-    def rows_of(self, shard_idx, fields, keys):
-        """Rows of existing (fields, keys) on one shard.
-
-        Raises ``ConsistencyError`` naming the first pair that no lookup has
-        created.
-        """
-        self._check_placement(shard_idx, fields)
-        return self._shards[shard_idx].rows_of(fields, keys)
-
-    def _shard_rows(self, shard_idx, rows):
+    def _shard_rows(self, shard_idx, rows, part):
         """The shard and ``rows`` as a 1-D integer array of rows it holds."""
         if not 0 <= shard_idx < self.n_shards:
             raise PlacementError(f"shard {shard_idx} out of range for {self.n_shards} shards")
         shard = self._shards[shard_idx]
-        return shard, self._checked_rows(shard_idx, rows, shard.n_rows)
-
-    def _checked_rows(self, shard_idx, rows, n_rows):
-        """``rows`` as a 1-D integer array of rows in ``[0, n_rows)`` of the shard."""
         rows = np.asarray(rows)
         if not rows.size:
-            return np.empty(0, dtype=np.int64)
+            return shard, np.empty(0, dtype=np.int64)
         if rows.ndim != 1 or rows.dtype.kind not in "iu":
             raise ConsistencyError(
-                f"table {self.name!r}: rows must be a 1-D integer array, got {rows.dtype} "
-                f"{rows.shape}"
+                f"part {part!r}: rows must be a 1-D integer array, got {rows.dtype} {rows.shape}"
             )
+        n_rows = shard.index.n_rows
         bad = np.flatnonzero((rows < 0) | (rows >= n_rows))
         if bad.size:
             raise ConsistencyError(
-                f"table {self.name!r}: row {int(rows[bad[0]])} is outside [0, {n_rows}) "
+                f"part {part!r}: row {int(rows[bad[0]])} is outside [0, {n_rows}) "
                 f"of shard {shard_idx}"
             )
-        return rows
+        return shard, rows
 
-    def slot_values(self, shard_idx, rows):
-        """Optimizer slot arrays of existing rows, as copies."""
-        shard, rows = self._shard_rows(shard_idx, rows)
-        return {name: arr[rows] for name, arr in shard.slots.items()}
+    def slot_values(self, shard_idx, rows, part):
+        """One part's optimizer slot arrays of existing rows, as copies."""
+        shard, rows = self._shard_rows(shard_idx, rows, part)
+        return {name: arr[rows] for name, arr in shard.slots[part].items()}
 
-    def apply_update(self, shard_idx, rows, weights, slots):
-        """Replace the weights and optimizer slots of existing rows.
+    def apply_update(self, shard_idx, rows, part, weights, slots):
+        """Replace one part's weights and optimizer slots of existing rows.
 
         Every argument is checked before anything is written: a row outside
-        the shard, a weight shape other than ``(len(rows), dim)`` or slot
-        names other than the table's raise ``ConsistencyError`` and leave the
-        table unchanged.
+        the shard, a weight shape other than ``(len(rows), dim)``, or slots
+        other than the part's, by name or by ``(len(rows), width)`` shape,
+        raise ``ConsistencyError`` and leave the table unchanged.
         """
-        shard, rows = self._shard_rows(shard_idx, rows)
+        shard, rows = self._shard_rows(shard_idx, rows, part)
+        dim = self.parts[part].dim
         weights = np.asarray(weights, dtype=self.dtype)
-        if weights.shape != (len(rows), self.dim):
+        if weights.shape != (len(rows), dim):
             raise ConsistencyError(
-                f"update shape {weights.shape} does not match ({len(rows)}, {self.dim})"
+                f"part {part!r}: update shape {weights.shape} does not match ({len(rows)}, {dim})"
             )
-        if set(slots) != set(shard.slot_widths):
-            raise ConsistencyError(
-                f"update slots {sorted(slots)} do not match table slots "
-                f"{sorted(shard.slot_widths)}"
-            )
-        shard.weights[rows] = weights
+        part_slots = shard.slots[part]
+        slots = {name: np.asarray(arr, dtype=self.dtype) for name, arr in slots.items()}
+        got = {name: arr.shape for name, arr in slots.items()}
+        want = {name: (len(rows), arr.shape[1]) for name, arr in part_slots.items()}
+        if got != want:
+            raise ConsistencyError(f"part {part!r}: update slots {got} do not match {want}")
+        shard.weights[part][rows] = weights
         for name, arr in slots.items():
-            shard.slots[name][rows] = np.asarray(arr, dtype=self.dtype)
+            part_slots[name][rows] = arr
 
     def n_entries(self, shard_idx=None):
         if shard_idx is None:
-            return sum(s.n_rows for s in self._shards)
-        return self._shards[shard_idx].n_rows
+            return sum(s.index.n_rows for s in self._shards)
+        return self._shards[shard_idx].index.n_rows
 
-    def entries(self, shard_idx):
-        """(field, key, weight, slots) for one shard, sorted by field then key."""
-        shard = self._shards[shard_idx]
-        fields, keys, rows = shard.sorted_entries()
-        for f, k, row in zip(fields.tolist(), keys.tolist(), rows.tolist()):
-            yield (
-                f,
-                k,
-                shard.weights[row].copy(),
-                {name: arr[row].copy() for name, arr in shard.slots.items()},
-            )
-
-    def weight_map(self):
-        """Plain dict snapshot {(field, key): weight copy} across all shards."""
+    def weight_map(self, part):
+        """Plain dict snapshot {(field, key): weight copy} of one part across all shards."""
         out = {}
         for shard in self._shards:
-            fields, keys, rows = shard.sorted_entries()
-            for f, k, w in zip(fields.tolist(), keys.tolist(), shard.weights[rows]):
+            fields, keys, rows = shard.index.sorted_entries()
+            for f, k, w in zip(fields.tolist(), keys.tolist(), shard.weights[part][rows]):
                 out[(f, k)] = w
         return out
 
     def save(self, directory):
-        """One self-describing binary file per shard, byte-deterministic.
+        """One self-describing binary file per part and shard, byte-deterministic.
 
         Record layout after the header: field u32, key u64, d u32, then d
         weight floats and the slot floats, all little-endian, records sorted
@@ -602,96 +508,90 @@ class ShardedWeightTable:
         then renamed, so a file at the final name is never half-written.
         """
         os.makedirs(directory, exist_ok=True)
-        slot_names = sorted(self.slot_widths)
+        entries = [shard.index.sorted_entries() for shard in self._shards]
         paths = []
-        for idx, shard in enumerate(self._shards):
-            path = os.path.join(directory, f"{self.name}-shard-{idx:04d}.bin")
-            header = bytearray()
-            header += CHECKPOINT_MAGIC
-            header += struct.pack("<IIB", CHECKPOINT_VERSION, self.dim, _DTYPE_CODES[self.dtype])
-            header += struct.pack("<B", len(slot_names))
-            for name in slot_names:
+        for part in self.parts.values():
+            header = bytearray(CHECKPOINT_MAGIC)
+            header += struct.pack("<IIB", CHECKPOINT_VERSION, part.dim, _DTYPE_CODES[self.dtype])
+            slot_widths = dict(sorted(part.slot_widths.items()))
+            header += struct.pack("<B", len(slot_widths))
+            for name, width in slot_widths.items():
                 raw = name.encode("ascii")
                 header += struct.pack("<B", len(raw)) + raw
-                header += struct.pack("<I", self.slot_widths[name])
-            header += struct.pack("<Q", shard.n_rows)
-
-            fcode = "<f4" if self.dtype == np.float32 else "<f8"
-            rec_dtype = [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (self.dim,))]
-            for name in slot_names:
-                rec_dtype.append((f"s_{name}", fcode, (self.slot_widths[name],)))
-            fields, keys, rows = shard.sorted_entries()
-            recs = np.zeros(len(rows), dtype=rec_dtype)
-            recs["field"] = fields
-            recs["key"] = keys
-            recs["d"] = self.dim
-            recs["w"] = shard.weights[rows]
-            for name in slot_names:
-                recs[f"s_{name}"] = shard.slots[name][rows]
-            with replacing(path) as fh:
-                fh.write(bytes(header))
-                fh.write(recs.tobytes())
-            paths.append(path)
+                header += struct.pack("<I", width)
+            rec_dtype = _record_dtype(part.dim, self.dtype, slot_widths)
+            for idx, (shard, (fields, keys, rows)) in enumerate(zip(self._shards, entries)):
+                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.bin")
+                recs = np.zeros(len(rows), dtype=rec_dtype)
+                recs["field"] = fields
+                recs["key"] = keys
+                recs["d"] = part.dim
+                recs["w"] = shard.weights[part.name][rows]
+                for name, arr in shard.slots[part.name].items():
+                    recs[f"s_{name}"] = arr[rows]
+                with replacing(path) as fh:
+                    fh.write(bytes(header) + struct.pack("<Q", len(rows)))
+                    fh.write(recs.tobytes())
+                paths.append(path)
         return paths
 
     @classmethod
-    def load(cls, directory, name, n_shards, seed=0, init="uniform", init_scale=0.01):
-        """Rebuild a table from the files written by save.
+    def load(cls, directory, parts, n_shards, seed=0, dtype=np.float32):
+        """Rebuild a table of these parts from the files written by save.
 
         Raises ``ValueError`` for fewer than one shard, and ``ValueError``
         naming the file when it is not a shard checkpoint, when its dim,
-        dtype or slot widths differ from shard 0's, when its length disagrees
+        dtype or slot widths differ from its part's, when its length disagrees
         with the record count in its header, when a record's field belongs to
-        another shard, or when a (field, key) pair repeats.
+        another shard, when a (field, key) pair repeats, or when its (field,
+        key) column differs from the first part's file of the same shard.
         """
-        if n_shards < 1:
-            raise ValueError(f"need at least one shard, got {n_shards}")
-        table = None
-        for idx in range(n_shards):
-            path = os.path.join(directory, f"{name}-shard-{idx:04d}.bin")
-            with open(path, "rb") as fh:
-                raw = fh.read()
-            if raw[:8] != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a shard checkpoint")
-            try:
-                dim, dtype, slot_widths, n_rows, off = _read_header(raw, path)
-            except struct.error as exc:
-                raise ValueError(f"{path}: truncated header") from exc
-            if table is None:
-                table = cls(n_shards, dim, seed=seed, init=init, init_scale=init_scale,
-                            slot_widths=slot_widths, dtype=dtype, name=name)
-            elif (dim, dtype, slot_widths) != (table.dim, table.dtype, table.slot_widths):
-                raise ValueError(
-                    f"{path}: dim {dim}, dtype {dtype.name}, slots {slot_widths} differ from "
-                    f"shard 0's dim {table.dim}, dtype {table.dtype.name}, slots "
-                    f"{table.slot_widths}"
-                )
-            fcode = "<f4" if dtype == np.float32 else "<f8"
-            rec_dtype = [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (dim,))]
-            for nm in slot_widths:
-                rec_dtype.append((f"s_{nm}", fcode, (slot_widths[nm],)))
-            rec_dtype = np.dtype(rec_dtype)
-            if len(raw) - off != n_rows * rec_dtype.itemsize:
-                raise ValueError(
-                    f"{path}: {len(raw) - off} record bytes, but the header gives "
-                    f"{n_rows} records of {rec_dtype.itemsize} bytes"
-                )
-            recs = np.frombuffer(raw, dtype=rec_dtype, count=n_rows, offset=off)
-            fields = recs["field"].astype(np.int64)
-            keys = recs["key"].astype(np.uint64)
-            foreign = np.flatnonzero(fields % n_shards != idx)
-            if foreign.size:
-                raise ValueError(
-                    f"{path}: field {int(fields[foreign[0]])} does not belong to shard "
-                    f"{idx} of {n_shards}"
-                )
-            uf, uk, inverse = unique_with_inverse(fields, keys)
-            if len(uf) != n_rows:
-                i = int(np.argmax(np.bincount(inverse) > 1))
-                raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
-            shard = table._shards[idx]
-            shard.index.add(fields, keys, name)
-            shard.store(recs["w"], {nm: recs[f"s_{nm}"] for nm in slot_widths})
+        table = cls(n_shards, parts, seed=seed, dtype=dtype)
+        for idx, shard in enumerate(table._shards):
+            first = None
+            weights, slots = {}, {}
+            for part in table.parts.values():
+                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.bin")
+                with open(path, "rb") as fh:
+                    raw = fh.read()
+                if raw[:8] != CHECKPOINT_MAGIC:
+                    raise ValueError(f"{path}: not a shard checkpoint")
+                try:
+                    dim, file_dtype, slot_widths, n_rows, off = _read_header(raw, path)
+                except struct.error as exc:
+                    raise ValueError(f"{path}: truncated header") from exc
+                if (dim, file_dtype, slot_widths) != (part.dim, table.dtype, part.slot_widths):
+                    raise ValueError(
+                        f"{path}: dim {dim}, dtype {file_dtype.name}, slots {slot_widths} differ "
+                        f"from part {part.name!r}: dim {part.dim}, dtype {table.dtype.name}, "
+                        f"slots {part.slot_widths}"
+                    )
+                rec_dtype = _record_dtype(dim, file_dtype, slot_widths)
+                if len(raw) - off != n_rows * rec_dtype.itemsize:
+                    raise ValueError(
+                        f"{path}: {len(raw) - off} record bytes, but the header gives "
+                        f"{n_rows} records of {rec_dtype.itemsize} bytes"
+                    )
+                recs = np.frombuffer(raw, dtype=rec_dtype, count=n_rows, offset=off)
+                fields = recs["field"].astype(np.int64)
+                keys = recs["key"].astype(np.uint64)
+                if first is None:
+                    first = path, fields, keys
+                    foreign = np.flatnonzero(fields % n_shards != idx)
+                    if foreign.size:
+                        raise ValueError(
+                            f"{path}: field {int(fields[foreign[0]])} does not belong to shard "
+                            f"{idx} of {n_shards}"
+                        )
+                    uf, uk, inverse = unique_with_inverse(fields, keys)
+                    if len(uf) != n_rows:
+                        i = int(np.argmax(np.bincount(inverse) > 1))
+                        raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
+                elif not (np.array_equal(fields, first[1]) and np.array_equal(keys, first[2])):
+                    raise ValueError(f"{path}: (field, key) pairs differ from {first[0]}'s")
+                weights[part.name] = recs["w"]
+                slots[part.name] = {name: recs[f"s_{name}"] for name in part.slot_widths}
+            shard.insert(first[1], first[2], weights, slots)
         return table
 
 

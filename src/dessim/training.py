@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -104,32 +104,18 @@ class MetricsSnapshot:
     bwd_bytes: int
     wall_ms: float
 
-    def to_dict(self):
-        return {
-            "step": self.step,
-            "auc": self.auc,
-            "logloss": self.logloss,
-            "fwd_bytes": self.fwd_bytes,
-            "bwd_bytes": self.bwd_bytes,
-            "wall_ms": self.wall_ms,
-        }
-
     def deterministic_fields(self):
         """Everything except wall time, which is not reproducible."""
         return (self.step, self.auc, self.logloss, self.fwd_bytes, self.bwd_bytes)
 
 
-METRICS_COLUMNS = ("step", "auc", "logloss", "fwd_bytes", "bwd_bytes", "wall_ms")
+METRICS_COLUMNS = tuple(f.name for f in dc_fields(MetricsSnapshot))
 
 
 def metrics_to_tsv(snapshots):
     lines = ["\t".join(METRICS_COLUMNS)]
     for s in snapshots:
-        d = s.to_dict()
-        cells = []
-        for c in METRICS_COLUMNS:
-            v = d[c]
-            cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
+        cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in asdict(s).values())
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -208,7 +194,7 @@ def train(cfg):
         os.makedirs(cfg.out_dir, exist_ok=True)
         checkpoint_dir = os.path.join(cfg.out_dir, "checkpoint")
         engine.save_checkpoint(checkpoint_dir)
-        doc = {"version": 1, "rows": [s.to_dict() for s in snapshots]}
+        doc = {"version": 1, "rows": [asdict(s) for s in snapshots]}
         for name, text in (
             ("metrics.tsv", metrics_to_tsv(snapshots)),
             ("metrics.json", json.dumps(doc, indent=2) + "\n"),

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestReportCommand:
 
     def test_renders_json(self, tmp_path, capsys):
         path = tmp_path / "comm-report.json"
-        rows = [r.to_dict() for r in stub_rows()]
+        rows = [asdict(r) for r in stub_rows()]
         path.write_text(json.dumps({"version": 1, "rows": rows}))
         assert cli.main(["report", str(path)]) == 0
         out = capsys.readouterr().out

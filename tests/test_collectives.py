@@ -161,6 +161,16 @@ class TestLedger:
         assert led.op_count(op="x") == 2
         assert led.op_count(op="nope") == 0
 
+    def test_one_entry_per_call_expands_to_one_record_per_rank(self):
+        led = CommLedger()
+        led.charge("forward", "x", 0, [1, 2, 3])
+        led.charge("eval", "y", 4, [4, 5, 6])
+        assert len(led.entries) == 2
+        assert [(r["op"], r["rank"], r["bytes"]) for r in led.records()] == [
+            ("x", 0, 1), ("x", 1, 2), ("x", 2, 3), ("y", 0, 4), ("y", 1, 5), ("y", 2, 6)]
+        assert led.total_bytes(rank=2) == 9
+        assert led.total_bytes(rank=3) == led.total_bytes(rank=-1) == 0
+
     def test_records_are_plain_dicts(self):
         led = CommLedger()
         led.charge("forward", "x", 0, [7])

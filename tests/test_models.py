@@ -75,7 +75,7 @@ class TestSparseBatch:
         batch = SparseBatch.from_samples(
             [1.0], [[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]]
         )
-        sl = batch.shard_slice(1, 2)
+        sl = batch.shard_slices(2)[1]
         assert sl.fields.tolist() == [1, 3]
         assert sl.keys.tolist() == [2, 4]
         assert sl.batch_size == 1
@@ -88,8 +88,16 @@ class TestSparseBatch:
             for _ in range(16)
         ]
         batch = SparseBatch.from_samples(np.ones(16), samples)
-        total = sum(batch.shard_slice(r, 3).fields.size for r in range(3))
-        assert total == batch.fields.size
+        slices = batch.shard_slices(3)
+        assert len(slices) == 3
+        for r, sl in enumerate(slices):
+            # each rank's occurrences, in batch order: the field mask's selection
+            mask = batch.fields % 3 == r
+            for name in ("sample_ids", "fields", "keys", "values"):
+                want = getattr(batch, name)[mask]
+                got = getattr(sl, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (r, name)
+            assert sl.batch_size == 16
 
 
 class TestModelGraph:
@@ -285,8 +293,7 @@ class TestBatchValidation:
         batch = SparseBatch.from_samples([1.0, label], [[(0, 1, 1.0)], [(1, 2, 1.0)]])
         with pytest.raises(ValueError, match="sample 1 has label"):
             engine.train_step(batch)
-        assert engine.linear_table.n_entries() == 0
-        assert engine.latent_table.n_entries() == 0
+        assert engine.table.n_entries() == 0
         assert engine.group.ledger.records() == []
 
     def test_rejected_batch_leaves_no_trace(self):
@@ -294,7 +301,7 @@ class TestBatchValidation:
         batch = SparseBatch.from_samples([1.0], [[(0, 1, 1.0), (1, 2, np.inf)]])
         with pytest.raises(ValueError):
             engine.forward(batch)
-        assert engine.linear_table.n_entries() == 0
+        assert engine.table.n_entries() == 0
         assert engine.group.ledger.total_bytes() == 0
 
 
@@ -358,10 +365,10 @@ class TestEngineBackwardAndUpdate:
         engine = SubstitutedModel(ModelGraph(kind="lr", n_fields=2), WorkerGroup(1))
         warm = SparseBatch.from_samples([1.0], [[(0, 1, 1.0), (1, 2, 1.0)]])
         engine.train_step(warm)
-        snapshot = engine.linear_table.weight_map()
+        snapshot = engine.table.weight_map("linear")
         # second step activates only field 0; field 1 entries must not move
         engine.train_step(SparseBatch.from_samples([0.0], [[(0, 1, 1.0)]]))
-        after = engine.linear_table.weight_map()
+        after = engine.table.weight_map("linear")
         assert np.array_equal(snapshot[(1, 2)], after[(1, 2)])
         assert not np.array_equal(snapshot[(0, 1)], after[(0, 1)])
 
@@ -393,12 +400,11 @@ class TestReplicaDivergence:
 class TestPairsResolvedOnce:
     @pytest.mark.parametrize("kind", ["fm", "wdl", "deepfm"])
     def test_step_dedups_and_searches_once_per_rank(self, monkeypatch, kind):
-        # the linear lookup resolves each rank's pairs in the one index per
-        # shard both tables share and indexes the new ones; the latent table
-        # takes those rows, and the optimizer reads and writes by them
+        # one table lookup per rank resolves the rank's pairs in its shard's
+        # index and indexes the new ones; every part of the new rows is
+        # stored with them, and the optimizer reads and writes by those rows
         engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(2))
-        indexes = [shard.index for shard in engine.linear_table._shards]
-        assert [shard.index for shard in engine.latent_table._shards] == indexes
+        indexes = [shard.index for shard in engine.table._shards]
         rng = np.random.default_rng(45)
         dedups, table_dedups = [], []
         finds, adds = Counter(), Counter()
@@ -417,9 +423,9 @@ class TestPairsResolvedOnce:
             finds[indexes.index(index)] += 1
             return real_find(index, fields, keys)
 
-        def add(index, fields, keys, name):
+        def add(index, fields, keys):
             adds[indexes.index(index)] += 1
-            return real_add(index, fields, keys, name)
+            return real_add(index, fields, keys)
 
         monkeypatch.setattr(models, "unique_with_inverse", dedup)
         monkeypatch.setattr(sparse, "unique_with_inverse", table_dedup)
@@ -437,8 +443,9 @@ class TestPairsResolvedOnce:
                 assert adds == {0: 1, 1: 1}
         # the pairs arrive deduplicated and ascending, so the table never sorts them again
         assert table_dedups == []
-        assert engine.linear_table.n_entries() == engine.latent_table.n_entries()
-        assert engine.linear_table.n_entries() == sum(index.n_rows for index in indexes)
+        assert engine.table.n_entries() == sum(index.n_rows for index in indexes)
+        for part in engine.table.parts:
+            assert len(engine.table.weight_map(part)) == engine.table.n_entries()
 
 
 class TestDenseConstruction:
@@ -472,3 +479,21 @@ class TestDenseConstruction:
         assert "latent-shard-0001.bin" in names
         assert "fc-block-0000.npy" in names
         assert "dense-out_w.npy" in names
+
+    @pytest.mark.parametrize("kind", ["lr", "fm", "wdl", "deepfm", "dcn-demo"])
+    def test_table_checkpoint_loads_and_saves_the_same_bytes(self, tmp_path, kind):
+        rng = np.random.default_rng(47)
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=5), WorkerGroup(3))
+        for _ in range(3):
+            engine.train_step(tiny_batch(rng, 5))
+        engine.save_checkpoint(tmp_path / "engine")
+        table = engine.table
+        loaded = sparse.ShardedWeightTable.load(
+            tmp_path / "engine", list(table.parts.values()), 3, seed=engine.graph.seed)
+        assert loaded.n_entries() == table.n_entries() > 0
+        paths = loaded.save(tmp_path / "loaded")
+        assert len(paths) == 3 * len(table.parts)
+        for path in paths:
+            name = path.split("/")[-1]
+            assert (tmp_path / "loaded" / name).read_bytes() == (
+                tmp_path / "engine" / name).read_bytes(), name

@@ -11,6 +11,7 @@ from dessim.errors import ConsistencyError, DimensionError, PlacementError
 from dessim.models import SparseBatch
 from dessim.sparse import (
     ShardedWeightTable,
+    TablePart,
     hash_feature,
     hash_text,
     seeded_uniform_init,
@@ -192,7 +193,7 @@ class TestBatchedUniformInit:
 
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            ShardedWeightTable(2, 4, seed=-1)
+            table_of(2, 4, seed=-1)
         with pytest.raises(ValueError):
             seeded_uniform_init(-3)
 
@@ -205,7 +206,7 @@ class TestBatchedUniformInit:
         fields = rng.integers(0, 12, 400)
         keys = np.concatenate([EDGE_KEYS, rng.integers(0, 2**64 - 1, 395, dtype=np.uint64)])
         for n_shards in (1, 3, 4):
-            table = ShardedWeightTable(n_shards, 3, seed=11, init_scale=0.5)
+            table = table_of(n_shards, 3, seed=11)
             order = rng.permutation(len(keys))
             for chunk in np.array_split(order, 9):
                 for shard in range(n_shards):
@@ -213,33 +214,44 @@ class TestBatchedUniformInit:
                     table.lookup(shard, fields[mine], keys[mine])
             for shard in range(n_shards):
                 mine = np.flatnonzero(fields % n_shards == shard)
-                got = table.lookup(shard, fields[mine], keys[mine])[1]
+                got = table.lookup(shard, fields[mine], keys[mine])[1]["table"]
                 for row, i in zip(got, mine):
-                    want = per_key_uniform(11, int(fields[i]), int(keys[i]), 3, np.float32, 0.5)
+                    want = per_key_uniform(11, int(fields[i]), int(keys[i]), 3, np.float32, 0.01)
                     assert np.array_equal(row, want)
 
 
-def make_table(n_shards=2, dim=4, **kw):
-    kw.setdefault("slot_widths", {"acc": dim})
-    return ShardedWeightTable(n_shards, dim, seed=5, **kw)
+def table_of(n_shards, dim, seed=0, init="uniform", slot_widths=None, dtype=np.float32,
+             name="table"):
+    """A table of one part, which names its files as the persistence tests expect."""
+    return ShardedWeightTable(n_shards, [TablePart(name, dim, init, slot_widths)], seed=seed,
+                              dtype=dtype)
+
+
+def make_table(n_shards=2, dim=4, init="uniform"):
+    return table_of(n_shards, dim, seed=5, init=init, slot_widths={"acc": dim})
+
+
+def weights(table, shard, fields, keys):
+    """The one part's weights of a lookup."""
+    return table.lookup(shard, fields, keys)[1]["table"]
 
 
 class TestLookup:
     def test_zeros_init(self):
         table = make_table(init="zeros")
-        w = table.lookup(0, [0, 2], [10, 11])[1]
+        w = weights(table, 0, [0, 2], [10, 11])
         assert np.array_equal(w, np.zeros((2, 4), dtype=np.float32))
 
     def test_existing_key_returns_stored_value(self):
         table = make_table(init="zeros")
         rows, _ = table.lookup(0, [0], [10])
         new = np.full((1, 4), 0.25, dtype=np.float32)
-        table.apply_update(0, rows, new, {"acc": np.zeros((1, 4), np.float32)})
-        assert np.array_equal(table.lookup(0, [0], [10])[1], new)
+        table.apply_update(0, rows, "table", new, {"acc": np.zeros((1, 4), np.float32)})
+        assert np.array_equal(weights(table, 0, [0], [10]), new)
 
     def test_fresh_uniform_reproducible_across_tables(self):
-        a = make_table().lookup(1, [1, 3], [7, 9])[1]
-        b = make_table().lookup(1, [1, 3], [7, 9])[1]
+        a = weights(make_table(), 1, [1, 3], [7, 9])
+        b = weights(make_table(), 1, [1, 3], [7, 9])
         assert np.array_equal(a, b)
 
     def test_insertion_order_independent(self):
@@ -250,17 +262,17 @@ class TestLookup:
         # reversed discovery order in the second table
         t2.lookup(0, [2], [5])
         t2.lookup(0, [0], [1])
-        assert np.array_equal(t1.lookup(0, [0, 2], [1, 5])[1], t2.lookup(0, [0, 2], [1, 5])[1])
+        assert np.array_equal(weights(t1, 0, [0, 2], [1, 5]), weights(t2, 0, [0, 2], [1, 5]))
 
     def test_lookup_returns_copy(self):
         table = make_table()
-        w = table.lookup(0, [0], [1])[1]
+        w = weights(table, 0, [0], [1])
         w[:] = 99.0
-        assert not np.array_equal(table.lookup(0, [0], [1])[1], w)
+        assert not np.array_equal(weights(table, 0, [0], [1]), w)
 
     def test_duplicate_keys_share_one_entry(self):
         table = make_table()
-        w = table.lookup(0, [0, 0], [3, 3])[1]
+        w = weights(table, 0, [0, 0], [3, 3])
         assert np.array_equal(w[0], w[1])
         assert table.n_entries(0) == 1
 
@@ -274,14 +286,30 @@ class TestLookup:
         with pytest.raises(PlacementError):
             table.lookup(2, [0], [0])
 
+    @pytest.mark.parametrize("parts, match", [
+        ([], "distinct names"),
+        ([TablePart("a", 1), TablePart("a", 2)], "distinct names"),
+        ([TablePart("a", 0)], "'a' needs a positive dim"),
+        ([TablePart("a", 2, "normal")], "'a' needs .*'normal'"),
+    ])
+    def test_bad_parts_rejected(self, parts, match):
+        with pytest.raises(ValueError, match=match):
+            ShardedWeightTable(2, parts)
+
+
+def find(table, shard, fields, keys):
+    """Rows of the pairs in one shard's index, -1 where absent; inserts nothing."""
+    return table._shards[shard].index.find(
+        np.asarray(fields, dtype=np.int64), np.asarray(keys, dtype=np.uint64))
+
 
 class TestIndex:
     """The sorted per-field index against a plain dict shadow."""
 
     def test_lookup_and_rows_against_dict_shadow(self):
         rng = np.random.default_rng(21)
-        init = seeded_uniform_init(5, scale=1.0)
-        table = ShardedWeightTable(3, 2, seed=5, init_scale=1.0, slot_widths={"acc": 2})
+        init = seeded_uniform_init(5)
+        table = table_of(3, 2, seed=5, slot_widths={"acc": 2})
         shadow = {}
         # keys span the whole uint64 range, and every key recurs in many fields
         pool = np.concatenate([
@@ -293,96 +321,66 @@ class TestIndex:
             n = int(rng.integers(0, 30))
             fields = rng.integers(0, 10, n) * 3 + shard
             keys = pool[rng.integers(0, len(pool), n)]
-            got = table.lookup(shard, fields, keys)[1]
-            for (f, k), row in zip(zip(fields.tolist(), keys.tolist()), got):
+            rows, got = table.lookup(shard, fields, keys)
+            for (f, k), row in zip(zip(fields.tolist(), keys.tolist()), got["table"]):
                 want = shadow.setdefault((f, k), init([f], [k], 2, np.float32)[0])
                 assert np.array_equal(row, want)
             assert table.n_entries() == len(shadow)
+            assert np.array_equal(find(table, shard, fields, keys), rows)
             if n and rng.random() < 0.5:
                 uf, uk, _ = unique_with_inverse(fields, keys)
                 new = rng.uniform(-1, 1, (len(uf), 2)).astype(np.float32)
-                rows = table.rows_of(shard, uf, uk)
-                table.apply_update(shard, rows, new, {"acc": new * 2})
+                rows = table.lookup(shard, uf, uk)[0]
+                table.apply_update(shard, rows, "table", new, {"acc": new * 2})
                 assert len(set(rows.tolist())) == len(uf)
                 for f, k, w in zip(uf.tolist(), uk.tolist(), new):
                     shadow[(f, k)] = w
-                assert np.array_equal(
-                    table.slot_values(shard, table.rows_of(shard, uf, uk))["acc"], new * 2)
-        got = table.weight_map()
+                assert np.array_equal(table.slot_values(shard, rows, "table")["acc"], new * 2)
+        got = table.weight_map("table")
         assert got.keys() == shadow.keys()
         for fk, want in shadow.items():
             assert np.array_equal(got[fk], want)
 
-    def test_missing_entry_error_names_field_and_key(self):
-        table = make_table()
-        table.lookup(1, [1, 3], [7, 9])
-        with pytest.raises(ConsistencyError, match=r"field=3, key=99\)"):
-            table.slot_values(1, table.rows_of(1, [1, 3, 3], [7, 9, 99]))
-        with pytest.raises(ConsistencyError, match=r"field=5, key=7\)"):
-            table.slot_values(1, table.rows_of(1, [5], [7]))
+    def test_raising_initializer_leaves_table_unchanged(self, monkeypatch):
+        def keyed_init(seed):
+            def init(fields, keys, dim, dtype):
+                if np.any(keys == 13):
+                    raise RuntimeError("init failed")
+                return np.repeat(keys.astype(dtype)[:, None], dim, axis=1)
 
-    def test_raising_initializer_leaves_table_unchanged(self):
-        def init(fields, keys, dim, dtype):
-            if np.any(keys == 13):
-                raise RuntimeError("init failed")
-            return np.repeat(keys.astype(dtype)[:, None], dim, axis=1)
+            return init
 
-        table = ShardedWeightTable(2, 2, init=init, slot_widths={"acc": 2})
+        monkeypatch.setattr(sparse, "seeded_uniform_init", keyed_init)
+        table = table_of(2, 2, slot_widths={"acc": 2})
         table.lookup(0, [0, 2], [1, 2])
-        before = table.weight_map()
+        before = table.weight_map("table")
         with pytest.raises(RuntimeError, match="init failed"):
             table.lookup(0, [0, 2, 2], [1, 5, 13])
         assert table.n_entries() == 2
-        assert table.weight_map().keys() == before.keys()
-        for fk in ((2, 5), (2, 13)):
-            with pytest.raises(ConsistencyError):
-                table.slot_values(0, table.rows_of(0, [fk[0]], [fk[1]]))
-        assert np.array_equal(table.lookup(0, [2, 0], [5, 1])[1], [[5, 5], [1, 1]])
+        assert table.weight_map("table").keys() == before.keys()
+        assert find(table, 0, [2, 2], [5, 13]).tolist() == [-1, -1]
+        assert np.array_equal(weights(table, 0, [2, 0], [5, 1]), [[5, 5], [1, 1]])
 
-    @pytest.mark.parametrize("result", [
-        lambda f, k, dim, dtype: np.zeros((len(f), dim + 1), dtype=dtype),
-        lambda f, k, dim, dtype: np.zeros((len(f) + 1, dim), dtype=dtype),
-        lambda f, k, dim, dtype: np.zeros(dim, dtype=dtype),
-        lambda f, k, dim, dtype: np.zeros((len(f), dim), dtype=bool),
-        lambda f, k, dim, dtype: np.full((len(f), dim), "x"),
-        lambda f, k, dim, dtype: np.full((len(f), dim), None, dtype=object),
-    ])
-    def test_bad_initializer_result_leaves_table_unchanged(self, result):
-        broken = []
-
-        def init(fields, keys, dim, dtype):
-            if broken:
-                return result(fields, keys, dim, dtype)
-            return np.zeros((len(fields), dim), dtype=dtype)
-
-        table = ShardedWeightTable(2, 2, init=init, slot_widths={"acc": 2}, name="emb")
-        table.lookup(0, [0], [1])
-        broken.append(True)
-        with pytest.raises(DimensionError, match=r"'emb'.*\(1, 2\)"):
-            table.lookup(0, [0, 2], [1, 7])
-        assert table.n_entries() == 1
-        with pytest.raises(ConsistencyError):
-            table.slot_values(0, table.rows_of(0, [2], [7]))
-
-    def test_integer_initializer_result_is_cast(self):
-        table = ShardedWeightTable(
-            1, 2, init=lambda f, k, dim, dtype: np.ones((len(f), dim), dtype=np.int64)
-        )
-        got = table.lookup(0, [0, 1], [3, 3])[1]
-        assert got.dtype == np.float32 and np.array_equal(got, np.ones((2, 2)))
-
-    def test_custom_initializer_receives_each_new_pair_once(self):
+    def test_custom_initializer_receives_each_new_pair_once(self, monkeypatch):
+        # one call per lookup and part, with every new pair once, in row order
         calls = []
+        real_init = sparse.seeded_uniform_init
 
-        def init(fields, keys, dim, dtype):
-            calls.append((fields.dtype, keys.dtype, fields.tolist(), keys.tolist()))
-            return np.zeros((len(fields), dim), dtype=dtype)
+        def recording_init(seed):
+            init = real_init(seed)
 
-        table = ShardedWeightTable(1, 2, init=init)
+            def record(fields, keys, dim, dtype):
+                calls.append((fields.dtype, keys.dtype, fields.tolist(), keys.tolist(), dim))
+                return init(fields, keys, dim, dtype)
+
+            return record
+
+        monkeypatch.setattr(sparse, "seeded_uniform_init", recording_init)
+        table = ShardedWeightTable(1, [TablePart("a", 2), TablePart("b", 3)])
         table.lookup(0, [4, 1, 4, 1], [2**64 - 1, 5, 2**64 - 1, 6])
         table.lookup(0, [1, 4], [5, 2**64 - 1])
-        assert calls == [(np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1])]
-
+        pairs = [np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1]]
+        assert calls == [(*pairs, 2), (*pairs, 3)]
 
     def test_unsorted_duplicated_pairs_create_one_entry_each(self, monkeypatch):
         # only pairs that do not arrive strictly ascending are deduplicated
@@ -399,15 +397,14 @@ class TestIndex:
         assert dedups == [2]
         fields = np.array([3, 0, 3, 1, 0, 2, 3, 0])
         keys = np.array([4, 9, 4, 2**64 - 1, 9, 7, 0, 1], dtype=np.uint64)
-        rows, weights = table.lookup(0, fields, keys)
+        rows, got = table.lookup(0, fields, keys)
         assert dedups == [2, 6]  # six occurrences of the four pairs the table lacks
         assert table.n_entries() == 6
         # new rows follow the table's rows in ascending (field, key) order
         assert rows.tolist() == [5, 2, 5, 3, 2, 1, 4, 0]
-        assert np.array_equal(weights, seeded_uniform_init(5)(fields, keys, 4, np.float32))
-        table.lookup(0, [0, 3, 4], [10, 1, 0])
+        assert np.array_equal(got["table"], seeded_uniform_init(5)(fields, keys, 4, np.float32))
+        assert table.lookup(0, [0, 3, 4], [10, 1, 0])[0].tolist() == [6, 7, 8]
         assert dedups == [2, 6]  # strictly ascending: taken as they are
-        assert table.rows_of(0, [0, 3, 4], [10, 1, 0]).tolist() == [6, 7, 8]
 
 
 # Pairs on shard 0 of 2, by index value: H three times (a three-way
@@ -430,15 +427,15 @@ class TestHashCollisions:
         [[2, 4], [0, 3], [1, 5]],
     ])
     def test_against_dict_shadow(self, tmp_path, chunks):
-        init = seeded_uniform_init(4, scale=1.0)
-        table = ShardedWeightTable(2, 3, seed=4, init_scale=1.0, slot_widths={"acc": 3})
+        init = seeded_uniform_init(4)
+        table = table_of(2, 3, seed=4, slot_widths={"acc": 3})
         fields, keys = COLLIDING_FIELDS, COLLIDING_KEYS
         shadow = {}
         for chunk in chunks:
             # every lookup repeats the pairs already inserted, so hits and misses mix
             seen = [i for i in range(len(fields)) if (int(fields[i]), int(keys[i])) in shadow]
             sel = np.array(seen + chunk)
-            got = table.lookup(0, fields[sel], keys[sel])[1]
+            got = weights(table, 0, fields[sel], keys[sel])
             for i, row in zip(sel.tolist(), got):
                 fk = (int(fields[i]), int(keys[i]))
                 want = shadow.setdefault(fk, init([fk[0]], [fk[1]], 3, np.float32)[0])
@@ -450,40 +447,41 @@ class TestHashCollisions:
 
         sel = np.array([2, 0, 4])
         new = np.arange(9, dtype=np.float32).reshape(3, 3)
-        table.apply_update(0, table.rows_of(0, fields[sel], keys[sel]), new, {"acc": -new})
+        rows = table.lookup(0, fields, keys)[0]
+        table.apply_update(0, rows[sel], "table", new, {"acc": -new})
         for i, w in zip(sel.tolist(), new):
             shadow[(int(fields[i]), int(keys[i]))] = w
-        acc = table.slot_values(0, table.rows_of(0, fields, keys))["acc"]
+        acc = table.slot_values(0, rows, "table")["acc"]
         assert np.array_equal(acc[[2, 0, 4]], -new)
         assert not acc[[1, 3, 5]].any()
+        # a pair absent from the index whose value collides with three present ones
         absent = H ^ splitmix_finalizer(8)
-        with pytest.raises(ConsistencyError, match=f"field=8, key={absent}"):
-            table.slot_values(0, table.rows_of(0, [8, 0], [absent, keys[0]]))
+        assert find(table, 0, [8, 0], [absent, keys[0]]).tolist() == [-1, rows[0]]
 
-        got = table.weight_map()
+        got = table.weight_map("table")
         assert got.keys() == shadow.keys()
         for fk, want in shadow.items():
             assert np.array_equal(got[fk], want)
         table.save(tmp_path)
-        loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=4, init_scale=1.0)
-        assert np.array_equal(loaded.lookup(0, fields, keys)[1], table.lookup(0, fields, keys)[1])
-        assert np.array_equal(loaded.slot_values(0, loaded.rows_of(0, fields, keys))["acc"], acc)
+        loaded = ShardedWeightTable.load(tmp_path, list(table.parts.values()), 2, seed=4)
+        loaded_rows, loaded_weights = loaded.lookup(0, fields, keys)
+        assert np.array_equal(loaded_weights["table"], weights(table, 0, fields, keys))
+        assert np.array_equal(loaded.slot_values(0, loaded_rows, "table")["acc"], acc)
         assert loaded.n_entries() == len(fields)
 
     def test_equal_small_keys_across_fields(self, tmp_path):
         # as in the synthetic streams: every field draws from the same small ids
         rng = np.random.default_rng(12)
-        table = ShardedWeightTable(1, 2, seed=3)
+        table = table_of(1, 2, seed=3)
         fields = np.repeat(np.arange(10), 50)
         keys = np.tile(np.arange(50, dtype=np.uint64), 10)
         for chunk in np.array_split(rng.permutation(len(keys)), 7):
             table.lookup(0, fields[chunk], keys[chunk])
         assert table.n_entries() == len(keys)
-        got = table.lookup(0, fields, keys)[1]
+        got = weights(table, 0, fields, keys)
         for row, f, k in zip(got, fields.tolist(), keys.tolist()):
             assert np.array_equal(row, per_key_uniform(3, f, k, 2, np.float32, 0.01))
-        saved = [(f, k) for f, k, _, _ in table.entries(0)]
-        assert saved == list(zip(fields.tolist(), keys.tolist()))
+        assert list(table.weight_map("table")) == list(zip(fields.tolist(), keys.tolist()))
 
 
 def in_index(index, field, key):
@@ -497,8 +495,8 @@ class TestDeltaIndex:
 
     def test_against_dict_shadow_across_merges(self, tmp_path):
         rng = np.random.default_rng(23)
-        init = seeded_uniform_init(6, scale=1.0)
-        table = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
+        init = seeded_uniform_init(6)
+        table = table_of(2, 2, seed=6)
         index = table._shards[0].index
         shadow = {}  # (field, key) -> row, rows in append order
         pool_f = rng.integers(0, 20, 3000) * 2
@@ -516,10 +514,10 @@ class TestDeltaIndex:
             keys = np.concatenate([keys, COLLIDING_KEYS[extra], keys[: size // 3]])
             for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
                 shadow[(f, k)] = len(shadow)
-            rows, weights = table.lookup(0, fields, keys)
+            rows, got = table.lookup(0, fields, keys)
             want = [shadow[fk] for fk in zip(fields.tolist(), keys.tolist())]
             assert rows.tolist() == want
-            for (f, k), w in zip(zip(fields.tolist(), keys.tolist()), weights):
+            for (f, k), w in zip(zip(fields.tolist(), keys.tolist()), got["table"]):
                 assert np.array_equal(w, init([f], [k], 2, np.float32)[0])
             for i in extra:
                 in_base = in_index(index._base, COLLIDING_FIELDS[i], COLLIDING_KEYS[i])
@@ -527,7 +525,7 @@ class TestDeltaIndex:
 
             all_f = np.array([f for f, _ in shadow], dtype=np.int64)
             all_k = np.array([k for _, k in shadow], dtype=np.uint64)
-            assert table.rows_of(0, all_f, all_k).tolist() == list(shadow.values())
+            assert find(table, 0, all_f, all_k).tolist() == list(shadow.values())
             assert table.n_entries(0) == len(shadow)
             cols = (index._base, index._delta)
             assert sum(col.nbytes for part in cols for col in part) == 16 * len(shadow)
@@ -538,7 +536,7 @@ class TestDeltaIndex:
             assert len(set(zip(h.tolist(), f.tolist()))) == len(shadow)
             base_sizes.add(len(index._base[0]))
 
-            one = ShardedWeightTable(2, 2, seed=6, init_scale=1.0)
+            one = table_of(2, 2, seed=6)
             one.lookup(0, all_f, all_k)
             table.save(tmp_path / "grown")
             one.save(tmp_path / "one")
@@ -554,24 +552,23 @@ class TestDeltaIndex:
         assert len(index._delta[0]) == 1
         assert table.lookup(0, all_f[:50], all_k[:50])[0].tolist() == list(shadow.values())[:50]
         assert len(index._delta[0]) == 0 and len(index._base[0]) == len(shadow) + 1
-        assert table.rows_of(0, [0], [2**64 - 1]).tolist() == rows.tolist() == [len(shadow)]
+        assert find(table, 0, [0], [2**64 - 1]).tolist() == rows.tolist() == [len(shadow)]
 
 
 class TestSharedIndex:
-    """Two tables on one row index per shard against two standalone tables."""
+    """A two-part table, one row index per shard, against two one-part tables."""
 
-    def tables(self, index=True):
-        lin = ShardedWeightTable(2, 1, seed=6, init="zeros", slot_widths={"acc": 1},
-                                 name="linear")
-        lat = ShardedWeightTable(2, 3, seed=6, init_scale=1.0, slot_widths={"m": 3, "v": 3},
-                                 name="latent", index=lin if index else None)
-        return lin, lat
+    LINEAR = TablePart("linear", 1, "zeros", {"acc": 1})
+    LATENT = TablePart("latent", 3, "uniform", {"m": 3, "v": 3})
+
+    def table(self):
+        return ShardedWeightTable(2, [self.LINEAR, self.LATENT], seed=6)
 
     def test_against_standalone_tables_and_dict_shadow(self, tmp_path):
         rng = np.random.default_rng(29)
-        init = seeded_uniform_init(6, scale=1.0)
-        lin, lat = self.tables()
-        solo_lin, solo_lat = self.tables(index=False)
+        init = seeded_uniform_init(6)
+        both = self.table()
+        solo = {p.name: ShardedWeightTable(2, [p], seed=6) for p in (self.LINEAR, self.LATENT)}
         shadow = {}  # (field, key) -> [row, linear weight, latent weight]
         pool_f = rng.integers(0, 20, 2000) * 2
         pool_k = rng.integers(0, 2**64 - 1, 2000, dtype=np.uint64, endpoint=True)
@@ -588,49 +585,48 @@ class TestSharedIndex:
             for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
                 shadow[(f, k)] = [len(shadow), np.zeros(1, np.float32),
                                   init([f], [k], 3, np.float32)[0]]
-            rows, lin_w = lin.lookup(0, fields, keys)
-            got_rows, lat_w = lat.lookup(0, fields, keys, rows=rows)
-            assert got_rows is rows
+            rows, got = both.lookup(0, fields, keys)
+            assert list(got) == ["linear", "latent"]
             want = [shadow[fk] for fk in zip(fields.tolist(), keys.tolist())]
             assert rows.tolist() == [row for row, _, _ in want]
-            assert np.array_equal(lin_w, np.array([w for _, w, _ in want]).reshape(-1, 1))
-            assert np.array_equal(lat_w, np.array([w for _, _, w in want]).reshape(-1, 3))
-            solo_rows, solo_lin_w = solo_lin.lookup(0, fields, keys)
-            assert np.array_equal(solo_rows, rows)
-            assert np.array_equal(solo_lin_w, lin_w)
-            assert np.array_equal(solo_lat.lookup(0, fields, keys)[1], lat_w)
+            assert np.array_equal(got["linear"], np.array([w for _, w, _ in want]).reshape(-1, 1))
+            assert np.array_equal(got["latent"], np.array([w for _, _, w in want]).reshape(-1, 3))
+            for name, table in solo.items():
+                solo_rows, solo_got = table.lookup(0, fields, keys)
+                assert np.array_equal(solo_rows, rows)
+                assert np.array_equal(solo_got[name], got[name])
 
-            # one update per step through the shared rows, mirrored on the solo tables
+            # one update per step and part through the rows, mirrored on the solo tables
             uf, uk, _ = unique_with_inverse(fields, keys)
-            urows = lin.rows_of(0, uf, uk)
-            assert np.array_equal(lat.rows_of(0, uf, uk), urows)
-            w1 = rng.uniform(-1, 1, (len(uf), 1)).astype(np.float32)
-            w3 = rng.uniform(-1, 1, (len(uf), 3)).astype(np.float32)
-            for a, b in ((lin, solo_lin), (lat, solo_lat)):
-                new = w1 if a.dim == 1 else w3
-                slots = {name: new * (i + 2) for i, name in enumerate(sorted(a.slot_widths))}
-                a.apply_update(0, urows, new, slots)
-                b.apply_update(0, b.rows_of(0, uf, uk), new, slots)
-            for fk, v1, v3 in zip(zip(uf.tolist(), uk.tolist()), w1, w3):
+            urows = both.lookup(0, uf, uk)[0]
+            new = {"linear": rng.uniform(-1, 1, (len(uf), 1)).astype(np.float32),
+                   "latent": rng.uniform(-1, 1, (len(uf), 3)).astype(np.float32)}
+            for name, table in solo.items():
+                w = new[name]
+                slots = {s: w * (i + 2) for i, s in enumerate(sorted(both.parts[name].slot_widths))}
+                both.apply_update(0, urows, name, w, slots)
+                table.apply_update(0, table.lookup(0, uf, uk)[0], name, w, slots)
+                got_slots = both.slot_values(0, urows, name)
+                assert all(np.array_equal(got_slots[s], v) for s, v in slots.items())
+            for fk, v1, v3 in zip(zip(uf.tolist(), uk.tolist()), new["linear"], new["latent"]):
                 shadow[fk][1:] = [v1, v3]
 
-            index = lin._shards[0].index
-            assert lat._shards[0].index is index
-            assert index.n_rows == lin.n_entries(0) == lat.n_entries(0) == len(shadow)
+            index = both._shards[0].index
+            assert index.n_rows == both.n_entries(0) == len(shadow)
             index_bytes = sum(col.nbytes for part in (index._base, index._delta) for col in part)
             assert index_bytes == 16 * len(shadow)
             base_sizes.add(len(index._base[0]))
         assert len(base_sizes) >= 4  # the delta merged several times
 
-        for a, b in ((lin, solo_lin), (lat, solo_lat)):
-            assert len(a.weight_map()) == len(shadow)
-            a.save(tmp_path / "shared")
-            b.save(tmp_path / "solo")
+        for name, table in solo.items():
+            assert len(both.weight_map(name)) == len(shadow)
+            table.save(tmp_path / "solo")
+        both.save(tmp_path / "both")
         names = sorted(p.name for p in (tmp_path / "solo").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "shared").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "both").iterdir())
         assert len(names) == 4
         for name in names:
-            assert (tmp_path / "shared" / name).read_bytes() == (
+            assert (tmp_path / "both" / name).read_bytes() == (
                 tmp_path / "solo" / name).read_bytes()
 
     def state(self, table, tmp_path):
@@ -641,92 +637,59 @@ class TestSharedIndex:
 
     @pytest.mark.parametrize("bad", [
         np.array([-1, 0]),
-        np.array([0, 2]),  # the index has created rows 0 and 1 only
+        np.array([0, 2]),  # the shard holds rows 0 and 1 only
         np.array([0.0, 1.0]),
         np.array([[0, 1]]),
-        np.array([0]),  # one row for two pairs
+        np.array([0]),  # one row for two weight rows
         np.array([0, 1, 1]),
     ])
     def test_bad_rows_leave_table_unchanged(self, tmp_path, bad):
-        lin, lat = self.tables()
-        rows, _ = lin.lookup(1, [1, 3], [5, 6])
-        lat.lookup(1, [1, 3], [5, 6], rows=rows)
-        before = self.state(lat, tmp_path / "before")
+        both = self.table()
+        both.lookup(1, [1, 3], [5, 6])
+        before = self.state(both, tmp_path / "before")
+        w = np.ones((2, 3), np.float32)
         with pytest.raises(ConsistencyError, match="'latent'"):
-            lat.lookup(1, [1, 3], [5, 6], rows=bad)
-        assert self.state(lat, tmp_path / "after") == before
+            both.apply_update(1, bad, "latent", w, {"m": w, "v": w})
+        assert self.state(both, tmp_path / "after") == before
 
-    def test_foreign_rows_leave_table_unchanged(self, tmp_path):
-        lin, lat = self.tables()
-        rows, _ = lin.lookup(1, [1, 3], [5, 6])
-        lat.lookup(1, [1, 3], [5, 6], rows=rows)
-        # rows of a table on another index: that index created a row this one has not
-        other = ShardedWeightTable(2, 1, init="zeros")
-        other.lookup(1, [1, 1, 3], [4, 5, 6])
-        foreign, _ = other.lookup(1, [1, 3], [5, 6])
-        before = self.state(lat, tmp_path / "before")
-        with pytest.raises(ConsistencyError, match=r"row 2 is outside \[0, 2\) of shard 1"):
-            lat.lookup(1, [1, 3], [5, 6], rows=foreign)
-        assert self.state(lat, tmp_path / "after") == before
-        # a row the index created that never reached this table
-        lin.lookup(1, [5], [7])
-        skip, _ = lin.lookup(1, [5], [8])
-        before = self.state(lat, tmp_path / "before2")
-        with pytest.raises(ConsistencyError, match="row 2 of the shard index was never looked up"):
-            lat.lookup(1, [5], [8], rows=skip)
-        with pytest.raises(ConsistencyError, match=r"field=5, key=7\)"):
-            lat.rows_of(1, [5], [7])
-        assert self.state(lat, tmp_path / "after2") == before
-        # its checkpoint holds the two rows it stores, not the four the index has
-        assert ShardedWeightTable.load(tmp_path / "after2", "latent", 2).n_entries() == 2
-        # handed over in creation order, both rows arrive
-        rows, _ = lin.lookup(1, [5, 5], [7, 8])
-        lat.lookup(1, [5, 5], [7, 8], rows=rows)
-        assert lat.n_entries(1) == lin.n_entries(1) == 4
+    def test_raising_initializer_leaves_index_and_table_unchanged(self, tmp_path, monkeypatch):
+        # the latent part's initializer fails after the linear part's has run
+        real_init = sparse.seeded_uniform_init
 
-    def test_raising_initializer_leaves_index_and_table_unchanged(self, tmp_path):
-        def init(fields, keys, dim, dtype):
-            if np.any(keys == 13):
-                raise RuntimeError("init failed")
-            return np.zeros((len(fields), dim), dtype=dtype)
+        def failing_init(seed):
+            init = real_init(seed)
 
-        lin = ShardedWeightTable(2, 1, init="zeros", name="linear")
-        lat = ShardedWeightTable(2, 2, init=init, name="latent", index=lin)
-        for table in (lat, lin):  # the index owner can be either table
-            before = self.state(table, tmp_path / f"{table.name}-before")
-            with pytest.raises(RuntimeError, match="init failed"):
-                other = lin if table is lat else lat
-                rows, _ = table.lookup(1, [1, 3], [5, 13])
-                other.lookup(1, [1, 3], [5, 13], rows=rows)
-            if table is lin:
-                # the linear lookup indexed both pairs; only the latent table refused them
-                assert lin.n_entries(1) == 2 and lat.n_entries(1) == 0
-            else:
-                assert self.state(table, tmp_path / f"{table.name}-after") == before
+            def checked(fields, keys, dim, dtype):
+                if np.any(keys == 13):
+                    raise RuntimeError("init failed")
+                return init(fields, keys, dim, dtype)
 
-    def test_index_with_other_shard_count_rejected(self):
-        lin = ShardedWeightTable(2, 1, init="zeros", name="linear")
-        with pytest.raises(ValueError, match="'latent' has 3 shards.*'linear' has 2"):
-            ShardedWeightTable(3, 2, name="latent", index=lin)
+            return checked
+
+        monkeypatch.setattr(sparse, "seeded_uniform_init", failing_init)
+        both = self.table()
+        both.lookup(1, [1, 3], [5, 6])
+        before = self.state(both, tmp_path / "before")
+        with pytest.raises(RuntimeError, match="init failed"):
+            both.lookup(1, [1, 3, 3], [5, 7, 13])
+        assert self.state(both, tmp_path / "after") == before
+        assert find(both, 1, [3, 3], [7, 13]).tolist() == [-1, -1]
+        rows, got = both.lookup(1, [3, 1], [7, 5])
+        assert rows.tolist() == [2, 0]
+        assert np.array_equal(got["latent"][0], seeded_uniform_init(6)([3], [7], 3, np.float32)[0])
 
 
 class TestFieldRange:
     def test_field_outside_uint32_rejected_and_widest_round_trips(self, tmp_path):
-        table = ShardedWeightTable(1, 2, init="zeros", slot_widths={"acc": 2}, name="lin")
-        w = np.zeros((1, 2), dtype=np.float32)
+        table = table_of(1, 2, init="zeros", slot_widths={"acc": 2}, name="lin")
         for bad in (2**32 + 5, -1):
-            for call in (
-                lambda: table.lookup(0, [bad], [7]),
-                lambda: table.slot_values(0, table.rows_of(0, [bad], [7])),
-                lambda: table.apply_update(0, table.rows_of(0, [bad], [7]), w, {"acc": w}),
-            ):
-                with pytest.raises(DimensionError, match=rf"'lin'.*field {bad}\b"):
-                    call()
+            with pytest.raises(DimensionError, match=rf"field {bad} is outside"):
+                table.lookup(0, [bad], [7])
         assert table.n_entries() == 0
         table.lookup(0, [2**32 - 1, 0], [7, 7])
         table.save(tmp_path)
-        loaded = ShardedWeightTable.load(tmp_path, "lin", 1, init="zeros")
-        assert sorted(loaded.weight_map()) == [(0, 7), (2**32 - 1, 7)]
+        loaded = ShardedWeightTable.load(tmp_path, list(table.parts.values()), 1)
+        assert sorted(loaded.weight_map("lin")) == [(0, 7), (2**32 - 1, 7)]
 
 
 class TestApplyUpdate:
@@ -735,27 +698,29 @@ class TestApplyUpdate:
         rows, _ = table.lookup(0, [0], [42])
         w = np.array([[1.5, -2.0, 0.25, 8.0]], dtype=np.float32)
         s = {"acc": np.array([[0.1, 0.2, 0.3, 0.4]], dtype=np.float32)}
-        table.apply_update(0, rows, w, s)
-        assert np.array_equal(table.lookup(0, [0], [42])[1], w)
-        assert np.array_equal(table.slot_values(0, table.rows_of(0, [0], [42]))["acc"], s["acc"])
+        table.apply_update(0, rows, "table", w, s)
+        rows, got = table.lookup(0, [0], [42])
+        assert np.array_equal(got["table"], w)
+        assert np.array_equal(table.slot_values(0, rows, "table")["acc"], s["acc"])
 
     def test_zero_delta_leaves_table_identical(self):
         table = make_table()
         table.lookup(0, [0, 2], [1, 2])
-        before = table.weight_map()
+        before = table.weight_map("table")
         rows, w = table.lookup(0, [0, 2], [1, 2])
-        s = table.slot_values(0, rows)
-        table.apply_update(0, rows, w, s)
-        after = table.weight_map()
+        s = table.slot_values(0, rows, "table")
+        table.apply_update(0, rows, "table", w["table"], s)
+        after = table.weight_map("table")
         assert before.keys() == after.keys()
         for key in before:
             assert np.array_equal(before[key], after[key])
 
     def test_unknown_key_rejected(self):
+        # no lookup has created a row for any pair yet
         table = make_table()
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"row 0 is outside \[0, 0\)"):
             table.apply_update(
-                0, table.rows_of(0, [0], [99]), np.zeros((1, 4), np.float32),
+                0, [0], "table", np.zeros((1, 4), np.float32),
                 {"acc": np.zeros((1, 4), np.float32)},
             )
 
@@ -764,16 +729,25 @@ class TestApplyUpdate:
         rows, _ = table.lookup(0, [0], [1])
         with pytest.raises(ConsistencyError):
             table.apply_update(
-                0, rows, np.zeros((1, 4), np.float32),
+                0, rows, "table", np.zeros((1, 4), np.float32),
                 {"momentum": np.zeros((1, 4), np.float32)},
             )
+
+    def test_wrong_slot_shape_rejected_and_table_unchanged(self):
+        table = table_of(1, 2, init="zeros", slot_widths={"a": 2, "b": 2})
+        rows, _ = table.lookup(0, [0], [1])
+        ones = np.ones((1, 2), np.float32)
+        with pytest.raises(ConsistencyError, match=r"'table': update slots .*'b': \(1, 3\)"):
+            table.apply_update(0, rows, "table", ones, {"a": ones, "b": np.ones((1, 3))})
+        assert not weights(table, 0, [0], [1]).any()
+        assert not any(v.any() for v in table.slot_values(0, rows, "table").values())
 
     def test_wrong_shape_rejected(self):
         table = make_table()
         rows, _ = table.lookup(0, [0], [1])
         with pytest.raises(ConsistencyError):
             table.apply_update(
-                0, rows, np.zeros((1, 3), np.float32),
+                0, rows, "table", np.zeros((1, 3), np.float32),
                 {"acc": np.zeros((1, 4), np.float32)},
             )
 
@@ -782,21 +756,21 @@ class TestApplyUpdate:
         table = make_table()
         rows, _ = table.lookup(0, [0, 2, 4], [1, 2, 3])
         ones = np.ones((3, 4), np.float32)
-        table.apply_update(0, rows, ones, {"acc": ones})
-        before = {fk: w.tobytes() for fk, w in table.weight_map().items()}
-        acc = table.slot_values(0, rows)["acc"].tobytes()
+        table.apply_update(0, rows, "table", ones, {"acc": ones})
+        before = {fk: w.tobytes() for fk, w in table.weight_map("table").items()}
+        acc = table.slot_values(0, rows, "table")["acc"].tobytes()
         w = np.zeros((len(bad), 4), np.float32)
         with pytest.raises(ConsistencyError, match=r"'table'.*row"):
-            table.slot_values(0, bad)
+            table.slot_values(0, bad, "table")
         with pytest.raises(ConsistencyError, match=r"'table'.*row"):
-            table.apply_update(0, bad, w, {"acc": w})
-        assert {fk: w.tobytes() for fk, w in table.weight_map().items()} == before
-        assert table.slot_values(0, rows)["acc"].tobytes() == acc
+            table.apply_update(0, bad, "table", w, {"acc": w})
+        assert {fk: w.tobytes() for fk, w in table.weight_map("table").items()} == before
+        assert table.slot_values(0, rows, "table")["acc"].tobytes() == acc
         assert table.n_entries() == 3
 
     def test_thousand_random_updates_match_shadow_map(self):
         rng = np.random.default_rng(11)
-        table = ShardedWeightTable(3, 2, seed=0, init="zeros", slot_widths={"acc": 2})
+        table = table_of(3, 2, init="zeros", slot_widths={"acc": 2})
         shadow = {}
         for _ in range(1000):
             field = int(rng.integers(0, 9))
@@ -805,23 +779,26 @@ class TestApplyUpdate:
             rows, _ = table.lookup(shard, [field], [key])
             shadow.setdefault((field, key), np.zeros(2, dtype=np.float32))
             w = rng.uniform(-1, 1, (1, 2)).astype(np.float32)
-            table.apply_update(shard, rows, w,
-                               {"acc": np.zeros((1, 2), np.float32)})
+            table.apply_update(shard, rows, "table", w, {"acc": np.zeros((1, 2), np.float32)})
             shadow[(field, key)] = w[0].copy()
-        got = table.weight_map()
+        got = table.weight_map("table")
         assert got.keys() == shadow.keys()
         for fk, want in shadow.items():
             assert np.array_equal(got[fk], want)
 
     def test_placement_invariant_full_scan(self):
         rng = np.random.default_rng(12)
-        table = ShardedWeightTable(4, 2, seed=0, init="zeros")
+        table = table_of(4, 2, init="zeros")
         for _ in range(200):
             field = int(rng.integers(0, 16))
             table.lookup(field % 4, [field], [int(rng.integers(0, 9))])
         for shard_idx in range(4):
-            for field, _key, _w, _s in table.entries(shard_idx):
-                assert field % 4 == shard_idx
+            fields, _, _ = table._shards[shard_idx].index.sorted_entries()
+            assert len(fields) and np.all(fields % 4 == shard_idx)
+
+
+# a table of one part of dim 1, initialized to zeros, without slots
+ONE_WEIGHT = [TablePart("table", 1, "zeros")]
 
 
 class TestPersistence:
@@ -831,47 +808,60 @@ class TestPersistence:
             key = int(rng.integers(0, 1000))
             shard = field % table.n_shards
             rows, _ = table.lookup(shard, [field], [key])
-            w = rng.uniform(-1, 1, (1, table.dim)).astype(np.float32)
-            s = {name: rng.uniform(0, 1, (1, wd)).astype(np.float32)
-                 for name, wd in table.slot_widths.items()}
-            table.apply_update(shard, rows, w, s)
+            for part in table.parts.values():
+                w = rng.uniform(-1, 1, (1, part.dim)).astype(np.float32)
+                s = {name: rng.uniform(0, 1, (1, wd)).astype(np.float32)
+                     for name, wd in part.slot_widths.items()}
+                table.apply_update(shard, rows, part.name, w, s)
+
+    def saved_rows(self, table, shard_idx):
+        """Every pair of one shard, its rows and each part's weights and slots."""
+        fields, keys, _ = table._shards[shard_idx].index.sorted_entries()
+        rows, got = table.lookup(shard_idx, fields, keys)
+        slots = {name: table.slot_values(shard_idx, rows, name) for name in table.parts}
+        return fields.tolist(), keys.tolist(), got, slots
+
+    TWO_PARTS = [TablePart("table", 3, "uniform", {"z": 3, "n": 3}),
+                 TablePart("second", 2, "zeros", {"acc": 2})]
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
-        table = ShardedWeightTable(2, 3, seed=9, slot_widths={"z": 3, "n": 3})
+        table = ShardedWeightTable(2, self.TWO_PARTS, seed=9)
         self.populate(table, rng)
         table.save(tmp_path)
-        loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=9)
+        loaded = ShardedWeightTable.load(tmp_path, self.TWO_PARTS, 2, seed=9)
         assert loaded.n_entries() == table.n_entries()
         for shard_idx in range(2):
-            for got, want in zip(loaded.entries(shard_idx), table.entries(shard_idx)):
-                assert got[0] == want[0] and got[1] == want[1]
-                assert np.array_equal(got[2], want[2])
-                for name in want[3]:
-                    assert np.array_equal(got[3][name], want[3][name])
+            want = self.saved_rows(table, shard_idx)
+            got = self.saved_rows(loaded, shard_idx)
+            assert got[:2] == want[:2]
+            for name in table.parts:
+                assert np.array_equal(got[2][name], want[2][name])
+                for slot in want[3][name]:
+                    assert np.array_equal(got[3][name][slot], want[3][name][slot])
 
     def test_loaded_table_finds_every_saved_key(self, tmp_path):
         rng = np.random.default_rng(16)
-        table = ShardedWeightTable(2, 3, seed=9, slot_widths={"z": 3})
+        table = table_of(2, 3, seed=9, slot_widths={"z": 3})
         self.populate(table, rng, n=200)
         table.save(tmp_path)
-        loaded = ShardedWeightTable.load(tmp_path, "table", 2, seed=9)
+        loaded = ShardedWeightTable.load(tmp_path, list(table.parts.values()), 2, seed=9)
         n = loaded.n_entries()
+        saved = table.weight_map("table")
         for shard_idx in range(2):
-            saved = list(table.entries(shard_idx))
-            fields = [e[0] for e in saved]
-            keys = [e[1] for e in saved]
-            got = loaded.lookup(shard_idx, fields, keys)[1]
-            assert np.array_equal(got, np.stack([e[2] for e in saved]))
-            assert np.array_equal(
-                loaded.slot_values(shard_idx, loaded.rows_of(shard_idx, fields, keys))["z"],
-                np.stack([e[3]["z"] for e in saved]),
-            )
+            pairs = [fk for fk in saved if fk[0] % 2 == shard_idx]
+            fields = [f for f, _ in pairs]
+            keys = [k for _, k in pairs]
+            rows, got = loaded.lookup(shard_idx, fields, keys)
+            assert np.array_equal(got["table"], np.stack([saved[fk] for fk in pairs]))
+            table_rows = table.lookup(shard_idx, fields, keys)[0]
+            assert np.array_equal(loaded.slot_values(shard_idx, rows, "table")["z"],
+                                  table.slot_values(shard_idx, table_rows, "table")["z"])
         assert loaded.n_entries() == n
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(14)
-        table = ShardedWeightTable(2, 2, seed=1, slot_widths={"acc": 2})
+        table = ShardedWeightTable(2, self.TWO_PARTS, seed=1)
         self.populate(table, rng)
         p1 = tmp_path / "a"
         p2 = tmp_path / "b"
@@ -881,8 +871,8 @@ class TestPersistence:
             assert f1.read_bytes() == f2.read_bytes()
 
     def test_file_bytes_independent_of_insertion_order(self, tmp_path):
-        t1 = ShardedWeightTable(1, 2, seed=3, init="uniform")
-        t2 = ShardedWeightTable(1, 2, seed=3, init="uniform")
+        t1 = table_of(1, 2, seed=3)
+        t2 = table_of(1, 2, seed=3)
         t1.lookup(0, [0, 1, 2], [5, 6, 7])
         t2.lookup(0, [2, 0, 1], [7, 5, 6])
         d1 = tmp_path / "one"
@@ -897,14 +887,14 @@ class TestPersistence:
         bad = tmp_path / "table-shard-0000.bin"
         bad.write_bytes(b"NOTATBL1" + b"\0" * 32)
         with pytest.raises(ValueError):
-            ShardedWeightTable.load(tmp_path, "table", 1)
+            ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     # a table of dim 1, float32, no slots: a 26-byte header, then 20-byte
     # records of field u32, key u64, d u32 and one weight
     HEADER, RECORD = 26, 20
 
     def saved_shard(self, tmp_path, n_shards=1):
-        table = ShardedWeightTable(n_shards, 1, init="zeros")
+        table = ShardedWeightTable(n_shards, ONE_WEIGHT)
         table.lookup(0, [0, 0, 0], [1, 2, 3])
         table.save(tmp_path)
         return tmp_path / "table-shard-0000.bin"
@@ -916,7 +906,7 @@ class TestPersistence:
         for bad in (raw[:-5], raw[: self.HEADER + self.RECORD], raw + b"\0", raw[:20]):
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=re.escape(str(path))):
-                ShardedWeightTable.load(tmp_path, "table", 1)
+                ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     def test_load_rejects_unknown_dtype_code(self, tmp_path):
         path = self.saved_shard(tmp_path)
@@ -925,7 +915,7 @@ class TestPersistence:
         raw[16] = 5
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ": unknown dtype code 5"):
-            ShardedWeightTable.load(tmp_path, "table", 1)
+            ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     def test_load_rejects_field_of_another_shard(self, tmp_path):
         path = self.saved_shard(tmp_path, n_shards=2)
@@ -933,7 +923,7 @@ class TestPersistence:
         raw[self.HEADER : self.HEADER + 4] = (3).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*field 3 .*shard 0 of 2"):
-            ShardedWeightTable.load(tmp_path, "table", 2)
+            ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 2)
 
     def test_load_rejects_repeated_pair(self, tmp_path):
         path = self.saved_shard(tmp_path)
@@ -942,13 +932,13 @@ class TestPersistence:
         raw[self.HEADER + 2 * self.RECORD :] = first
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(str(path)) + r".*field=0, key=1\) repeats"):
-            ShardedWeightTable.load(tmp_path, "table", 1)
+            ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     def test_load_rejects_fewer_than_one_shard(self, tmp_path):
         self.saved_shard(tmp_path)
         for n_shards in (0, -1):
             with pytest.raises(ValueError, match="at least one shard"):
-                ShardedWeightTable.load(tmp_path, "table", n_shards)
+                ShardedWeightTable.load(tmp_path, ONE_WEIGHT, n_shards)
 
     @pytest.mark.parametrize("other", [
         {"dim": 3},
@@ -959,17 +949,31 @@ class TestPersistence:
     def test_load_rejects_shard_unlike_shard_0(self, tmp_path, other):
         like = {"dim": 2, "dtype": np.float32, "slot_widths": {"acc": 2}}
         for sub, kw in (("a", like), ("b", {**like, **other})):
-            table = ShardedWeightTable(2, kw["dim"], seed=1, dtype=kw["dtype"],
-                                       slot_widths=kw["slot_widths"])
+            table = table_of(2, kw["dim"], seed=1, dtype=kw["dtype"],
+                             slot_widths=kw["slot_widths"])
             table.lookup(1, [1, 3], [5, 6])
             table.save(tmp_path / sub)
         path = tmp_path / "a" / "table-shard-0001.bin"
         path.write_bytes((tmp_path / "b" / "table-shard-0001.bin").read_bytes())
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*differ from shard 0"):
-            ShardedWeightTable.load(tmp_path / "a", "table", 2)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*differ from part 'table'"):
+            ShardedWeightTable.load(tmp_path / "a", list(table_of(2, **like).parts.values()), 2)
+
+    @pytest.mark.parametrize("other_keys", [[5, 7], [5], [5, 6, 7]])
+    def test_load_rejects_parts_whose_pairs_differ(self, tmp_path, other_keys):
+        parts = [TablePart("lin", 1, "zeros"), TablePart("lat", 2)]
+        for sub, keys in (("a", [5, 6]), ("b", other_keys)):
+            table = ShardedWeightTable(2, parts)
+            table.lookup(1, [1] * len(keys), keys)
+            table.save(tmp_path / sub)
+        path = tmp_path / "a" / "lat-shard-0001.bin"
+        path.write_bytes((tmp_path / "b" / "lat-shard-0001.bin").read_bytes())
+        first = tmp_path / "a" / "lin-shard-0001.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: (field, key) pairs differ from {first}'s")):
+            ShardedWeightTable.load(tmp_path / "a", parts, 2)
 
     def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch):
-        table = ShardedWeightTable(1, 2, seed=2)
+        table = table_of(1, 2, seed=2)
         table.lookup(0, [0], [1])
         table.save(tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table-shard-0000.bin"]
@@ -996,7 +1000,7 @@ def unique_reference(fields, keys):
 
 def shard_unique(batch, shard, n_shards):
     """The sorted unique pairs one rank's forward resolves: its slice, deduplicated."""
-    sl = batch.shard_slice(shard, n_shards)
+    sl = batch.shard_slices(n_shards)[shard]
     uf, uk, _ = unique_with_inverse(sl.fields, sl.keys)
     return uf, uk
 
