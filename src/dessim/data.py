@@ -1,143 +1,262 @@
-"""Criteo-format ingestion and a seeded synthetic stream generator.
+r"""Criteo-format ingestion and a seeded synthetic stream generator.
+
+The Criteo reader works on blocks of lines: ``BLOCK_LINES`` lines of the
+split, rounded to whole batches, so its working memory is one block however
+long the file is. Lines come from a text-mode file, so universal newlines
+and decoding are Python's: ``\n``, ``\r\n`` and a lone ``\r`` end a line,
+invalid UTF-8 raises ``UnicodeDecodeError``, and a byte-order mark stays part
+of the first cell. ``parse_criteo`` finds a block's tabs and newlines with
+numpy and checks and parses its labels and integer cells as arrays.
+``featurize`` hashes each distinct (column, token) of the block once and
+scatters the keys back, and each ``SparseBatch`` is cut from the block's flat
+arrays.
+
+An integer cell matching ``-?[0-9]{1,18}`` is parsed as an array; any other
+non-empty cell goes through ``int()`` one at a time, so the accepted syntax
+is ``int()``'s (a sign, surrounding whitespace, underscores between digits,
+non-ASCII digits). Values of 2**64 or more are rejected.
 
 Feature keys are 64-bit hashes of stable strings ("I{i}" for continuous
 columns, "C{j}:{token}" for categorical ones; see ``sparse.hash_text``), so
 identical tokens map to identical keys across runs and processes. Per hash
 seed, the 13 integer-column keys are constants, and each categorical column
 keeps a keyed hash state that has already absorbed "C{j}:", so a token costs
-one state copy plus its own bytes. Integer values come from a bounded memo
-of ``float(np.log1p(x))``; ``math.log1p`` can differ from numpy's in the last
-bit. The synthetic generator draws labels from a hidden logistic model, which
-gives training runs a knowable signal level and a controllable noise floor.
+one state copy plus its own bytes. Integer values are one ``np.log1p`` over
+the block. The synthetic generator draws labels from a hidden logistic model,
+which gives training runs a knowable signal level and a controllable noise
+floor.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields as dc_fields
+from itertools import islice
 
 import numpy as np
 
 from .errors import ParseError
-from .models import SparseBatch
+from .models import SampleFeatures, SparseBatch
 from .sparse import hash_text, text_hasher
 
 N_INT_FEATURES = 13
 N_CAT_FEATURES = 26
 N_CRITEO_FIELDS = N_INT_FEATURES + N_CAT_FEATURES
 CRITEO_COLUMNS = 1 + N_INT_FEATURES + N_CAT_FEATURES
+BLOCK_LINES = 512  # lines per parsed block, before rounding to whole batches
+HELD_OUT_EVERY = 20  # line n (from 1) is held out when n % 20 == 0
+
+# An integer cell of an optional minus and at most this many ASCII digits
+# fits int64 and is parsed as an array.
+_ARRAY_DIGITS = 18
+_TAB, _NEWLINE, _MINUS, _ZERO = 9, 10, 45, 48
 
 
 @dataclass(frozen=True)
-class CriteoRecord:
-    label: int
-    integers: tuple
+class CriteoBlock:
+    """Parsed lines, in columns.
+
+    ``labels`` is 0.0 or 1.0 per line. ``integers`` holds each integer cell
+    as the nearest float64, with negative and empty cells as 0 (log(1+x)
+    reads a negative x as 0). ``present`` marks the non-empty cells of the 39
+    feature columns. ``categoricals`` holds, per categorical column, a list
+    of its cells' UTF-8 bytes, ``b""`` where empty.
+    """
+
+    labels: np.ndarray
+    integers: np.ndarray
+    present: np.ndarray
     categoricals: tuple
 
 
-def _where(line_no):
-    return f" at line {line_no}" if line_no is not None else ""
+def parse_criteo(text, first_line_no=1):
+    r"""Parse 40-column tab-separated lines into a ``CriteoBlock``.
 
-
-def parse_criteo(line, line_no=None):
-    """One 40-column TSV line; empty cells become None.
-
-    Raises ``ParseError`` naming the line for a wrong column count, a label
-    other than 0 or 1, or an integer cell that is not an integer (naming its
+    ``\n``, ``\r\n`` and a lone ``\r`` end a line; the last need not end.
+    Lines are numbered from ``first_line_no``, or by ``first_line_no[i]``
+    when it is an array (the reader's blocks hold one split, which skips
+    line numbers). Raises ``ParseError`` at the first bad line, naming it:
+    for a column count other than 40, a label other than 0 or 1, or an
+    integer cell that is not an integer or is 2**64 or more (naming its
     column too; the label is column 1).
     """
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != CRITEO_COLUMNS:
-        raise ParseError(
-            f"expected {CRITEO_COLUMNS} tab-separated columns, got {len(parts)}{_where(line_no)}"
-        )
-    try:
-        label = int(parts[0])
-    except ValueError:
-        label = None
-    if label not in (0, 1):
-        raise ParseError(f"bad label {parts[0]!r}, expected 0 or 1{_where(line_no)}")
-    cells = parts[1 : 1 + N_INT_FEATURES]
-    try:
-        ints = tuple([int(p) if p else None for p in cells])
-    except ValueError:
-        for col, cell in enumerate(cells, 2):
-            try:
-                int(cell or 0)
-            except ValueError:
-                raise ParseError(
-                    f"bad integer {cell!r} in column {col}{_where(line_no)}"
-                ) from None
-        raise
-    cats = tuple([p if p else None for p in parts[1 + N_INT_FEATURES :]])
-    return CriteoRecord(label=label, integers=ints, categoricals=cats)
+    raw = text.replace("\r\n", "\n").replace("\r", "\n").encode("utf-8")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    line_ends = np.flatnonzero(buf == _NEWLINE)
+    n = len(line_ends)
+    if np.ndim(first_line_no) == 0:
+        line_nos = first_line_no + np.arange(n)
+    else:
+        line_nos = np.asarray(first_line_no)
+    tabs = np.flatnonzero(buf == _TAB)
+    n_cols = np.diff(np.searchsorted(tabs, line_ends), prepend=0) + 1
+    wrong = np.flatnonzero(n_cols != CRITEO_COLUMNS)
+    n_ok = int(wrong[0]) if wrong.size else n
+    errors = []  # (line index, column, message); the smallest is raised
+    if n_ok < n:
+        errors.append((n_ok, 0, f"expected {CRITEO_COLUMNS} tab-separated columns, "
+                                f"got {n_cols[n_ok]}"))
+
+    # Cell c of line i spans raw[starts[i, c]:ends[i, c]], for lines before the first bad count.
+    bounds = tabs[: n_ok * (CRITEO_COLUMNS - 1)].reshape(n_ok, CRITEO_COLUMNS - 1)
+    line_starts = np.concatenate(([0], line_ends[: n_ok - 1] + 1))[:n_ok]
+    starts = np.column_stack((line_starts, bounds + 1))
+    ends = np.column_stack((bounds, line_ends[:n_ok]))
+
+    def cell(i, c):
+        return raw[starts[i, c] : ends[i, c]].decode("utf-8")
+
+    first = buf[starts[:, 0]]
+    labels = (first - _ZERO).astype(np.float64)
+    # Label cells other than "0" and "1" go through int(); bytes below "0" wrap past 1.
+    for i in np.flatnonzero((ends[:, 0] - starts[:, 0] != 1) | (first - _ZERO > 1)).tolist():
+        try:
+            label = int(cell(i, 0))
+        except ValueError:
+            label = None
+        if label not in (0, 1):
+            errors.append((i, 1, f"bad label {cell(i, 0)!r}, expected 0 or 1"))
+            break
+        labels[i] = label
+
+    integers, present_ints = _parse_integers(
+        buf, starts[:, 1 : 1 + N_INT_FEATURES], ends[:, 1 : 1 + N_INT_FEATURES])
+    for i, c in np.argwhere(present_ints & np.isnan(integers)).tolist():
+        value = cell(i, 1 + c)
+        try:
+            x = int(value)
+        except ValueError:
+            errors.append((i, 2 + c, f"bad integer {value!r} in column {2 + c}"))
+            break
+        if x >= 2**64:
+            errors.append((i, 2 + c, f"integer {value!r} in column {2 + c} is 2**64 or more"))
+            break
+        integers[i, c] = float(max(x, 0))
+    if errors:
+        i, _, message = min(errors)
+        raise ParseError(f"{message} at line {line_nos[i]}")
+
+    cells = raw.replace(b"\n", b"\t").split(b"\t")
+    present = np.empty((n, N_CRITEO_FIELDS), dtype=bool)
+    present[:, :N_INT_FEATURES] = present_ints
+    present[:, N_INT_FEATURES:] = ends[:, 1 + N_INT_FEATURES :] > starts[:, 1 + N_INT_FEATURES :]
+    return CriteoBlock(
+        labels=labels,
+        integers=integers,
+        present=present,
+        categoricals=tuple(
+            cells[1 + N_INT_FEATURES + j : n * CRITEO_COLUMNS : CRITEO_COLUMNS]
+            for j in range(N_CAT_FEATURES)
+        ),
+    )
 
 
-@functools.lru_cache(maxsize=4096)
-def _int_value(x):
-    """log(1+x) for x >= 0, else 0, by numpy: ``math.log1p`` can differ in the last bit."""
-    return float(np.log1p(x)) if x >= 0 else 0.0
+def _parse_integers(buf, starts, ends):
+    """Integer cells as float64, negative and empty ones as 0, and which are non-empty.
+
+    Cells of an optional minus and 1 to 18 ASCII digits are parsed here;
+    every other non-empty cell is NaN, for the caller to parse one at a time.
+    """
+    width = ends - starts
+    present = width > 0
+    negative = buf[starts] == _MINUS  # an empty cell's start is its closing tab
+    span = int(min(width.max(initial=0), _ARRAY_DIGITS + 1))
+    padded = np.concatenate((np.zeros(span, dtype=np.uint8), buf))
+    # The last `span` bytes before each cell's end: window[..., k] is buf[end - span + k].
+    window = np.lib.stride_tricks.sliding_window_view(padded, span)[ends]
+    digits = window - _ZERO  # bytes below "0" wrap past 9
+    digit = (np.arange(span) >= (span - width)[..., None]) & (digits <= 9)
+    n_digits = digit.sum(axis=-1)
+    ok = (n_digits == width - negative) & (n_digits >= 1) & (n_digits <= _ARRAY_DIGITS)
+    digits[~digit] = 0
+    value = np.zeros(starts.shape, dtype=np.int64)
+    for k in range(span):
+        value = value * 10 + digits[..., k]
+    integers = np.where(ok & ~negative, value, 0).astype(np.float64)
+    integers[present & ~ok] = np.nan
+    return integers, present
 
 
 @functools.lru_cache(maxsize=16)
 def _column_hashers(hash_seed):
     """Per seed: the integer columns' keys and the categorical columns' states."""
-    int_keys = tuple(hash_text(f"I{i}", hash_seed) for i in range(N_INT_FEATURES))
+    int_keys = np.array([hash_text(f"I{i}", hash_seed) for i in range(N_INT_FEATURES)],
+                        dtype=np.uint64)
+    int_keys.flags.writeable = False
     cat_states = tuple(text_hasher(f"C{j}:", hash_seed) for j in range(N_CAT_FEATURES))
     return int_keys, cat_states
 
 
-def featurize(record, hash_seed=0):
-    """(field, key, value) triples for one record.
+def featurize(block, hash_seed=0):
+    """A parsed block's features as a ``SampleFeatures``, line by line.
 
     Continuous column i keeps one key per field ("I{i}") and carries its
     signal in the value, log(1+x) for x >= 0 and 0 for negative x.
-    Categorical column j contributes key hash("C{j}:{token}") with value 1.
-    Missing cells emit nothing. A hash seed outside ``[0, 2**64)`` raises
-    ``ValueError``.
+    Categorical column j contributes key hash("C{j}:{token}") with value 1;
+    each distinct token of a column is hashed once per block. Empty cells
+    emit nothing. Within a sample, features follow field order. A hash seed
+    outside ``[0, 2**64)`` raises ``ValueError``.
     """
     int_keys, cat_states = _column_hashers(hash_seed)
-    out = [(i, int_keys[i], _int_value(x)) for i, x in enumerate(record.integers) if x is not None]
-    for j, token in enumerate(record.categoricals):
-        if token is not None:
-            h = cat_states[j].copy()
-            h.update(token.encode("utf-8"))
-            out.append((N_INT_FEATURES + j, int.from_bytes(h.digest(), "little"), 1.0))
-    return out
+    n = len(block.labels)
+    keys = np.empty((n, N_CRITEO_FIELDS), dtype=np.uint64)
+    values = np.ones((n, N_CRITEO_FIELDS), dtype=np.float32)
+    keys[:, :N_INT_FEATURES] = int_keys
+    values[:, :N_INT_FEATURES] = np.log1p(block.integers)
+    for j, (state, column) in enumerate(zip(cat_states, block.categoricals)):
+        digests = dict.fromkeys(column)
+        for token in digests:
+            h = state.copy()
+            h.update(token)
+            digests[token] = h.digest()
+        keys[:, N_INT_FEATURES + j] = np.frombuffer(
+            b"".join(map(digests.__getitem__, column)), dtype="<u8")
+    present = block.present
+    return SampleFeatures(
+        offsets=np.concatenate(([0], np.cumsum(present.sum(axis=1)))),
+        fields=np.broadcast_to(np.arange(N_CRITEO_FIELDS), present.shape)[present],
+        keys=keys[present],
+        values=values[present],
+    )
 
 
 def read_criteo_batches(path, batch_size, split="all", hash_seed=0, limit=None):
     """Yield SparseBatch objects from a Criteo TSV file.
 
     The train/test split is positional: every twentieth line is test, the
-    rest train. Sample order within a split follows file order. An unknown
-    split or a hash seed outside ``[0, 2**64)`` raises ``ValueError`` before
-    the file is opened.
+    rest train. ``limit`` caps the file lines read. Sample order within a
+    split follows file order. The split's lines are parsed ``BLOCK_LINES``
+    at a time, rounded to whole batches, so memory in use is one block plus
+    the batches the caller keeps. An unknown split, a batch size below 1 or
+    a hash seed outside ``[0, 2**64)`` raises ``ValueError`` before the file
+    is opened.
     """
     if split not in ("train", "test", "all"):
         raise ValueError(f"unknown split {split!r}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     _column_hashers(hash_seed)  # checks the seed even when the file has no records
-    labels, samples = [], []
-    n_used = 0
+    block_lines = batch_size * max(1, BLOCK_LINES // batch_size)
     with open(path, "rt", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            if limit is not None and line_no >= limit:
-                break
-            is_test = line_no % 20 == 19
-            if split == "train" and is_test:
-                continue
-            if split == "test" and not is_test:
-                continue
-            record = parse_criteo(line, line_no=line_no + 1)
-            labels.append(record.label)
-            samples.append(featurize(record, hash_seed))
-            n_used += 1
-            if n_used == batch_size:
-                yield SparseBatch.from_samples(labels, samples)
-                labels, samples = [], []
-                n_used = 0
-    if labels:
-        yield SparseBatch.from_samples(labels, samples)
+        numbered = enumerate(islice(fh, None if limit is None else max(limit, 0)), 1)
+        if split != "all":
+            held_out = split == "test"
+            numbered = (
+                (n, line) for n, line in numbered if (n % HELD_OUT_EVERY == 0) == held_out
+            )
+        while chunk := list(islice(numbered, block_lines)):
+            line_nos, lines = zip(*chunk)
+            block = parse_criteo("".join(lines), np.array(line_nos))
+            features = featurize(block, hash_seed)
+            labels = block.labels
+            # Free the block's per-cell objects before the batches are made,
+            # so that long-lived batches do not pin the memory they held.
+            del block, chunk, lines
+            for start in range(0, len(labels), batch_size):
+                stop = start + batch_size
+                yield SparseBatch.from_samples(labels[start:stop], features[start:stop])
 
 
 @dataclass(frozen=True)
@@ -215,7 +334,12 @@ class SyntheticTruth:
 
 
 def gen_synthetic(spec, n_samples, batch_size, seed):
-    """Yield seeded SparseBatch objects; the same arguments replay the stream."""
+    """Yield seeded SparseBatch objects; the same arguments replay the stream.
+
+    A batch size below 1 raises ``ValueError``.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     truth = SyntheticTruth(spec)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 21)))
     remaining = int(n_samples)

@@ -87,20 +87,63 @@ class SparseBatch:
 
     @staticmethod
     def from_samples(labels, samples):
-        """Build from one (field, key, value) list per sample."""
-        sample_ids, fields, keys, values = [], [], [], []
-        for i, feats in enumerate(samples):
+        """Build from one (field, key, value) list per sample, or from a ``SampleFeatures``."""
+        if not isinstance(samples, SampleFeatures):
+            samples = SampleFeatures.from_lists(samples)
+        counts = np.diff(samples.offsets)
+        return SparseBatch(
+            labels=labels,
+            sample_ids=np.repeat(np.arange(len(counts), dtype=np.int64), counts),
+            fields=samples.fields,
+            keys=samples.keys,
+            values=samples.values,
+        )
+
+
+@dataclass
+class SampleFeatures:
+    """The feature occurrences of consecutive samples, flat.
+
+    Sample i owns entries ``offsets[i]:offsets[i + 1]`` of ``fields``,
+    ``keys`` and ``values``; ``offsets`` starts at 0. Slicing with a step of
+    1 gives a run of samples as its own ``SampleFeatures``.
+    """
+
+    offsets: np.ndarray
+    fields: np.ndarray
+    keys: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def from_lists(samples):
+        """From one (field, key, value) list per sample."""
+        offsets, fields, keys, values = [0], [], [], []
+        for feats in samples:
             for f, k, v in feats:
-                sample_ids.append(i)
                 fields.append(f)
                 keys.append(k)
                 values.append(v)
-        return SparseBatch(
-            labels=np.asarray(labels, dtype=np.float64),
-            sample_ids=np.asarray(sample_ids, dtype=np.int64),
+            offsets.append(len(fields))
+        return SampleFeatures(
+            offsets=np.asarray(offsets, dtype=np.int64),
             fields=np.asarray(fields, dtype=np.int64),
             keys=np.asarray(keys, dtype=np.uint64),
             values=np.asarray(values, dtype=np.float32),
+        )
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index):
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            raise ValueError("SampleFeatures slices take a step of 1")
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return SampleFeatures(
+            offsets=self.offsets[start : stop + 1] - lo,
+            fields=self.fields[lo:hi],
+            keys=self.keys[lo:hi],
+            values=self.values[lo:hi],
         )
 
 

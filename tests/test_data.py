@@ -1,12 +1,16 @@
 """Input pipeline: click-log parsing, hashing featurizer, synthetic stream."""
 
 import math
+import re
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dessim import data, training
 from dessim.data import (
-    CriteoRecord,
     SyntheticSpec,
     featurize,
     gen_synthetic,
@@ -17,6 +21,12 @@ from dessim.errors import ParseError
 from dessim.models import ModelGraph, SparseBatch
 from dessim.sparse import hash_text
 from dessim.training import RunConfig, train
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import write_criteo_tsv  # noqa: E402
 
 
 def make_line(label, ints, cats):
@@ -29,24 +39,103 @@ def make_line(label, ints, cats):
 FULL_INTS = list(range(13))
 FULL_CATS = [f"tok{j:02d}" for j in range(26)]
 
+# Integer cells outside -?[0-9]{1,18}: int() parses them one at a time.
+ODD_INTEGERS = ["+5", " 7", "7 ", "0_1", "007", "-0", "٣", " 12",
+                str(10**18), str(2**63 - 1), str(2**63), str(2**64 - 1), "-" + "9" * 25,
+                "0" * 30 + "4"]
+BAD_INTEGERS = ["x", "-", "1.5", "0x10", "1_", "--1", "1 2", str(2**64), "9" * 21]
+
+
+# ---------------------------------------------------------------------------
+# the per-line reference: the reader as it was, one record and one token at a time
+
+def reference_parse(line, line_no):
+    """(label, integers, categoricals) of one line; empty cells are None."""
+    where = f" at line {line_no}"
+    parts = line.split("\t")
+    if len(parts) != 40:
+        raise ParseError(f"expected 40 tab-separated columns, got {len(parts)}{where}")
+    try:
+        label = int(parts[0])
+    except ValueError:
+        label = None
+    if label not in (0, 1):
+        raise ParseError(f"bad label {parts[0]!r}, expected 0 or 1{where}")
+    ints = []
+    for col, cell in enumerate(parts[1:14], 2):
+        try:
+            x = int(cell) if cell else None
+        except ValueError:
+            raise ParseError(f"bad integer {cell!r} in column {col}{where}") from None
+        if x is not None and x >= 2**64:
+            raise ParseError(f"integer {cell!r} in column {col} is 2**64 or more{where}")
+        ints.append(x)
+    return label, ints, [p if p else None for p in parts[14:]]
+
+
+def reference_featurize(record, hash_seed=0):
+    """One hash_text and one numpy log1p per cell: the keys and values featurize keeps."""
+    _, ints, cats = record
+    out = []
+    for i, x in enumerate(ints):
+        if x is not None:
+            value = float(np.log1p(x)) if x >= 0 else 0.0
+            out.append((i, hash_text(f"I{i}", hash_seed), value))
+    for j, token in enumerate(cats):
+        if token is not None:
+            out.append((13 + j, hash_text(f"C{j}:{token}", hash_seed), 1.0))
+    return out
+
+
+def reference_lines(path):
+    """The file's lines under universal newlines, split on the bytes."""
+    lines = re.split(rb"\r\n|\r|\n", Path(path).read_bytes())
+    if lines[-1] == b"":
+        lines.pop()
+    return [line.decode("utf-8") for line in lines]
+
+
+def reference_batches(path, batch_size, split="all", hash_seed=0, limit=None):
+    """The reader's batches from per-line parsing and per-token hashing."""
+    lines = reference_lines(path)[:limit]
+    keep = [(n, line) for n, line in enumerate(lines, 1)
+            if split == "all" or (n % 20 == 0) == (split == "test")]
+    for start in range(0, len(keep), batch_size):
+        records = [reference_parse(line, n) for n, line in keep[start : start + batch_size]]
+        yield SparseBatch.from_samples(
+            [r[0] for r in records], [reference_featurize(r, hash_seed) for r in records])
+
+
+def batch_bits(batches):
+    return [[(name, str(getattr(b, name).dtype), getattr(b, name).tobytes())
+             for name in ("labels", "sample_ids", "fields", "keys", "values")]
+            for b in batches]
+
+
+def features_of(text, hash_seed=0):
+    """featurize's output for parsed text, as one (field, key, value) list per line."""
+    feats = featurize(parse_criteo(text), hash_seed)
+    return [list(zip(feats.fields[a:b].tolist(), feats.keys[a:b].tolist(),
+                     feats.values[a:b].tolist()))
+            for a, b in zip(feats.offsets[:-1], feats.offsets[1:])]
+
 
 class TestParsing:
     def test_full_line(self):
-        rec = parse_criteo(make_line(1, FULL_INTS, FULL_CATS) + "\n")
-        assert rec.label == 1
-        assert rec.integers == tuple(range(13))
-        assert rec.categoricals == tuple(FULL_CATS)
+        block = parse_criteo(make_line(1, FULL_INTS, FULL_CATS) + "\n")
+        assert block.labels.tolist() == [1.0]
+        assert block.integers.tolist() == [list(map(float, range(13)))]
+        assert [col[0] for col in block.categoricals] == [t.encode() for t in FULL_CATS]
+        assert block.present.all()
 
     def test_empty_cells_become_none(self):
-        ints = [None] * 13
-        cats = [None] * 26
-        rec = parse_criteo(make_line(0, ints, cats))
-        assert rec.integers == (None,) * 13
-        assert rec.categoricals == (None,) * 26
+        block = parse_criteo(make_line(0, [None] * 13, [None] * 26))
+        assert not block.present.any()
+        assert features_of(make_line(0, [None] * 13, [None] * 26)) == [[]]
 
     def test_wrong_column_count_names_the_line(self):
-        with pytest.raises(ParseError, match="line 7"):
-            parse_criteo("1\t2\t3", line_no=7)
+        with pytest.raises(ParseError, match="got 3 at line 7"):
+            parse_criteo("1\t2\t3", 7)
 
     def test_bad_label(self):
         with pytest.raises(ParseError, match="label"):
@@ -55,107 +144,151 @@ class TestParsing:
     @pytest.mark.parametrize("label", [2, -1])
     def test_label_outside_0_1_names_the_line(self, label):
         with pytest.raises(ParseError, match=r"label .*line 4"):
-            parse_criteo(make_line(label, FULL_INTS, FULL_CATS), line_no=4)
+            parse_criteo(make_line(label, FULL_INTS, FULL_CATS), 4)
 
     def test_non_integer_cell_names_line_and_column(self):
         ints = [1, 2, "x"] + [None] * 10
         with pytest.raises(ParseError, match=r"'x' in column 4 at line 7"):
-            parse_criteo(make_line(1, ints, FULL_CATS), line_no=7)
+            parse_criteo(make_line(1, ints, FULL_CATS), 7)
 
     def test_wide_integer_cells(self):
-        ints = [0, 1, -5, 2**31, 10**12] + [None] * 8
-        rec = parse_criteo(make_line(0, ints, FULL_CATS))
-        assert rec.integers == tuple(ints)
+        ints = [0, 1, -5, 2**31, 10**12, 10**18 - 1, 2**63, 2**64 - 1, -(2**70)] + [None] * 4
+        block = parse_criteo(make_line(0, ints, FULL_CATS))
+        want = [float(max(x, 0)) for x in ints[:9]] + [0.0] * 4
+        assert block.integers.tolist() == [want]
+
+    @pytest.mark.parametrize("cell", ODD_INTEGERS)
+    def test_int_syntax_is_int_s(self, cell):
+        block = parse_criteo(make_line(1, [cell] + FULL_INTS[1:], FULL_CATS))
+        assert block.integers[0, 0] == float(max(int(cell), 0))
+
+    @pytest.mark.parametrize("cell", BAD_INTEGERS)
+    def test_bad_integer_message_matches_reference(self, cell):
+        line = make_line(1, [3, 4, cell] + [None] * 10, FULL_CATS)
+        with pytest.raises(ParseError) as want:
+            reference_parse(line, 9)
+        with pytest.raises(ParseError) as got:
+            parse_criteo(line, 9)
+        assert str(got.value) == str(want.value)
+        assert "column 4 " in str(got.value) and "line 9" in str(got.value)
+
+    def test_integer_of_2_64_names_line_and_column(self):
+        ints = [1, 2**64 - 1, 2**64] + [None] * 10
+        with pytest.raises(ParseError, match=r"'18446744073709551616' in column 4 .*at line 3"):
+            parse_criteo(make_line(1, ints, FULL_CATS), 3)
+
+    def test_lines_are_numbered_from_the_first(self):
+        good = make_line(1, FULL_INTS, FULL_CATS)
+        text = "\n".join([good, good, "1\t2"]) + "\n"
+        with pytest.raises(ParseError, match="got 2 at line 12$"):
+            parse_criteo(text, 10)
+        with pytest.raises(ParseError, match="got 2 at line 90$"):
+            parse_criteo(text, np.array([5, 60, 90]))
+
+    def test_first_bad_line_wins_and_columns_are_checked_in_order(self):
+        good = make_line(1, FULL_INTS, FULL_CATS)
+        bad_int = make_line(0, [1, "y"] + [None] * 11, FULL_CATS)
+        bad_label_and_int = make_line(5, [1, "y"] + [None] * 11, FULL_CATS)
+        cases = [
+            ([good, bad_int, "short"], "'y' in column 3 at line 2"),
+            ([good, "short", bad_int], "got 1 at line 2"),
+            ([bad_label_and_int, bad_int], "bad label '5', expected 0 or 1 at line 1"),
+            ([good, bad_int, bad_label_and_int], "'y' in column 3 at line 2"),
+        ]
+        for lines, message in cases:
+            with pytest.raises(ParseError) as err:
+                parse_criteo("\n".join(lines))
+            assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("text, n_lines", [
+        ("", 0), ("L", 1), ("L\n", 1), ("L\r\n", 1), ("L\rL", 2), ("L\r\nL\rL\n", 3)])
+    def test_universal_newlines(self, text, n_lines):
+        line = make_line(1, FULL_INTS, FULL_CATS)
+        block = parse_criteo(text.replace("L", line))
+        assert len(block.labels) == n_lines
+        assert all(col == [b"tok25"] * n_lines for col in block.categoricals[25:])
 
 
 class TestFeaturizer:
     def test_integer_value_transform(self):
-        rec = CriteoRecord(label=1, integers=(0, 1, -5) + (None,) * 10,
-                           categoricals=(None,) * 26)
-        feats = featurize(rec)
+        feats = features_of(make_line(1, [0, 1, -5] + [None] * 10, [None] * 26))[0]
         by_field = {f: v for f, _, v in feats}
         assert by_field[0] == 0.0
-        assert abs(by_field[1] - math.log(2.0)) < 1e-12
+        assert abs(by_field[1] - math.log(2.0)) < 1e-6
         assert by_field[2] == 0.0
         assert set(by_field) == {0, 1, 2}
 
     def test_integer_key_is_per_column_not_per_value(self):
-        a = CriteoRecord(label=1, integers=(3,) + (None,) * 12,
-                         categoricals=(None,) * 26)
-        b = CriteoRecord(label=1, integers=(9,) + (None,) * 12,
-                         categoricals=(None,) * 26)
-        assert featurize(a)[0][1] == featurize(b)[0][1]
+        a, b = features_of("\n".join(make_line(1, [x] + [None] * 12, [None] * 26)
+                                     for x in (3, 9)))
+        assert a[0][1] == b[0][1]
 
     def test_categorical_fields_offset_past_integers(self):
-        rec = CriteoRecord(label=0, integers=(None,) * 13,
-                           categoricals=("x",) + (None,) * 25)
-        feats = featurize(rec)
+        feats = features_of(make_line(0, [None] * 13, ["x"] + [None] * 25))[0]
         assert feats == [(13, feats[0][1], 1.0)]
 
     def test_same_token_same_key_across_records(self):
-        rec = CriteoRecord(label=0, integers=(None,) * 13,
-                           categoricals=(None, "abc") + (None,) * 24)
-        assert featurize(rec) == featurize(rec)
+        line = make_line(0, [None] * 13, [None, "abc"] + [None] * 24)
+        a, b = features_of(line + "\n" + line)
+        assert a == b == features_of(line)[0]
 
     def test_token_keys_separate_by_column(self):
-        rec = CriteoRecord(label=0, integers=(None,) * 13,
-                           categoricals=("abc", "abc") + (None,) * 24)
-        feats = featurize(rec)
+        feats = features_of(make_line(0, [None] * 13, ["abc", "abc"] + [None] * 24))[0]
         assert feats[0][1] != feats[1][1]
 
     def test_hash_seed_moves_keys(self):
-        rec = CriteoRecord(label=0, integers=(None,) * 13,
-                           categoricals=("abc",) + (None,) * 25)
-        assert featurize(rec, hash_seed=0) != featurize(rec, hash_seed=1)
+        line = make_line(0, [None] * 13, ["abc"] + [None] * 25)
+        assert features_of(line, hash_seed=0) != features_of(line, hash_seed=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     def test_bitwise_equal_to_per_token_reference(self, seed):
-        records = [
-            CriteoRecord(label=1, integers=(0, 1, -5, 2**31, 10**12) + (None,) * 8,
-                         categoricals=("déjà", "キー", "", "a\u00e9b") + (None,) * 22),
-            CriteoRecord(label=0, integers=(None,) * 12 + (7,),
-                         categoricals=(None,) * 25 + ("ünï",)),
-            CriteoRecord(label=0, integers=tuple(range(13)), categoricals=tuple(FULL_CATS)),
-            CriteoRecord(label=1, integers=(None,) * 13, categoricals=(None,) * 26),
+        lines = [
+            make_line(1, [0, 1, -5, 2**31, 10**12] + [None] * 8,
+                      ["déjà", "キー", None, "aéb"] + [None] * 22),
+            make_line(0, [None] * 12 + [7], [None] * 25 + ["ünï"]),
+            make_line(0, FULL_INTS, FULL_CATS),
+            make_line(1, [None] * 13, [None] * 26),
+            make_line(1, ODD_INTEGERS[:13], ["ab", "ab\0", "ab\0\0", "0123456789abcdef0"]
+                      + ["déjà"] * 22),
+            make_line(0, ODD_INTEGERS[13:] + [None] * 12, ["ab\0", "ab", "ab", "0123456789abcdef1"]
+                      + ["\ufefftok"] * 22),
         ]
-        for rec in records:
-            assert feature_bits(featurize(rec, seed)) == feature_bits(
-                reference_featurize(rec, seed))
+        got = features_of("\n".join(lines), seed)
+        want = [reference_featurize(reference_parse(line, 1), seed) for line in lines]
+        assert [feature_bits(g) for g in got] == [feature_bits(w) for w in want]
+
+    def test_tokens_differing_by_a_trailing_nul_get_their_own_keys(self):
+        feats = features_of(make_line(0, [None] * 13, ["ab", "ab"] + [None] * 24) + "\n"
+                            + make_line(0, [None] * 13, ["ab\0", "ab\0\0"] + [None] * 24))
+        keys = [k for sample in feats for _, k, _ in sample]
+        assert len(set(keys)) == 4
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_named(self, seed):
-        rec = CriteoRecord(label=0, integers=(1,) + (None,) * 12,
-                           categoricals=("abc",) + (None,) * 25)
+        block = parse_criteo(make_line(0, [1] + [None] * 12, ["abc"] + [None] * 25))
         with pytest.raises(ValueError, match=f"seed {seed}"):
-            featurize(rec, hash_seed=seed)
-
-
-def reference_featurize(record, hash_seed=0):
-    """One hash_text and one numpy log1p per cell: the keys and values featurize keeps."""
-    out = []
-    for i, x in enumerate(record.integers):
-        if x is not None:
-            value = float(np.log1p(x)) if x >= 0 else 0.0
-            out.append((i, hash_text(f"I{i}", hash_seed), value))
-    for j, token in enumerate(record.categoricals):
-        if token is not None:
-            out.append((13 + j, hash_text(f"C{j}:{token}", hash_seed), 1.0))
-    return out
+            featurize(block, hash_seed=seed)
 
 
 def feature_bits(feats):
-    """Triples with each value as its exact bits, so 0.0 and -0.0 differ."""
-    return [(type(f), f, type(k), k, type(v), v.hex()) for f, k, v in feats]
+    """Triples with each value as its float32 bits, so 0.0 and -0.0 differ."""
+    return [(int(f), int(k), np.float32(v).tobytes()) for f, k, v in feats]
 
 
-def reference_batches(path, batch_size, split, hash_seed=0):
-    """The reader's batches from per-token reference features."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    keep = [(n, line) for n, line in enumerate(lines) if (n % 20 == 19) == (split == "test")]
-    for start in range(0, len(keep), batch_size):
-        records = [parse_criteo(line, n + 1) for n, line in keep[start : start + batch_size]]
-        yield SparseBatch.from_samples(
-            [r.label for r in records], [reference_featurize(r, hash_seed) for r in records])
+def odd_log(rng, n_lines, tokens=("déjà", "キー", "ünï", "x", "0a1b2c3d")):
+    """Lines with wide and non-canonical integers and varied tokens."""
+    wide = [0, 1, -5, 2**31, 10**12, 2**64 - 1, 2**63]
+    lines = []
+    for _ in range(n_lines):
+        ints = [ODD_INTEGERS[rng.integers(len(ODD_INTEGERS))] if rng.random() < 0.1 else
+                wide[rng.integers(len(wide))] if rng.random() < 0.2 else
+                int(rng.integers(-3, 1000)) if rng.random() < 0.8 else None
+                for _ in range(13)]
+        cats = [tokens[rng.integers(len(tokens))] + (
+                    str(int(rng.integers(0, 50))) if rng.random() < 0.8 else "")
+                if rng.random() < 0.9 else None for _ in range(26)]
+        lines.append(make_line(int(rng.integers(0, 2)), ints, cats))
+    return lines
 
 
 class TestFileReader:
@@ -193,36 +326,65 @@ class TestFileReader:
         path, _ = log_file
         batches = list(read_criteo_batches(path, 64, split="all", limit=10))
         assert sum(b.batch_size for b in batches) == 10
+        train = list(read_criteo_batches(path, 64, split="train", limit=40))
+        assert sum(b.batch_size for b in train) == 38
 
     def test_unknown_split(self, log_file):
         path, _ = log_file
         with pytest.raises(ValueError):
             list(read_criteo_batches(path, 8, split="dev"))
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_is_named(self, tmp_path, batch_size):
+        missing = tmp_path / "never-opened.tsv"
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            next(read_criteo_batches(missing, batch_size))
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            next(gen_synthetic(SyntheticSpec(), 100, batch_size, seed=1))
+
     @pytest.mark.parametrize("batch_size", [1, 7, 128])
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_batches_bitwise_equal_to_reference_reader(self, tmp_path, batch_size, split):
-        rng = np.random.default_rng(71)
-        wide = [0, 1, -5, 2**31, 10**12]
-        tokens = ["déjà", "キー", "ünï", "x", "0a1b2c3d"]
-        lines = []
-        for _ in range(300):
-            ints = [int(rng.choice(wide)) if rng.random() < 0.3 else
-                    int(rng.integers(-3, 1000)) if rng.random() < 0.8 else None
-                    for _ in range(13)]
-            cats = [str(rng.choice(tokens)) + str(int(rng.integers(0, 50)))
-                    if rng.random() < 0.9 else None for _ in range(26)]
-            lines.append(make_line(int(rng.integers(0, 2)), ints, cats))
         path = tmp_path / "clicks.tsv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join(odd_log(np.random.default_rng(71), 300)) + "\n",
+                        encoding="utf-8")
         got = list(read_criteo_batches(path, batch_size, split=split, hash_seed=3))
         want = list(reference_batches(path, batch_size, split, hash_seed=3))
         assert len(got) == len(want) > 0
-        for g, w in zip(got, want):
-            for name in ("labels", "sample_ids", "fields", "keys", "values"):
-                a, b = getattr(g, name), getattr(w, name)
-                assert a.dtype == b.dtype, name
-                assert a.tobytes() == b.tobytes(), name
+        assert batch_bits(got) == batch_bits(want)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 128])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_small_blocks_equal_reference_reader(self, tmp_path, monkeypatch, batch_size, split):
+        # Blocks of a few lines split the file many times over; every
+        # line-ending and token case below crosses some block edge.
+        monkeypatch.setattr(data, "BLOCK_LINES", 3)
+        rng = np.random.default_rng(72)
+        tokens = ("0123456789abcdef", "déjà-vu-encore", "ab", "ab\0", "ab\0\0", "キー",
+                  "\ufeffbom", "aéb")
+        lines = odd_log(rng, 400, tokens)
+        ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines), p=[0.6, 0.2, 0.2])
+        text = "".join(line + end for line, end in zip(lines, ends))[:-1]  # no final newline
+        path = tmp_path / "clicks.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got = list(read_criteo_batches(path, batch_size, split=split, hash_seed=5))
+        want = list(reference_batches(path, batch_size, split, hash_seed=5))
+        assert sum(b.batch_size for b in got) == (380 if split == "train" else 20)
+        assert batch_bits(got) == batch_bits(want)
+
+    def test_crlf_across_a_read_chunk_counts_once(self, tmp_path):
+        # Text-mode files decode 8,192 bytes at a time; put a \r\n across that edge.
+        line = make_line(1, FULL_INTS, FULL_CATS)
+        head = "\n".join([line] * 40) + "\n"
+        pad = 8191 - len(head.encode()) - len(line.encode())
+        first = make_line(1, FULL_INTS, ["p" * (pad + 5)] + FULL_CATS[1:])
+        text = head + first + "\r\n" + line + "\r\n"
+        assert text.encode().index(b"\r\n", len(head)) == 8191
+        path = tmp_path / "clicks.tsv"
+        path.write_bytes(text.encode())
+        got = list(read_criteo_batches(path, 64, split="all"))
+        assert sum(b.batch_size for b in got) == 42
+        assert batch_bits(got) == batch_bits(reference_batches(path, 64, "all"))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_named(self, tmp_path, seed):
@@ -237,6 +399,88 @@ class TestFileReader:
         path.write_text(good + "\n" + "not\ta\tlog\tline\n")
         with pytest.raises(ParseError, match="line 2"):
             list(read_criteo_batches(path, 8))
+
+    @pytest.mark.parametrize("bad", [
+        "not\ta\tlog", "",
+        make_line("click", FULL_INTS, FULL_CATS),
+        make_line(1, [1, 2, 3, "1.5"] + [None] * 9, FULL_CATS),
+        make_line(1, [2**64] + [None] * 12, FULL_CATS),
+    ])
+    @pytest.mark.parametrize("line_no", [29, 40])
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_errors_in_a_later_block_match_reference(
+            self, tmp_path, monkeypatch, bad, line_no, split):
+        monkeypatch.setattr(data, "BLOCK_LINES", 8)
+        lines = odd_log(np.random.default_rng(73), 60)
+        lines[line_no - 1] = bad
+        path = tmp_path / "broken.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            want = batch_bits(reference_batches(path, 8, split))
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                list(read_criteo_batches(path, 8, split=split))
+            assert str(got.value) == str(err)
+            assert f"line {line_no}" in str(err)
+        else:
+            assert (line_no % 20 == 0) != (split == "test")
+            assert batch_bits(read_criteo_batches(path, 8, split=split)) == want
+
+    def test_bom_reaches_the_label_cell(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_text("\ufeff" + make_line(1, FULL_INTS, FULL_CATS) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"bad label '\\ufeff1', expected 0 or 1 at line 1$"):
+            list(read_criteo_batches(path, 8))
+
+    def test_invalid_utf8_raises_decode_error(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        line = make_line(1, FULL_INTS, FULL_CATS)
+        path.write_bytes((line + "\n" + line.replace("tok03", "t\xe9k")).encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            list(read_criteo_batches(path, 8))
+
+    def test_memory_is_per_block_not_per_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_LINES", 256)
+
+        def peak(n_lines):
+            path = write_criteo_tsv(tmp_path / f"clicks-{n_lines}.tsv", seed=3, n_lines=n_lines)
+            tracemalloc.start()
+            try:
+                n = sum(b.batch_size for b in read_criteo_batches(path, 128, split="train"))
+                return n, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (n_small, small), (n_large, large) = peak(1500), peak(6000)
+        assert n_large == 4 * n_small
+        # A block of 256 lines needs about 1 MB at its peak. Memory held
+        # across blocks would grow with the file; the bound allows a quarter
+        # of a block's peak and 256 KB on top of the small file's.
+        assert large < 1.25 * small + 2**18, (small, large)
+        assert large < 4 * 2**20, large
+
+
+class TestCriteoTrainingBits:
+    def test_train_run_equals_per_line_reference_reader(self, tmp_path, monkeypatch):
+        path = write_criteo_tsv(tmp_path / "clicks.tsv", seed=9, n_lines=2000)
+
+        def run(name):
+            cfg = RunConfig(graph=ModelGraph(kind="fm", n_fields=39, seed=4), n_workers=2,
+                            batch_size=128, epochs=1, seed=4, data=str(path),
+                            out_dir=str(tmp_path / name))
+            result = train(cfg)
+            checkpoint = {p.name: p.read_bytes() for p in
+                          sorted(Path(result.checkpoint_dir).iterdir())}
+            return ([s.deterministic_fields() for s in result.snapshots],
+                    result.group.ledger.records(), checkpoint)
+
+        got = run("block-reader")
+        monkeypatch.setattr(training, "load_batches", lambda cfg, split: list(
+            reference_batches(Path(cfg.data), cfg.batch_size, split)))
+        want = run("per-line-reader")
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
 class TestSyntheticSpec:
