@@ -279,9 +279,15 @@ def second_order_combine(agg_m1, agg_m2):
     return half * (np.sum(agg_m1 * agg_m1, axis=1) - agg_m2)
 
 
+def pooled_slots(slice_, field_positions, n_local_fields):
+    """Each occurrence's (sample, local field) slot, a row of the pooled array's
+    ``(batch_size * n_local_fields, dim)`` form."""
+    return slice_.sample_ids * n_local_fields + field_positions[slice_.fields]
+
+
 def pooled_fields(slice_, field_positions, latents, n_local_fields, dim):
     """Sum-pool embeddings into per-field slots and concatenate in field order."""
-    slots = slice_.sample_ids * n_local_fields + field_positions[slice_.fields]
+    slots = pooled_slots(slice_, field_positions, n_local_fields)
     pooled = vecmath.scatter_add_rows(
         slots, latents * slice_.values[:, None], slice_.batch_size * n_local_fields
     )
@@ -417,10 +423,11 @@ class RankPass:
     one table ``lookup`` gives every unique pair's ``rows`` and the
     ``weights`` it read, ``{part: weights}``. The optimizer writes back by
     those rows, which stay valid through the step because table rows never
-    move. ``latents`` is the latent vector of each feature occurrence,
-    ``weights["latent"][inverse]``. ``cache`` is the rank's replicated-stack
-    cache (the mlp's or the cross stack's). Fields a model does not use stay
-    None.
+    move. ``latents`` is the latent vector of each feature occurrence, row
+    ``inverse`` of ``weights["latent"]``; the engine gathers rows with
+    ``np.take``, the same copy as fancy indexing, only faster. ``cache`` is
+    the rank's replicated-stack cache (the mlp's or the cross stack's).
+    Fields a model does not use stay None.
     """
 
     slice_: BatchSlice
@@ -589,12 +596,12 @@ class SubstitutedModel:
         rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
         rp.rows, rp.weights = self.table.lookup(r, uf, uk)
         if "latent" in rp.weights:
-            rp.latents = rp.weights["latent"][inv]
+            rp.latents = np.take(rp.weights["latent"], inv, axis=0)
         ids, values = slice_.sample_ids, slice_.values
         logit = np.zeros(B, dtype=self.dtype)
 
         if graph.uses_linear:
-            partial = linear_partial(rp.weights["linear"][inv], values, ids, B)
+            partial = linear_partial(np.take(rp.weights["linear"], inv, axis=0), values, ids, B)
             logit = logit + dense["bias"][0]
             logit = logit + (yield "linear.partial", partial)
 
@@ -663,7 +670,7 @@ class SubstitutedModel:
         if graph.uses_second_order:
             x = sl.values[:, None]
             latent_contrib = delta[sl.sample_ids][:, None] * (
-                rp.agg_m1[sl.sample_ids] * x - rp.latents * x * x
+                np.take(rp.agg_m1, sl.sample_ids, axis=0) * x - rp.latents * x * x
             )
 
         if graph.uses_tower:
@@ -674,8 +681,10 @@ class SubstitutedModel:
             grads.dense.update(stack_grads)
             grads.fc_block = vecmath.matmul_rows(rp.pooled.T, g_agg)
             g_pooled = vecmath.matmul_rows(g_agg, self.fc_blocks[r].T)
-            g_pooled = g_pooled.reshape(B, len(self.rank_fields[r]), graph.embedding_dim)
-            contrib = g_pooled[sl.sample_ids, self._field_pos[r][sl.fields]] * sl.values[:, None]
+            n_local = len(self.rank_fields[r])
+            g_pooled = g_pooled.reshape(B * n_local, graph.embedding_dim)
+            slots = pooled_slots(sl, self._field_pos[r], n_local)
+            contrib = np.take(g_pooled, slots, axis=0) * sl.values[:, None]
             latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
 
         if latent_contrib is not None:

@@ -23,9 +23,15 @@ form of the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
 Pairs are resolved to rows once: ``lookup`` returns each pair's row with
 the weights of every part, and ``slot_values`` and ``apply_update`` address
 rows of one part. A row is the pair's position in the shard's row arrays,
-assigned in the order the index creates rows; row i of every part holds the
-pair the index gave row i. Rows never move and are never freed, so a row
-stays valid for the life of the table; only the index is re-sorted.
+assigned in the order the index creates rows: a lookup's new pairs in
+ascending ``(h, field)`` order, ``h`` being the index's sort value. Row i of
+every part holds the pair the index gave row i. Rows never move and are
+never freed, so a row stays valid for the life of the table; only the index
+is re-sorted. ``unique_with_inverse`` returns a batch's pairs in that same
+order, so a lookup of them searches the index with sorted needles, which
+numpy's binary search answers faster than scattered ones, and takes the new
+pairs without sorting them again. Rows are read with ``np.take``, the same
+copy as fancy indexing at a fraction of its cost for narrow rows.
 
 Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
 hash seed's 8 little-endian bytes. One keyed state per seed is built once and
@@ -233,10 +239,11 @@ class _RowIndex:
     stopped growing answers each find with one probe, and one that alternates
     inserts with quiet lookups copies itself no more often than a single
     sorted index would. ``find`` probes the base, then the delta for the
-    pairs the base lacks. Rows are assigned in ``add`` order, ``0 ..
-    n_rows - 1``, and never move, so merging re-sorts the index only and a
-    row found once stays valid. The index is the only record of which
-    (field, key) a row holds.
+    pairs the base lacks; it is fastest when the pairs arrive in ascending
+    ``(h, field)`` order, as ``unique_with_inverse`` gives them. Rows are
+    assigned in ``add`` order, ``0 .. n_rows - 1``, and never move, so
+    merging re-sorts the index only and a row found once stays valid. The
+    index is the only record of which (field, key) a row holds.
     """
 
     def __init__(self):
@@ -256,17 +263,18 @@ class _RowIndex:
         """Row of each pair, giving each distinct missing pair the next free row.
 
         Returns ``(rows, new_fields, new_keys)``: the new pairs in row order,
-        which follow ``n_rows`` in ascending (field, key) order and are not
+        which follow ``n_rows`` in ascending ``(h, field)`` order and are not
         indexed until ``add`` receives them. Missing pairs that arrive
-        strictly ascending, as the engine's deduplicated pairs do, are taken
-        as they are; others are deduplicated first. A call that finds every
-        pair merges the delta.
+        strictly ascending in that order, as the engine's pairs from
+        ``unique_with_inverse`` do, are taken as they are; others are
+        deduplicated first. A call that finds every pair merges the delta.
         """
         rows = self.find(fields, keys)
         miss = np.flatnonzero(rows < 0)
         f, k = fields[miss], keys[miss]
         if miss.size:
-            if np.all((f[1:] > f[:-1]) | ((f[1:] == f[:-1]) & (k[1:] > k[:-1]))):
+            h = k ^ _mix64(f)
+            if np.all((h[1:] > h[:-1]) | ((h[1:] == h[:-1]) & (f[1:] > f[:-1]))):
                 rows[miss] = np.arange(self.n_rows, self.n_rows + miss.size)
             else:
                 f, k, inverse = unique_with_inverse(f, k)
@@ -401,7 +409,6 @@ class ShardedWeightTable:
     def _check_placement(self, shard_idx, fields):
         if not 0 <= shard_idx < self.n_shards:
             raise PlacementError(f"shard {shard_idx} out of range for {self.n_shards} shards")
-        fields = np.asarray(fields)
         if not fields.size:
             return
         outside = (fields < 0) | (fields >= _FIELD_LIMIT)
@@ -421,18 +428,30 @@ class ShardedWeightTable:
         weights. Every part of the new rows is initialized before any of them
         is stored or indexed, so an initializer that raises leaves the table
         unchanged. Stored weights and slots change only through apply_update.
+        Fields and keys other than 1-D arrays of one length, or fields
+        without an integer dtype, raise ``DimensionError`` before anything
+        is read or written.
         """
+        fields, keys = np.asarray(fields), np.asarray(keys, dtype=np.uint64)
+        if fields.ndim != 1 or fields.shape != keys.shape:
+            raise DimensionError(
+                f"fields and keys must be 1-D and of one length, got shapes "
+                f"{fields.shape} and {keys.shape}"
+            )
+        if fields.size and fields.dtype.kind not in "iu":
+            raise DimensionError(
+                f"fields must be integers, got {fields.dtype.name} field {fields[0].item()!r}"
+            )
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
-        fields = np.asarray(fields, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.uint64)
+        fields = fields.astype(np.int64, copy=False)
         rows, new_f, new_k = shard.index.resolve(fields, keys)
         if len(new_f):
             shard.insert(new_f, new_k, {
                 name: self._inits[name](new_f, new_k, part.dim, self.dtype)
                 for name, part in self.parts.items()
             })
-        return rows, {name: w[rows] for name, w in shard.weights.items()}
+        return rows, {name: np.take(w, rows, axis=0) for name, w in shard.weights.items()}
 
     def _shard_rows(self, shard_idx, rows, part):
         """The shard and ``rows`` as a 1-D integer array of rows it holds."""
@@ -458,7 +477,7 @@ class ShardedWeightTable:
     def slot_values(self, shard_idx, rows, part):
         """One part's optimizer slot arrays of existing rows, as copies."""
         shard, rows = self._shard_rows(shard_idx, rows, part)
-        return {name: arr[rows] for name, arr in shard.slots[part].items()}
+        return {name: np.take(arr, rows, axis=0) for name, arr in shard.slots[part].items()}
 
     def apply_update(self, shard_idx, rows, part, weights, slots):
         """Replace one part's weights and optimizer slots of existing rows.
@@ -621,15 +640,30 @@ def _read_header(raw, path):
 
 
 def unique_with_inverse(fields, keys):
-    """Sorted unique (field, key) pairs plus the inverse index for each input."""
+    """Unique (field, key) pairs in ascending ``(h, field)`` order, plus each input's inverse.
+
+    ``h = key ^ mix(field)`` is the row index's sort value (see
+    ``_RowIndex``), so the pairs come out in the order the index searches
+    and inserts them. Since ``h`` and the field fix the key, one sort by
+    ``h`` groups equal pairs; only when a run of equal ``h`` holds distinct
+    fields, the rare collision case, are the occurrences sorted again by
+    ``(h, field)``.
+    """
     fields = np.asarray(fields, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.uint64)
-    order = np.lexsort((keys, fields))
-    f = fields[order]
-    k = keys[order]
+    h = keys ^ _mix64(fields)
+    order = np.argsort(h)
+    hs, fs = h[order], fields[order]
+    same_h = hs[1:] == hs[:-1]
+    other_field = fs[1:] != fs[:-1]
+    if np.any(same_h & other_field):
+        order = np.lexsort((fields, h))
+        hs, fs = h[order], fields[order]
+        same_h = hs[1:] == hs[:-1]
+        other_field = fs[1:] != fs[:-1]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (f[1:] != f[:-1]) | (k[1:] != k[:-1])
+    first[1:] = ~same_h | other_field
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return f[first], k[first], inverse
+    return fs[first], keys[order[first]], inverse
 

@@ -406,7 +406,7 @@ class TestPairsResolvedOnce:
         engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(2))
         indexes = [shard.index for shard in engine.table._shards]
         rng = np.random.default_rng(45)
-        dedups, table_dedups = [], []
+        dedups, table_dedups, unsorted_finds = [], [], []
         finds, adds = Counter(), Counter()
         real_dedup, real_find, real_add = (
             models.unique_with_inverse, sparse._RowIndex.find, sparse._RowIndex.add)
@@ -421,6 +421,9 @@ class TestPairsResolvedOnce:
 
         def find(index, fields, keys):
             finds[indexes.index(index)] += 1
+            h = keys ^ sparse._mix64(fields)
+            if np.any(h[1:] < h[:-1]):
+                unsorted_finds.append(len(h))
             return real_find(index, fields, keys)
 
         def add(index, fields, keys):
@@ -441,8 +444,10 @@ class TestPairsResolvedOnce:
             assert all(count <= 1 for count in adds.values())
             if step == 0:
                 assert adds == {0: 1, 1: 1}
-        # the pairs arrive deduplicated and ascending, so the table never sorts them again
+        # the pairs arrive deduplicated and ascending in the index's hash order,
+        # so the table never sorts them again and searches with sorted needles
         assert table_dedups == []
+        assert unsorted_finds == []
         assert engine.table.n_entries() == sum(index.n_rows for index in indexes)
         for part in engine.table.parts:
             assert len(engine.table.weight_map(part)) == engine.table.n_entries()

@@ -110,6 +110,11 @@ def finalizer_inverse(z):
     return z ^ (z >> 30) ^ (z >> 60)
 
 
+def hash_order(pairs):
+    """(field, key) pairs in the row index's order: by ``h = key ^ mix(field)``, then field."""
+    return sorted(pairs, key=lambda fk: (fk[1] ^ splitmix_finalizer(fk[0] & M64), fk[0]))
+
+
 def seed_state(seed):
     """The seed's 64-bit words, low first, folded by s = splitmix64(s ^ word)."""
     state = splitmix64(seed & M64)
@@ -286,6 +291,31 @@ class TestLookup:
         with pytest.raises(PlacementError):
             table.lookup(2, [0], [0])
 
+    @pytest.mark.parametrize("fields, keys, match", [
+        ([0, 2, 4], [7], r"shapes \(3,\) and \(1,\)"),
+        ([0, 2], [7, 8, 9], r"shapes \(2,\) and \(3,\)"),
+        ([[0, 2]], [[7, 8]], r"shapes \(1, 2\) and \(1, 2\)"),
+        ([0], [[7]], r"shapes \(1,\) and \(1, 1\)"),
+        ([0.5], [1], "float64 field 0.5"),
+        (np.array([0.0, 2.0]), [1, 2], "float64 field 0.0"),
+    ])
+    def test_malformed_pairs_rejected_and_table_unchanged(self, tmp_path, fields, keys, match):
+        table = make_table(n_shards=2)
+        table.lookup(0, [0, 2], [7, 8])
+        table.save(tmp_path / "before")
+        with pytest.raises(DimensionError, match=match):
+            table.lookup(0, fields, keys)
+        table.save(tmp_path / "after")
+        assert table.n_entries() == 2
+        for path in sorted((tmp_path / "before").iterdir()):
+            assert (tmp_path / "after" / path.name).read_bytes() == path.read_bytes()
+
+    def test_empty_lookup_of_any_dtype(self):
+        table = make_table(n_shards=2)
+        rows, got = table.lookup(1, [], [])
+        assert rows.shape == (0,) and got["table"].shape == (0, 4)
+        assert table.n_entries() == 0
+
     @pytest.mark.parametrize("parts, match", [
         ([], "distinct names"),
         ([TablePart("a", 1), TablePart("a", 2)], "distinct names"),
@@ -362,7 +392,8 @@ class TestIndex:
         assert np.array_equal(weights(table, 0, [2, 0], [5, 1]), [[5, 5], [1, 1]])
 
     def test_custom_initializer_receives_each_new_pair_once(self, monkeypatch):
-        # one call per lookup and part, with every new pair once, in row order
+        # one call per lookup and part, with every new pair once, in row order:
+        # the index's (h, field) order
         calls = []
         real_init = sparse.seeded_uniform_init
 
@@ -379,7 +410,8 @@ class TestIndex:
         table = ShardedWeightTable(1, [TablePart("a", 2), TablePart("b", 3)])
         table.lookup(0, [4, 1, 4, 1], [2**64 - 1, 5, 2**64 - 1, 6])
         table.lookup(0, [1, 4], [5, 2**64 - 1])
-        pairs = [np.int64, np.uint64, [1, 1, 4], [5, 6, 2**64 - 1]]
+        fields, keys = zip(*hash_order([(1, 5), (1, 6), (4, 2**64 - 1)]))
+        pairs = [np.int64, np.uint64, list(fields), list(keys)]
         assert calls == [(*pairs, 2), (*pairs, 3)]
 
     def test_unsorted_duplicated_pairs_create_one_entry_each(self, monkeypatch):
@@ -393,17 +425,22 @@ class TestIndex:
 
         monkeypatch.setattr(sparse, "unique_with_inverse", dedup)
         table = make_table(n_shards=1)
-        table.lookup(0, [2, 0], [7, 1])
+        first = hash_order([(2, 7), (0, 1)])[::-1]  # descending, so deduplicated
+        table.lookup(0, *zip(*first))
         assert dedups == [2]
         fields = np.array([3, 0, 3, 1, 0, 2, 3, 0])
         keys = np.array([4, 9, 4, 2**64 - 1, 9, 7, 0, 1], dtype=np.uint64)
         rows, got = table.lookup(0, fields, keys)
         assert dedups == [2, 6]  # six occurrences of the four pairs the table lacks
         assert table.n_entries() == 6
-        # new rows follow the table's rows in ascending (field, key) order
-        assert rows.tolist() == [5, 2, 5, 3, 2, 1, 4, 0]
+        # new rows follow the table's rows in ascending (h, field) order
+        pairs = list(zip(fields.tolist(), keys.tolist()))
+        row_of = {fk: row for row, fk in enumerate(
+            hash_order(first) + hash_order(set(pairs) - set(first)))}
+        assert rows.tolist() == [row_of[fk] for fk in pairs]
         assert np.array_equal(got["table"], seeded_uniform_init(5)(fields, keys, 4, np.float32))
-        assert table.lookup(0, [0, 3, 4], [10, 1, 0])[0].tolist() == [6, 7, 8]
+        ascending = hash_order([(0, 10), (3, 1), (4, 0)])
+        assert table.lookup(0, *zip(*ascending))[0].tolist() == [6, 7, 8]
         assert dedups == [2, 6]  # strictly ascending: taken as they are
 
 
@@ -483,6 +520,23 @@ class TestHashCollisions:
             assert np.array_equal(row, per_key_uniform(3, f, k, 2, np.float32, 0.01))
         assert list(table.weight_map("table")) == list(zip(fields.tolist(), keys.tolist()))
 
+    def test_dedup_of_interleaved_repeats(self):
+        # the three pairs whose h is H, given a, b, a, b, ... among the others
+        pick = np.array([0, 1, 2, 0, 1, 2, 4, 1, 0, 3, 2, 5, 1, 0, 0, 2])
+        fields, keys = COLLIDING_FIELDS[pick], COLLIDING_KEYS[pick]
+        uf, uk, inv = unique_with_inverse(fields, keys)
+        pairs = list(zip(COLLIDING_FIELDS.tolist(), COLLIDING_KEYS.tolist()))
+        assert list(zip(uf.tolist(), uk.tolist())) == hash_order(pairs)
+        assert np.array_equal(uf[inv], fields) and np.array_equal(uk[inv], keys)
+        for got, want in zip((uf, uk, inv), unique_reference(fields, keys)):
+            assert np.array_equal(got, want)
+
+        table = table_of(2, 3)
+        rows = table.lookup(0, uf, uk)[0]
+        assert len(set(rows.tolist())) == len(pairs)
+        assert np.array_equal(table.lookup(0, fields, keys)[0], rows[inv])
+        assert table.n_entries() == len(pairs)
+
 
 def in_index(index, field, key):
     """Whether one (hash, field, row) index holds the pair."""
@@ -512,7 +566,7 @@ class TestDeltaIndex:
             extra = {0: [0], 1: [1], 4: [2, 3], 9: [4, 5]}.get(step, [])
             fields = np.concatenate([fields, COLLIDING_FIELDS[extra], fields[: size // 3]])
             keys = np.concatenate([keys, COLLIDING_KEYS[extra], keys[: size // 3]])
-            for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
+            for f, k in hash_order(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
                 shadow[(f, k)] = len(shadow)
             rows, got = table.lookup(0, fields, keys)
             want = [shadow[fk] for fk in zip(fields.tolist(), keys.tolist())]
@@ -582,7 +636,7 @@ class TestSharedIndex:
             keys = np.concatenate([pool_k[pick], COLLIDING_KEYS[extra]])
             if step % 2:  # the engine's case: unique pairs in ascending order
                 fields, keys, _ = unique_with_inverse(fields, keys)
-            for f, k in sorted(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
+            for f, k in hash_order(set(zip(fields.tolist(), keys.tolist())) - set(shadow)):
                 shadow[(f, k)] = [len(shadow), np.zeros(1, np.float32),
                                   init([f], [k], 3, np.float32)[0]]
             rows, got = both.lookup(0, fields, keys)
@@ -675,7 +729,7 @@ class TestSharedIndex:
         assert self.state(both, tmp_path / "after") == before
         assert find(both, 1, [3, 3], [7, 13]).tolist() == [-1, -1]
         rows, got = both.lookup(1, [3, 1], [7, 5])
-        assert rows.tolist() == [2, 0]
+        assert rows.tolist() == [2, hash_order([(1, 5), (3, 6)]).index((1, 5))]
         assert np.array_equal(got["latent"][0], seeded_uniform_init(6)([3], [7], 3, np.float32)[0])
 
 
@@ -990,8 +1044,11 @@ class TestPersistence:
 
 
 def unique_reference(fields, keys):
-    """np.unique over (field, key) records: the definition unique_with_inverse keeps."""
-    pairs = np.empty(len(fields), dtype=[("f", np.int64), ("k", np.uint64)])
+    """np.unique over (h, field, key) records, ``h = key ^ mix(field)`` in Python ints:
+    the definition unique_with_inverse keeps. The hash and the field fix the
+    key, so the records sort and repeat as their (h, field) prefixes do."""
+    pairs = np.empty(len(fields), dtype=[("h", np.uint64), ("f", np.int64), ("k", np.uint64)])
+    pairs["h"] = [k ^ splitmix_finalizer(f & M64) for f, k in zip(fields.tolist(), keys.tolist())]
     pairs["f"] = fields
     pairs["k"] = keys
     uniq, inverse = np.unique(pairs, return_inverse=True)
@@ -999,7 +1056,7 @@ def unique_reference(fields, keys):
 
 
 def shard_unique(batch, shard, n_shards):
-    """The sorted unique pairs one rank's forward resolves: its slice, deduplicated."""
+    """The unique pairs one rank's forward resolves: its slice, deduplicated, in (h, field) order."""
     sl = batch.shard_slices(n_shards)[shard]
     uf, uk, _ = unique_with_inverse(sl.fields, sl.keys)
     return uf, uk
@@ -1023,7 +1080,7 @@ class TestUniqueKeys:
         fields = np.array([3, 1, 3, 1])
         keys = np.array([7, 2, 7, 9], dtype=np.uint64)
         uf, uk, inv = unique_with_inverse(fields, keys)
-        assert list(zip(uf.tolist(), uk.tolist())) == [(1, 2), (1, 9), (3, 7)]
+        assert list(zip(uf.tolist(), uk.tolist())) == hash_order([(1, 2), (1, 9), (3, 7)])
         for i in range(4):
             assert uf[inv][i] == fields[i] and uk[inv][i] == keys[i]
 
@@ -1050,7 +1107,7 @@ class TestUniqueKeys:
             samples.append(feats)
         batch = SparseBatch.from_samples(np.zeros(512) + 1, samples)
         for shard in range(3):
-            want = sorted(
+            want = hash_order(
                 {(f, k) for feats in samples for f, k, _ in feats if f % 3 == shard}
             )
             uf, uk = shard_unique(batch, shard, 3)
