@@ -21,6 +21,7 @@ from .models import (
     BatchSlice,
     cross_combine,
     cross_partial,
+    join_fc_blocks,
     linear_partial,
     mlp_forward,
     pooled_fields,
@@ -64,13 +65,9 @@ class MonolithicModel:
         latent_map = engine.table.weight_map("latent") if "latent" in parts else {}
         full_fc = None
         if graph.uses_tower:
-            d = graph.embedding_dim
-            h = graph.first_fc_width
-            full_fc = np.zeros((graph.n_fields * d, h), dtype=engine.dtype)
-            for r in range(engine.n_workers):
-                for i, f in enumerate(engine.rank_fields[r]):
-                    full_fc[f * d : (f + 1) * d] = engine.fc_blocks[r][i * d : (i + 1) * d]
-        dense = {name: arr.copy() for name, arr in engine.dense[0].items()}
+            blocks = [rank.fc_block for rank in engine.ranks]
+            full_fc = join_fc_blocks(blocks, graph.n_fields, graph.embedding_dim)
+        dense = {name: arr.copy() for name, arr in engine.ranks[0].dense.items()}
         return cls(graph, linear_map, latent_map, full_fc, dense, engine.dtype)
 
     # -- exact route (engine kernels, unsharded) ---------------------------
@@ -109,9 +106,7 @@ class MonolithicModel:
             logit = logit + second_order_combine(m1.copy(), m2.copy())
 
         if graph.uses_tower:
-            d = graph.embedding_dim
-            positions = np.arange(graph.n_fields, dtype=np.int64)
-            pooled = pooled_fields(sl, positions, latents, graph.n_fields, d)
+            pooled = pooled_fields(sl, 1, latents, graph.n_fields, graph.embedding_dim)
             agg = tower_partial(pooled, self.full_fc).copy()
             if graph.uses_mlp:
                 deep, _ = mlp_forward(self.dense, graph.hidden_widths, agg)

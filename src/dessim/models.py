@@ -5,8 +5,9 @@ partial operators whose aggregated results reproduce the unsharded
 computation exactly. Everything above the aggregation is replicated per
 worker. The collective group is the only inter-worker channel and it is
 used in the forward phase only: backward consumes aggregated values every
-worker already holds, so its communication is zero by construction. Every
-worker runs the same forward program, a generator that yields its partials
+worker already holds, so its communication is zero by construction. Each
+worker is one ``Rank``: its fields, its fc row block, its replica and their
+optimizer state. Its forward program is a generator that yields its partials
 at each aggregation; ``WorkerGroup.run`` drives one per rank in lockstep.
 
 Model kinds:
@@ -279,15 +280,16 @@ def second_order_combine(agg_m1, agg_m2):
     return half * (np.sum(agg_m1 * agg_m1, axis=1) - agg_m2)
 
 
-def pooled_slots(slice_, field_positions, n_local_fields):
+def pooled_slots(slice_, n_workers, n_local_fields):
     """Each occurrence's (sample, local field) slot, a row of the pooled array's
-    ``(batch_size * n_local_fields, dim)`` form."""
-    return slice_.sample_ids * n_local_fields + field_positions[slice_.fields]
+    ``(batch_size * n_local_fields, dim)`` form. Field f of a rank sits at its
+    local position f // n_workers."""
+    return slice_.sample_ids * n_local_fields + slice_.fields // n_workers
 
 
-def pooled_fields(slice_, field_positions, latents, n_local_fields, dim):
+def pooled_fields(slice_, n_workers, latents, n_local_fields, dim):
     """Sum-pool embeddings into per-field slots and concatenate in field order."""
-    slots = pooled_slots(slice_, field_positions, n_local_fields)
+    slots = pooled_slots(slice_, n_workers, n_local_fields)
     pooled = vecmath.scatter_add_rows(
         slots, latents * slice_.values[:, None], slice_.batch_size * n_local_fields
     )
@@ -418,18 +420,19 @@ def build_dense_params(graph, dtype):
 class RankPass:
     """One rank's state from a forward pass: what its backward and apply need.
 
-    The rank's (field, key) pairs are resolved once per step: ``pairs`` is
-    ``unique_with_inverse`` of its slice, ``(fields, keys, inverse)``, and
-    one table ``lookup`` gives every unique pair's ``rows`` and the
-    ``weights`` it read, ``{part: weights}``. The optimizer writes back by
-    those rows, which stay valid through the step because table rows never
-    move. ``latents`` is the latent vector of each feature occurrence, row
-    ``inverse`` of ``weights["latent"]``; the engine gathers rows with
-    ``np.take``, the same copy as fancy indexing, only faster. ``cache`` is
-    the rank's replicated-stack cache (the mlp's or the cross stack's).
-    Fields a model does not use stay None.
+    ``rank`` is the ``Rank`` that ran it. The rank's (field, key) pairs are
+    resolved once per step: ``pairs`` is ``unique_with_inverse`` of its
+    slice, ``(fields, keys, inverse)``, and one table ``lookup`` gives every
+    unique pair's ``rows`` and the ``weights`` it read, ``{part: weights}``.
+    The optimizer writes back by those rows, which stay valid through the
+    step because table rows never move. ``latents`` is the latent vector of
+    each feature occurrence, row ``inverse`` of ``weights["latent"]``; the
+    rank gathers rows with ``np.take``, the same copy as fancy indexing, only
+    faster. ``cache`` is the rank's replicated-stack cache (the mlp's or the
+    cross stack's). Fields a model does not use stay None.
     """
 
+    rank: Rank
     slice_: BatchSlice
     pairs: tuple
     rows: np.ndarray | None = None
@@ -460,13 +463,14 @@ class ForwardPass:
 class RankGradients:
     """One rank's gradients of a pass.
 
-    ``pairs`` are the rank's unique ``(fields, keys)`` and ``rows`` their
-    table rows, which the optimizer writes in every part. ``linear`` and
-    ``latent`` are ``(weights, grads)`` of that table part over those pairs:
-    the weights the forward pass read and their gradients. They are None
-    where the model has no such part. ``fc_block`` is None without a tower.
+    ``rank`` made them. ``pairs`` are its unique ``(fields, keys)`` and
+    ``rows`` their table rows, which the optimizer writes in every part.
+    ``linear`` and ``latent`` are ``(weights, grads)`` of that table part over
+    those pairs: the weights the forward pass read and their gradients. They
+    are None where the model has no such part. ``fc_block`` is None without a tower.
     """
 
+    rank: Rank | None = None
     dense: dict = field(default_factory=dict)
     fc_block: np.ndarray | None = None
     pairs: tuple | None = None
@@ -475,23 +479,167 @@ class RankGradients:
     latent: tuple | None = None
 
 
+def join_fc_blocks(blocks, n_fields, dim):
+    """The first fully-connected matrix (or its gradient) from the ranks' row blocks."""
+    h = blocks[0].shape[1]
+    full = np.zeros((n_fields, dim, h), dtype=blocks[0].dtype)
+    for r, block in enumerate(blocks):
+        full[r :: len(blocks)] = block.reshape(-1, dim, h)
+    return full.reshape(-1, h)
+
+
+class Rank:
+    """One worker: rank r of N owns fields ``range(r, n_fields, N)``, field f
+    at local position f // N, and their row block of the first fully-connected
+    layer. It holds a replica of everything above the aggregation, the dense
+    optimizer state of both, and for dcn-demo its range of the cross vectors.
+    Its sparse rows are shard r of the engine's one table. ``forward`` is its
+    worker program; ``backward`` and ``apply`` need only its own pass.
+    """
+
+    def __init__(self, r, graph, table, params, full_fc):
+        n, dtype = table.n_shards, table.dtype
+        self.r = r
+        self.graph = graph
+        self.table = table
+        self.fields = range(r, graph.n_fields, n)
+        self.dense = copy.deepcopy(params)
+        self.dense_state = {name: init_dense_state(graph.dense_opt, arr.size, dtype)
+                            for name, arr in params.items()}
+        self.fc_block = self.fc_state = None
+        if full_fc is not None:
+            d, h = graph.embedding_dim, graph.first_fc_width
+            self.fc_block = full_fc.reshape(graph.n_fields, d, h)[r::n].reshape(-1, h).copy()
+            self.fc_state = init_dense_state(graph.dense_opt, self.fc_block.size, dtype)
+        if graph.uses_cross:
+            bounds = np.linspace(0, graph.first_fc_width, n + 1).astype(int)
+            self.cross_range = (int(bounds[r]), int(bounds[r + 1]))
+
+    def forward(self, slice_):
+        """The rank's forward program; yields ``(op, partial)`` at each aggregation.
+
+        Returns the rank's logit and its ``RankPass``.
+        """
+        graph = self.graph
+        dense = self.dense
+        B = slice_.batch_size
+        uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
+        rp = RankPass(rank=self, slice_=slice_, pairs=(uf, uk, inv))
+        rp.rows, rp.weights = self.table.lookup(self.r, uf, uk)
+        if "latent" in rp.weights:
+            rp.latents = np.take(rp.weights["latent"], inv, axis=0)
+        ids, values = slice_.sample_ids, slice_.values
+        logit = np.zeros(B, dtype=self.table.dtype)
+
+        if graph.uses_linear:
+            partial = linear_partial(np.take(rp.weights["linear"], inv, axis=0), values, ids, B)
+            logit = logit + dense["bias"][0]
+            logit = logit + (yield "linear.partial", partial)
+
+        if graph.uses_second_order:
+            m1, m2 = second_order_partials(rp.latents, values, ids, B)
+            rp.agg_m1 = yield "fm2.m1", m1
+            agg_m2 = yield "fm2.m2", m2
+            logit = logit + second_order_combine(rp.agg_m1, agg_m2)
+
+        if graph.uses_tower:
+            rp.pooled = pooled_fields(
+                slice_, self.table.n_shards, rp.latents, len(self.fields), graph.embedding_dim
+            )
+            agg = yield "tower.first_fc", tower_partial(rp.pooled, self.fc_block)
+            if graph.uses_mlp:
+                deep, rp.cache = mlp_forward(dense, graph.hidden_widths, agg)
+            else:
+                # each cross layer aggregates one scalar per sample, summed over
+                # the ranks' disjoint coordinate ranges of the running vector
+                lo, hi = self.cross_range
+                x, xs, ss = agg, [agg], []
+                for k in range(graph.cross_depth):
+                    s = yield f"cross.{k}", cross_partial(x, dense[f"cross{k}.w"], lo, hi)
+                    x = cross_combine(agg, s, dense[f"cross{k}.b"], x)
+                    ss.append(s)
+                    xs.append(x)
+                deep = vecmath.matmul_rows(x, dense["out.w"])[:, 0] + dense["out.b"][0]
+                rp.cache = {"xs": xs, "ss": ss}
+            logit = logit + deep
+        return logit, rp
+
+    def backward(self, rp, delta):
+        """The rank's ``RankGradients`` from its own ``RankPass`` and the logit
+        gradient ``delta`` every rank holds."""
+        graph = self.graph
+        sl = rp.slice_
+        uf, uk, inv = rp.pairs
+        grads = RankGradients(rank=self, pairs=(uf, uk), rows=rp.rows)
+
+        if graph.uses_linear:
+            grads.dense["bias"] = np.array([np.sum(delta)], dtype=delta.dtype)
+            g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
+            grads.linear = (rp.weights["linear"], g)
+
+        latent_contrib = None
+        if graph.uses_second_order:
+            x = sl.values[:, None]
+            latent_contrib = delta[sl.sample_ids][:, None] * (
+                np.take(rp.agg_m1, sl.sample_ids, axis=0) * x - rp.latents * x * x
+            )
+
+        if graph.uses_tower:
+            if graph.uses_mlp:
+                g_agg, stack_grads = mlp_backward(self.dense, graph.hidden_widths, rp.cache, delta)
+            else:
+                g_agg, stack_grads = cross_backward(self.dense, graph.cross_depth, rp.cache, delta)
+            grads.dense.update(stack_grads)
+            grads.fc_block = vecmath.matmul_rows(rp.pooled.T, g_agg)
+            g_pooled = vecmath.matmul_rows(g_agg, self.fc_block.T)
+            n_local = len(self.fields)
+            g_pooled = g_pooled.reshape(sl.batch_size * n_local, graph.embedding_dim)
+            slots = pooled_slots(sl, self.table.n_shards, n_local)
+            contrib = np.take(g_pooled, slots, axis=0) * sl.values[:, None]
+            latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
+
+        if latent_contrib is not None:
+            g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
+            grads.latent = (rp.weights["latent"], g)
+        return grads
+
+    def apply(self, grads):
+        """The rank's optimizer step on its table rows, its fc block and its replica."""
+        graph = self.graph
+        for part, opt, entry in (
+            ("linear", graph.first_order_opt, grads.linear),
+            ("latent", graph.embedding_opt, grads.latent),
+        ):
+            if entry is not None and len(grads.rows):
+                w, g = entry
+                slots = self.table.slot_values(self.r, grads.rows, part)
+                new_w, new_slots = optim_step(opt, w, slots, g)
+                self.table.apply_update(self.r, grads.rows, part, new_w, new_slots)
+        if grads.fc_block is not None and self.fc_block.size:
+            self.fc_block, self.fc_state = dense_step(
+                graph.dense_opt, self.fc_block, self.fc_state, grads.fc_block
+            )
+        for name, g in grads.dense.items():
+            self.dense[name], self.dense_state[name] = dense_step(
+                graph.dense_opt, self.dense[name], self.dense_state[name], g
+            )
+
+
 class SubstitutedModel:
     """Executes one model graph over a worker group.
 
-    Weights-rich state is sharded by field (one table whose rows hold each
-    pair's linear and latent parts, plus each worker's row block of the first
-    fully-connected layer); everything above the aggregation points is
-    replicated and must stay bitwise identical across workers. Forward
-    checks that every rank computed the same logit, and train_step compares
-    the replicas every iteration.
+    Weights-rich state is sharded by field: one table whose rows hold each
+    pair's linear and latent parts, plus each ``Rank``'s row block of the
+    first fully-connected layer. Everything above the aggregation points is
+    replicated on every rank and must stay bitwise identical across them.
+    Forward checks that every rank computed the same logit, and train_step
+    compares the replicas every iteration.
     """
 
     def __init__(self, graph, group, dtype=np.float32):
         self.graph = graph
         self.group = group
         self.dtype = np.dtype(dtype)
-        n = group.n_workers
-        self.n_workers = n
 
         parts = []
         if graph.uses_linear:
@@ -499,44 +647,9 @@ class SubstitutedModel:
         if graph.uses_second_order or graph.uses_tower:
             d = graph.embedding_dim
             parts.append(TablePart("latent", d, "uniform", graph.embedding_opt.slot_widths(d)))
-        self.table = ShardedWeightTable(n, parts, seed=graph.seed, dtype=self.dtype)
-
-        self.rank_fields = [
-            [f for f in range(graph.n_fields) if f % n == r] for r in range(n)
-        ]
-        self._field_pos = []
-        for r in range(n):
-            pos = np.full(graph.n_fields, -1, dtype=np.int64)
-            for i, f in enumerate(self.rank_fields[r]):
-                pos[f] = i
-            self._field_pos.append(pos)
-
+        self.table = ShardedWeightTable(group.n_workers, parts, seed=graph.seed, dtype=self.dtype)
         params, full_fc = build_dense_params(graph, self.dtype)
-        self.dense = [copy.deepcopy(params) for _ in range(n)]
-        self.dense_state = [
-            {name: init_dense_state(graph.dense_opt, arr.size, self.dtype)
-             for name, arr in params.items()}
-            for _ in range(n)
-        ]
-
-        self.fc_blocks = [None] * n
-        self.fc_state = [None] * n
-        if graph.uses_tower:
-            d = graph.embedding_dim
-            for r in range(n):
-                rows = [np.arange(f * d, (f + 1) * d) for f in self.rank_fields[r]]
-                idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-                self.fc_blocks[r] = full_fc[idx].copy()
-                self.fc_state[r] = init_dense_state(
-                    graph.dense_opt, self.fc_blocks[r].size, self.dtype
-                )
-
-        if graph.uses_cross:
-            h = graph.first_fc_width
-            bounds = np.linspace(0, h, n + 1).astype(int)
-            self._cross_ranges = [(int(bounds[r]), int(bounds[r + 1])) for r in range(n)]
-
-    # -- forward ----------------------------------------------------------
+        self.ranks = [Rank(r, graph, self.table, params, full_fc) for r in range(group.n_workers)]
 
     def _check_batch(self, batch):
         """Reject labels other than 0 and 1, fields outside [0, n_fields) and
@@ -561,6 +674,12 @@ class SubstitutedModel:
                 f"{float(batch.values[i])} in field {int(batch.fields[i])}"
             )
 
+    def _check_ranks(self, entries, what):
+        """Reject a pass or gradient list that this engine's ranks did not make."""
+        if [e.rank for e in entries] != self.ranks:
+            raise ProtocolError(f"{what} of {len(entries)} ranks was not made by "
+                                f"this engine's {len(self.ranks)} ranks")
+
     def forward(self, batch, phase=PHASE_FORWARD):
         """Every rank's forward program, run in lockstep; one collective per aggregation.
 
@@ -572,10 +691,8 @@ class SubstitutedModel:
         self._check_batch(batch)
         group = self.group
         group.set_phase(phase)
-        n = self.n_workers
-        B = batch.batch_size
-        slices = batch.shard_slices(n)
-        outs = group.run(self._rank_forward(r, slices[r], B) for r in range(n))
+        slices = batch.shard_slices(len(self.ranks))
+        outs = group.run(rank.forward(sl) for rank, sl in zip(self.ranks, slices))
         logit = outs[0][0]
         for r, (rank_logit, _) in enumerate(outs[1:], start=1):
             if rank_logit.tobytes() != logit.tobytes():
@@ -585,57 +702,6 @@ class SubstitutedModel:
             ranks=[rank_pass for _, rank_pass in outs],
         )
 
-    def _rank_forward(self, r, slice_, B):
-        """Rank r's forward program; yields ``(op, partial)`` at each aggregation.
-
-        Returns the rank's logit and its ``RankPass``.
-        """
-        graph = self.graph
-        dense = self.dense[r]
-        uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
-        rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
-        rp.rows, rp.weights = self.table.lookup(r, uf, uk)
-        if "latent" in rp.weights:
-            rp.latents = np.take(rp.weights["latent"], inv, axis=0)
-        ids, values = slice_.sample_ids, slice_.values
-        logit = np.zeros(B, dtype=self.dtype)
-
-        if graph.uses_linear:
-            partial = linear_partial(np.take(rp.weights["linear"], inv, axis=0), values, ids, B)
-            logit = logit + dense["bias"][0]
-            logit = logit + (yield "linear.partial", partial)
-
-        if graph.uses_second_order:
-            m1, m2 = second_order_partials(rp.latents, values, ids, B)
-            rp.agg_m1 = yield "fm2.m1", m1
-            agg_m2 = yield "fm2.m2", m2
-            logit = logit + second_order_combine(rp.agg_m1, agg_m2)
-
-        if graph.uses_tower:
-            rp.pooled = pooled_fields(
-                slice_, self._field_pos[r], rp.latents, len(self.rank_fields[r]),
-                graph.embedding_dim,
-            )
-            agg = yield "tower.first_fc", tower_partial(rp.pooled, self.fc_blocks[r])
-            if graph.uses_mlp:
-                deep, rp.cache = mlp_forward(dense, graph.hidden_widths, agg)
-            else:
-                # each cross layer aggregates one scalar per sample, summed over
-                # the ranks' disjoint coordinate ranges of the running vector
-                lo, hi = self._cross_ranges[r]
-                x, xs, ss = agg, [agg], []
-                for k in range(graph.cross_depth):
-                    s = yield f"cross.{k}", cross_partial(x, dense[f"cross{k}.w"], lo, hi)
-                    x = cross_combine(agg, s, dense[f"cross{k}.b"], x)
-                    ss.append(s)
-                    xs.append(x)
-                deep = vecmath.matmul_rows(x, dense["out.w"])[:, 0] + dense["out.b"][0]
-                rp.cache = {"xs": xs, "ss": ss}
-            logit = logit + deep
-        return logit, rp
-
-    # -- backward ---------------------------------------------------------
-
     def backward(self, fwd):
         """Per-rank gradients of one forward pass. Performs no collective calls.
 
@@ -643,56 +709,15 @@ class SubstitutedModel:
         local partial, and each worker already holds all aggregated values,
         so everything below decomposes into shard-local work.
         """
+        self._check_ranks(fwd.ranks, "forward pass")
         group = self.group
         if fwd.epoch != group.epoch:
             raise ProtocolError(
                 f"backward for epoch {fwd.epoch} but the group is at epoch {group.epoch}"
             )
         group.set_phase(PHASE_BACKWARD)
-        B = fwd.batch.batch_size
-        delta = ((fwd.probs - fwd.batch.labels) / B).astype(self.dtype)
-        return [self._rank_backward(r, rp, delta, B) for r, rp in enumerate(fwd.ranks)]
-
-    def _rank_backward(self, r, rp, delta, B):
-        """Rank r's ``RankGradients`` from its own ``RankPass``."""
-        graph = self.graph
-        dense = self.dense[r]
-        sl = rp.slice_
-        uf, uk, inv = rp.pairs
-        grads = RankGradients(pairs=(uf, uk), rows=rp.rows)
-
-        if graph.uses_linear:
-            grads.dense["bias"] = np.array([np.sum(delta)], dtype=self.dtype)
-            g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
-            grads.linear = (rp.weights["linear"], g)
-
-        latent_contrib = None
-        if graph.uses_second_order:
-            x = sl.values[:, None]
-            latent_contrib = delta[sl.sample_ids][:, None] * (
-                np.take(rp.agg_m1, sl.sample_ids, axis=0) * x - rp.latents * x * x
-            )
-
-        if graph.uses_tower:
-            if graph.uses_mlp:
-                g_agg, stack_grads = mlp_backward(dense, graph.hidden_widths, rp.cache, delta)
-            else:
-                g_agg, stack_grads = cross_backward(dense, graph.cross_depth, rp.cache, delta)
-            grads.dense.update(stack_grads)
-            grads.fc_block = vecmath.matmul_rows(rp.pooled.T, g_agg)
-            g_pooled = vecmath.matmul_rows(g_agg, self.fc_blocks[r].T)
-            n_local = len(self.rank_fields[r])
-            g_pooled = g_pooled.reshape(B * n_local, graph.embedding_dim)
-            slots = pooled_slots(sl, self._field_pos[r], n_local)
-            contrib = np.take(g_pooled, slots, axis=0) * sl.values[:, None]
-            latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
-
-        if latent_contrib is not None:
-            g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
-            grads.latent = (rp.weights["latent"], g)
-        return grads
-
-    # -- update -----------------------------------------------------------
+        delta = ((fwd.probs - fwd.batch.labels) / fwd.batch.batch_size).astype(self.dtype)
+        return [rank.backward(rp, delta) for rank, rp in zip(self.ranks, fwd.ranks)]
 
     def apply_gradients(self, grads):
         """Shard-local optimizer step; replicated tensors update identically.
@@ -700,38 +725,19 @@ class SubstitutedModel:
         The sparse step starts from the weights the forward pass read, so
         each pass's gradients are applied once, before the next pass.
         """
+        self._check_ranks(grads, "gradient list")
         self.group.set_phase(PHASE_OPTIMIZER)
-        for r, rank_grads in enumerate(grads):
-            self._rank_apply(r, rank_grads)
-
-    def _rank_apply(self, r, grads):
-        """Rank r's optimizer step on its shards, its fc block and its replica."""
-        graph = self.graph
-        for part, opt, entry in (
-            ("linear", graph.first_order_opt, grads.linear),
-            ("latent", graph.embedding_opt, grads.latent),
-        ):
-            if entry is not None and len(grads.rows):
-                w, g = entry
-                slots = self.table.slot_values(r, grads.rows, part)
-                new_w, new_slots = optim_step(opt, w, slots, g)
-                self.table.apply_update(r, grads.rows, part, new_w, new_slots)
-        if grads.fc_block is not None and self.fc_blocks[r].size:
-            self.fc_blocks[r], self.fc_state[r] = dense_step(
-                graph.dense_opt, self.fc_blocks[r], self.fc_state[r], grads.fc_block
-            )
-        for name, g in grads.dense.items():
-            self.dense[r][name], self.dense_state[r][name] = dense_step(
-                graph.dense_opt, self.dense[r][name], self.dense_state[r][name], g
-            )
+        for rank, rank_grads in zip(self.ranks, grads):
+            rank.apply(rank_grads)
 
     def check_replicas(self):
         """Replicated tensors must stay bitwise identical across workers."""
-        for r in range(1, self.n_workers):
-            for name, ref in self.dense[0].items():
-                if ref.tobytes() != self.dense[r][name].tobytes():
+        first = self.ranks[0].dense
+        for rank in self.ranks[1:]:
+            for name, ref in first.items():
+                if ref.tobytes() != rank.dense[name].tobytes():
                     raise ConsistencyError(
-                        f"replica of {name} on worker {r} diverged from worker 0"
+                        f"replica of {name} on worker {rank.r} diverged from worker 0"
                     )
 
     def train_step(self, batch):
@@ -743,21 +749,19 @@ class SubstitutedModel:
         self.group.advance_epoch()
         return fwd
 
-    # -- persistence ------------------------------------------------------
-
     def save_checkpoint(self, directory):
-        """Table parts as shard files, dense replicas (worker 0) as .npy tensors."""
+        """Table parts as shard files; fc blocks and replicas (worker 0) as .npy tensors."""
         import os
 
         os.makedirs(directory, exist_ok=True)
         paths = self.table.save(directory)
-        for r in range(self.n_workers):
-            if self.fc_blocks[r] is not None:
-                p = os.path.join(directory, f"fc-block-{r:04d}.npy")
+        for rank in self.ranks:
+            if rank.fc_block is not None:
+                p = os.path.join(directory, f"fc-block-{rank.r:04d}.npy")
                 with replacing(p) as fh:
-                    np.save(fh, self.fc_blocks[r])
+                    np.save(fh, rank.fc_block)
                 paths.append(p)
-        for name, arr in self.dense[0].items():
+        for name, arr in self.ranks[0].dense.items():
             p = os.path.join(directory, f"dense-{name.replace('.', '_')}.npy")
             with replacing(p) as fh:
                 np.save(fh, arr)

@@ -40,7 +40,7 @@ from .costmodel import (
     strategy_times,
     substitution_time,
 )
-from .models import ModelGraph, SparseBatch, SubstitutedModel
+from .models import ModelGraph, SparseBatch, SubstitutedModel, join_fc_blocks
 from .optim import OptimizerConfig
 
 DEFAULT_N_GRID = (1, 2, 4, 8)
@@ -244,11 +244,8 @@ def _engine_grad_maps(engine, grads):
                     out[(int(f), int(k))] = row.copy()
     full_fc = None
     if graph.uses_tower:
-        d = graph.embedding_dim
-        full_fc = np.zeros((graph.n_fields * d, graph.first_fc_width), dtype=engine.dtype)
-        for r, rank_grads in enumerate(grads):
-            for i, f in enumerate(engine.rank_fields[r]):
-                full_fc[f * d : (f + 1) * d] = rank_grads.fc_block[i * d : (i + 1) * d]
+        blocks = [rank_grads.fc_block for rank_grads in grads]
+        full_fc = join_fc_blocks(blocks, graph.n_fields, graph.embedding_dim)
     return linear, latent, full_fc, grads[0].dense
 
 

@@ -183,8 +183,8 @@ def test_09_replicas_stay_bitwise_identical():
     assert steps == 100
     engine.check_replicas()
     for r in range(1, 4):
-        for name, ref in engine.dense[0].items():
-            assert np.array_equal(ref, engine.dense[r][name]), (r, name)
+        for name, ref in engine.ranks[0].dense.items():
+            assert np.array_equal(ref, engine.ranks[r].dense[name]), (r, name)
     _ok("replicas stay bitwise identical")
 
 

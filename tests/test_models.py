@@ -326,6 +326,27 @@ class TestEngineBackwardAndUpdate:
         with pytest.raises(ProtocolError, match="epoch"):
             engine.backward(fwd)
 
+    @pytest.mark.parametrize("made_by,applied_to", [(2, 3), (3, 2), (2, 2)])
+    def test_pass_from_another_engine_rejected(self, made_by, applied_to):
+        rng = np.random.default_rng(39)
+        graph = ModelGraph(kind="deepfm", n_fields=3)
+        other = SubstitutedModel(graph, WorkerGroup(made_by))
+        engine = SubstitutedModel(graph, WorkerGroup(applied_to))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        fwd = other.forward(batch)
+        with pytest.raises(ProtocolError, match=f"forward pass of {made_by} ranks"):
+            engine.backward(fwd)
+        grads = other.backward(fwd)
+        entries = engine.table.n_entries()
+        saved = [rank.dense["out.w"].copy() for rank in engine.ranks]
+        with pytest.raises(ProtocolError, match=f"gradient list of {made_by} ranks"):
+            engine.apply_gradients(grads)
+        assert engine.table.n_entries() == entries
+        for rank, out_w in zip(engine.ranks, saved):
+            assert np.array_equal(rank.dense["out.w"], out_w)
+        engine.train_step(batch)
+
     def test_training_moves_weights(self):
         rng = np.random.default_rng(40)
         engine = SubstitutedModel(ModelGraph(kind="lr", n_fields=3), WorkerGroup(2))
@@ -345,7 +366,7 @@ class TestEngineBackwardAndUpdate:
         rng = np.random.default_rng(42)
         engine = SubstitutedModel(ModelGraph(kind="wdl", n_fields=3), WorkerGroup(2))
         engine.train_step(tiny_batch(rng, 3))
-        engine.dense[1]["out.w"][0, 0] += 1.0
+        engine.ranks[1].dense["out.w"][0, 0] += 1.0
         with pytest.raises(ConsistencyError, match="out.w"):
             engine.check_replicas()
 
@@ -353,10 +374,10 @@ class TestEngineBackwardAndUpdate:
         rng = np.random.default_rng(42)
         engine = SubstitutedModel(ModelGraph(kind="wdl", n_fields=3), WorkerGroup(2))
         engine.train_step(tiny_batch(rng, 3))
-        for replica in engine.dense:
-            replica["out.b"][0] = np.nan
+        for rank in engine.ranks:
+            rank.dense["out.b"][0] = np.nan
         engine.check_replicas()
-        engine.dense[1]["out.b"][0] = 0.0
+        engine.ranks[1].dense["out.b"][0] = 0.0
         with pytest.raises(ConsistencyError, match="out.b on worker 1"):
             engine.check_replicas()
 
@@ -382,7 +403,7 @@ class TestReplicaDivergence:
         engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(3))
         batch = tiny_batch(rng, 4)
         engine.train_step(batch)
-        engine.dense[2]["out.b"][0] += 1.0
+        engine.ranks[2].dense["out.b"][0] += 1.0
         return engine, batch
 
     def test_train_step_names_the_worker(self, kind):
@@ -462,17 +483,24 @@ class TestDenseConstruction:
         for name in p1:
             assert np.array_equal(p1[name], p2[name])
 
-    def test_fc_blocks_reassemble_to_full_matrix(self):
+    @pytest.mark.parametrize("n_workers", [3, 7])
+    def test_fc_blocks_reassemble_to_full_matrix(self, n_workers):
+        # at N=7, ranks 5 and 6 own no field and hold a (0, h) block
         graph = ModelGraph(kind="wdl", n_fields=5, embedding_dim=2,
                            first_fc_width=4, seed=6)
         _, full_fc = build_dense_params(graph, np.float32)
-        engine = SubstitutedModel(graph, WorkerGroup(3))
+        engine = SubstitutedModel(graph, WorkerGroup(n_workers))
         d = graph.embedding_dim
         rebuilt = np.zeros_like(full_fc)
-        for r in range(3):
-            for i, f in enumerate(engine.rank_fields[r]):
-                rebuilt[f * d : (f + 1) * d] = engine.fc_blocks[r][i * d : (i + 1) * d]
+        for rank in engine.ranks:
+            owned = [f for f in range(graph.n_fields) if f % n_workers == rank.r]
+            assert list(rank.fields) == owned
+            assert rank.fc_block.shape == (len(owned) * d, graph.first_fc_width)
+            for i, f in enumerate(owned):
+                rebuilt[f * d : (f + 1) * d] = rank.fc_block[i * d : (i + 1) * d]
         assert np.array_equal(rebuilt, full_fc)
+        blocks = [rank.fc_block for rank in engine.ranks]
+        assert np.array_equal(models.join_fc_blocks(blocks, graph.n_fields, d), full_fc)
 
     def test_checkpoint_file_set(self, tmp_path):
         rng = np.random.default_rng(44)
