@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import sys
 from .artifacts import replacing
 from .costmodel import report_to_json, report_to_tsv
 from .models import MODEL_KINDS, ModelGraph
-from .training import RunConfig, bench_comm, bits_digest, metrics_to_tsv, train
+from .training import RunConfig, bench_comm, bits_digest, train
 from .verification import DEFAULT_N_GRID, run_verify
 
 USAGE_ERROR = 2
@@ -33,7 +34,9 @@ def _build_parser():
     p_train.add_argument("--batch", type=int, default=None, metavar="B")
     p_train.add_argument("--data", default=None, metavar="PATH|synthetic")
     p_train.add_argument("--epochs", type=int, default=None, metavar="E")
-    p_train.add_argument("--seed", type=int, default=None, metavar="S")
+    p_train.add_argument("--seed", type=int, default=None, metavar="S",
+                         help="data seed; without --config also the graph seed, with "
+                              "--config the graph seed comes from the file")
     p_train.add_argument("--config", metavar="FILE", help="run config JSON; flags override")
     p_train.add_argument("--out", metavar="DIR", help="write metrics, config, checkpoint here")
     p_train.add_argument("--fields", type=int, default=None,
@@ -70,38 +73,19 @@ def _build_parser():
 def _cmd_train(args):
     if args.config:
         with open(args.config, "rt", encoding="utf-8") as fh:
-            base = RunConfig.from_json(fh.read())
+            cfg = RunConfig.from_json(fh.read())
     else:
         data = args.data if args.data is not None else "synthetic"
-        n_fields = args.fields if args.fields is not None else (10 if data == "synthetic" else 39)
-        base = RunConfig(
-            graph=ModelGraph(kind=args.model or "lr", n_fields=n_fields,
-                             seed=args.seed or 0),
-            data=data,
-        )
+        graph = ModelGraph(kind="lr", n_fields=10 if data == "synthetic" else 39,
+                           seed=args.seed or 0)
+        cfg = RunConfig(graph=graph, data=data)
     # explicit flags override the config document
-    graph = base.graph
-    if (args.model is not None and args.model != graph.kind) or args.fields is not None:
-        doc = graph.to_config()
-        if args.model is not None:
-            doc["kind"] = args.model
-        if args.fields is not None:
-            doc["n_fields"] = args.fields
-        graph = ModelGraph.from_config(doc)
-    cfg = RunConfig(
-        graph=graph,
-        n_workers=args.workers if args.workers is not None else base.n_workers,
-        batch_size=args.batch if args.batch is not None else base.batch_size,
-        epochs=args.epochs if args.epochs is not None else base.epochs,
-        seed=args.seed if args.seed is not None else base.seed,
-        data=args.data if args.data is not None else base.data,
-        synthetic=base.synthetic,
-        train_samples=args.train_samples if args.train_samples is not None
-        else base.train_samples,
-        test_samples=args.test_samples if args.test_samples is not None
-        else base.test_samples,
-        out_dir=args.out or base.out_dir,
-    )
+    graph = dataclasses.replace(cfg.graph, **_given(kind=args.model, n_fields=args.fields))
+    cfg = dataclasses.replace(cfg, graph=graph, **_given(
+        n_workers=args.workers, batch_size=args.batch, epochs=args.epochs, seed=args.seed,
+        data=args.data, train_samples=args.train_samples, test_samples=args.test_samples,
+        out_dir=args.out,
+    ))
     if cfg.data != "synthetic" and not os.path.exists(cfg.data):
         print(f"dessim train: data file not found: {cfg.data}", file=sys.stderr)
         return USAGE_ERROR
@@ -118,6 +102,11 @@ def _cmd_train(args):
     if cfg.out_dir:
         print(f"artifacts written to {cfg.out_dir}")
     return 0
+
+
+def _given(**values):
+    """The values a flag set, leaving out the flags left at None."""
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _cmd_verify(args):
@@ -176,7 +165,10 @@ def _cmd_report(args):
         text = fh.read()
     if args.path.endswith(".json"):
         doc = json.loads(text)
-        rows = doc.get("rows", doc if isinstance(doc, list) else [doc])
+        rows = doc.get("rows", [doc]) if isinstance(doc, dict) else doc
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise ValueError(f"{args.path}: expected an object, a list of row objects "
+                             f"or an object whose \"rows\" is one")
         if not rows:
             print("(empty report)")
             return 0
@@ -187,12 +179,17 @@ def _cmd_report(args):
             print("  ".join(_fmt(r.get(c)).ljust(w) for c, w in zip(cols, widths)))
         return 0
     # TSV: align columns
-    lines = [ln.split("\t") for ln in text.splitlines() if ln]
+    lines = [(n, ln.split("\t")) for n, ln in enumerate(text.splitlines(), start=1) if ln]
     if not lines:
         print("(empty report)")
         return 0
-    widths = [max(len(row[i]) for row in lines if i < len(row)) for i in range(len(lines[0]))]
-    for row in lines:
+    header = lines[0][1]
+    for n, row in lines:
+        if len(row) > len(header):
+            raise ValueError(f"{args.path}: line {n} has {len(row)} cells, "
+                             f"more than the header's {len(header)}")
+    widths = [max(len(row[i]) for _, row in lines if i < len(row)) for i in range(len(header))]
+    for _, row in lines:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return 0
 

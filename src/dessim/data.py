@@ -30,11 +30,12 @@ floor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
+from .artifacts import ConfigDocument
 from .errors import ParseError
 from .models import SampleFeatures, SparseBatch
 from .sparse import hash_text, text_hasher
@@ -260,7 +261,7 @@ def read_criteo_batches(path, batch_size, split="all", hash_seed=0, limit=None):
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(ConfigDocument):
     """Hidden-logistic-model generator settings."""
 
     n_fields: int = 10
@@ -281,25 +282,6 @@ class SyntheticSpec:
             raise ValueError("noise rate must lie in [0, 0.5)")
         if not 0 < self.positive_rate < 1:
             raise ValueError("positive rate must lie in (0, 1)")
-
-    def to_config(self):
-        return {
-            "n_fields": self.n_fields,
-            "vocab_per_field": self.vocab_per_field,
-            "min_active_fields": self.min_active_fields,
-            "max_active_fields": self.max_active_fields,
-            "truth_seed": self.truth_seed,
-            "noise_rate": self.noise_rate,
-            "positive_rate": self.positive_rate,
-            "margin_scale": self.margin_scale,
-        }
-
-    @staticmethod
-    def from_config(doc):
-        unknown = set(doc) - {f.name for f in dc_fields(SyntheticSpec)}
-        if unknown:
-            raise ValueError(f"unknown synthetic spec keys: {', '.join(sorted(unknown))}")
-        return SyntheticSpec(**doc)
 
 
 class SyntheticTruth:

@@ -25,19 +25,18 @@ Model kinds:
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import vecmath
-from .artifacts import replacing
+from .artifacts import ConfigDocument, replacing
 from .collectives import PHASE_BACKWARD, PHASE_FORWARD, PHASE_OPTIMIZER
 from .errors import ConsistencyError, DimensionError, ProtocolError
 from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_step
 from .sparse import ShardedWeightTable, TablePart, unique_with_inverse
 
 MODEL_KINDS = ("lr", "fm", "wdl", "deepfm", "dcn-demo")
-CONFIG_VERSION = 1
 
 
 @dataclass
@@ -158,8 +157,10 @@ class BatchSlice:
 
 
 @dataclass(frozen=True)
-class ModelGraph:
+class ModelGraph(ConfigDocument):
     """Architecture and optimizer bindings for one model."""
+
+    CONFIG_VERSION = 1
 
     kind: str
     n_fields: int
@@ -215,39 +216,6 @@ class ModelGraph:
         if self.uses_cross:
             m += self.cross_depth
         return m
-
-    def to_config(self):
-        return {
-            "version": CONFIG_VERSION,
-            "kind": self.kind,
-            "n_fields": self.n_fields,
-            "embedding_dim": self.embedding_dim,
-            "first_fc_width": self.first_fc_width,
-            "hidden_widths": list(self.hidden_widths),
-            "cross_depth": self.cross_depth,
-            "seed": self.seed,
-            "first_order_opt": self.first_order_opt.to_config(),
-            "embedding_opt": self.embedding_opt.to_config(),
-            "dense_opt": self.dense_opt.to_config(),
-        }
-
-    @staticmethod
-    def from_config(doc):
-        doc = dict(doc)
-        version = doc.pop("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
-            raise ValueError(f"unsupported model config version {version}")
-        unknown = set(doc) - {f.name for f in dc_fields(ModelGraph)}
-        if unknown:
-            raise ValueError(f"unknown model config keys: {', '.join(sorted(unknown))}")
-        for req in ("kind", "n_fields"):
-            if req not in doc:
-                raise ValueError(f"model config missing {req!r}")
-        for name in ("first_order_opt", "embedding_opt", "dense_opt"):
-            if name in doc and isinstance(doc[name], dict):
-                doc[name] = OptimizerConfig.from_config(doc[name])
-        doc["hidden_widths"] = tuple(doc.get("hidden_widths", (16,)))
-        return ModelGraph(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +436,7 @@ class RankGradients:
     ``linear`` and ``latent`` are ``(weights, grads)`` of that table part over
     those pairs: the weights the forward pass read and their gradients. They
     are None where the model has no such part. ``fc_block`` is None without a tower.
+    ``applied`` is set when ``apply_gradients`` takes them, which it does once.
     """
 
     rank: Rank | None = None
@@ -477,6 +446,7 @@ class RankGradients:
     rows: np.ndarray | None = None
     linear: tuple | None = None
     latent: tuple | None = None
+    applied: bool = field(default=False, init=False)
 
 
 def join_fc_blocks(blocks, n_fields, dim):
@@ -723,9 +693,14 @@ class SubstitutedModel:
         """Shard-local optimizer step; replicated tensors update identically.
 
         The sparse step starts from the weights the forward pass read, so
-        each pass's gradients are applied once, before the next pass.
+        each pass's gradients are applied once, before the next pass: a list
+        applied before is rejected before anything is written.
         """
         self._check_ranks(grads, "gradient list")
+        if any(rank_grads.applied for rank_grads in grads):
+            raise ProtocolError("gradient list was applied before; each is applied once")
+        for rank_grads in grads:
+            rank_grads.applied = True
         self.group.set_phase(PHASE_OPTIMIZER)
         for rank, rank_grads in zip(self.ranks, grads):
             rank.apply(rank_grads)

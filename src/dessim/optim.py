@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import ConfigDocument
+
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(ConfigDocument):
     kind: str
     lr: float = 0.01
     # follow-the-regularized-leader
@@ -56,18 +58,6 @@ class OptimizerConfig:
         if self.kind == "adagrad":
             return {"acc": dim}
         return {"m": dim, "v": dim, "t": 1}
-
-    def to_config(self):
-        return {
-            "kind": self.kind, "lr": self.lr,
-            "ftrl_alpha": self.ftrl_alpha, "ftrl_beta": self.ftrl_beta,
-            "l1": self.l1, "l2": self.l2,
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-        }
-
-    @staticmethod
-    def from_config(doc):
-        return OptimizerConfig(**doc)
 
 
 def _check_grad(grad):

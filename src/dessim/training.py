@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from .artifacts import replacing
+from .artifacts import ConfigDocument, replacing
 from .collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from .costmodel import (
     COMPONENT_KINDS,
@@ -36,11 +36,11 @@ from .metrics import auc as auc_metric, logloss as logloss_metric
 from .models import MODEL_KINDS, ModelGraph, SubstitutedModel
 from .errors import MetricError
 
-RUN_CONFIG_VERSION = 1
-
 
 @dataclass
-class RunConfig:
+class RunConfig(ConfigDocument):
+    CONFIG_VERSION = 1
+
     graph: ModelGraph
     n_workers: int = 1
     batch_size: int = 512
@@ -64,35 +64,11 @@ class RunConfig:
             )
 
     def to_json(self):
-        doc = {
-            "version": RUN_CONFIG_VERSION,
-            "graph": self.graph.to_config(),
-            "n_workers": self.n_workers,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "data": self.data,
-            "synthetic": self.synthetic.to_config(),
-            "train_samples": self.train_samples,
-            "test_samples": self.test_samples,
-            "out_dir": self.out_dir,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(self.to_config(), indent=2) + "\n"
 
-    @staticmethod
-    def from_json(text):
-        doc = json.loads(text)
-        version = doc.pop("version", RUN_CONFIG_VERSION)
-        if version != RUN_CONFIG_VERSION:
-            raise ValueError(f"unsupported run config version {version}")
-        unknown = set(doc) - {f.name for f in dc_fields(RunConfig)}
-        if unknown:
-            raise ValueError(f"unknown run config keys: {', '.join(sorted(unknown))}")
-        if "graph" not in doc:
-            raise ValueError("run config missing 'graph'")
-        doc["graph"] = ModelGraph.from_config(doc["graph"])
-        doc["synthetic"] = SyntheticSpec.from_config(doc.get("synthetic", {}))
-        return RunConfig(**doc)
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_config(json.loads(text))
 
 
 @dataclass

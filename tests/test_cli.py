@@ -218,6 +218,23 @@ class TestReportCommand:
         assert "not found" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name,text,code,expected", [
+        pytest.param("rows.json", '[{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}]', 0, "a  b",
+                     id="json-list-of-rows"),
+        pytest.param("rows.json", '{"rows": 5}', 2, "list of row objects", id="json-rows-5"),
+        pytest.param("rows.json", '"a string"', 2, "list of row objects", id="json-string"),
+        pytest.param("rows.json", "[1, 2]", 2, "list of row objects", id="json-list-of-numbers"),
+        pytest.param("rows.tsv", "a\tb\n1\t2\n\n3\t4\t5\n", 2, "line 4 has 3 cells",
+                     id="tsv-row-longer-than-header"),
+    ])
+    def test_document_shapes(self, name, text, code, expected, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["report", str(path)]) == code
+        captured = capsys.readouterr()
+        assert expected in (captured.out if code == 0 else captured.err)
+
+
 class TestParser:
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -255,3 +272,31 @@ class TestErrorBoundary:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "embed_dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,expected", [
+        pytest.param(lambda d: d["graph"]["dense_opt"].update(lrr=0.1),
+                     "RunConfig.graph.dense_opt: unknown keys: lrr", id="optimizer-unknown-key"),
+        pytest.param(lambda d: d["graph"]["dense_opt"].pop("kind"),
+                     "RunConfig.graph.dense_opt: missing keys: kind", id="optimizer-no-kind"),
+        pytest.param(lambda d: d["graph"].update(embedding_opt="adam"),
+                     "RunConfig.graph.embedding_opt: expected an object, got str",
+                     id="optimizer-string"),
+        pytest.param(lambda d: d["graph"].update(hidden_widths=16),
+                     "RunConfig.graph.hidden_widths: expected a list, got int",
+                     id="integer-hidden-widths"),
+        pytest.param(lambda d: [d], "RunConfig: expected an object, got list", id="list"),
+        pytest.param(lambda d: d.update(graph=5),
+                     "RunConfig.graph: expected an object, got int", id="integer-graph"),
+        pytest.param(lambda d: d.update(synthetic=None),
+                     "RunConfig.synthetic: expected an object, got NoneType", id="null-synthetic"),
+    ])
+    def test_malformed_config_names_the_key_path(self, edit, expected, tmp_path, capsys):
+        doc = json.loads(RunConfig(graph=ModelGraph(kind="wdl", n_fields=4)).to_json())
+        edited = edit(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edited if isinstance(edited, list) else doc), encoding="utf-8")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dessim train: {expected}\n"
+        assert captured.out == ""
+

@@ -347,6 +347,23 @@ class TestEngineBackwardAndUpdate:
             assert np.array_equal(rank.dense["out.w"], out_w)
         engine.train_step(batch)
 
+    def test_gradient_list_applied_once(self, tmp_path):
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+        grads = engine.backward(engine.forward(tiny_batch(rng, 3)))
+        engine.apply_gradients(grads)
+
+        def state(name):
+            engine.table.save(str(tmp_path / name))
+            table = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+            replicas = [{k: v.tobytes() for k, v in rank.dense.items()} for rank in engine.ranks]
+            return table, replicas, [rank.fc_block.tobytes() for rank in engine.ranks]
+
+        before = state("before")
+        with pytest.raises(ProtocolError, match="applied before"):
+            engine.apply_gradients(grads)
+        assert state("after") == before
+
     def test_training_moves_weights(self):
         rng = np.random.default_rng(40)
         engine = SubstitutedModel(ModelGraph(kind="lr", n_fields=3), WorkerGroup(2))

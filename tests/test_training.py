@@ -12,6 +12,7 @@ from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import MetricError
 from dessim.metrics import auc, logloss
 from dessim.models import ModelGraph
+from dessim.optim import OptimizerConfig
 from dessim.training import (
     METRICS_COLUMNS,
     MetricsSnapshot,
@@ -36,7 +37,88 @@ def tiny_config(**overrides):
     return RunConfig(**base)
 
 
+PINNED_CONFIG_JSON = """\
+{
+  "version": 1,
+  "graph": {
+    "version": 1,
+    "kind": "wdl",
+    "n_fields": 4,
+    "embedding_dim": 8,
+    "first_fc_width": 16,
+    "hidden_widths": [
+      8,
+      4
+    ],
+    "cross_depth": 2,
+    "seed": 2,
+    "first_order_opt": {
+      "kind": "ftrl",
+      "lr": 0.01,
+      "ftrl_alpha": 0.05,
+      "ftrl_beta": 1.0,
+      "l1": 0.0001,
+      "l2": 0.0001,
+      "beta1": 0.9,
+      "beta2": 0.999,
+      "eps": 1e-08
+    },
+    "embedding_opt": {
+      "kind": "adam",
+      "lr": 0.001,
+      "ftrl_alpha": 0.05,
+      "ftrl_beta": 1.0,
+      "l1": 0.0001,
+      "l2": 0.0001,
+      "beta1": 0.9,
+      "beta2": 0.999,
+      "eps": 1e-08
+    },
+    "dense_opt": {
+      "kind": "adagrad",
+      "lr": 0.5,
+      "ftrl_alpha": 0.05,
+      "ftrl_beta": 1.0,
+      "l1": 0.0001,
+      "l2": 0.0001,
+      "beta1": 0.9,
+      "beta2": 0.999,
+      "eps": 1e-08
+    }
+  },
+  "n_workers": 2,
+  "batch_size": 64,
+  "epochs": 2,
+  "seed": 5,
+  "data": "synthetic",
+  "synthetic": {
+    "n_fields": 4,
+    "vocab_per_field": 50,
+    "min_active_fields": 4,
+    "max_active_fields": 4,
+    "truth_seed": 7,
+    "noise_rate": 0.1,
+    "positive_rate": 0.5,
+    "margin_scale": 2.0
+  },
+  "train_samples": 256,
+  "test_samples": 128,
+  "out_dir": "runs/pinned"
+}
+"""
+
+
 class TestRunConfig:
+    def test_json_text_is_pinned(self):
+        # key order, the version keys and the JSON layout are the config.json format
+        cfg = tiny_config(
+            graph=ModelGraph(kind="wdl", n_fields=4, hidden_widths=(8, 4), seed=2,
+                             dense_opt=OptimizerConfig.adagrad(lr=0.5)),
+            out_dir="runs/pinned",
+        )
+        assert cfg.to_json() == PINNED_CONFIG_JSON
+        assert RunConfig.from_json(PINNED_CONFIG_JSON) == cfg
+
     def test_json_round_trip(self):
         cfg = tiny_config(out_dir="/tmp/somewhere")
         back = RunConfig.from_json(cfg.to_json())
