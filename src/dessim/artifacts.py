@@ -17,7 +17,9 @@ class ConfigDocument:
     from their defaults and converts nested documents and lists back by the
     field's type. It raises ``ValueError`` naming the key path for a document
     that is not an object, another version, an unknown or missing key, a
-    tuple field that is not a list, or a value the constructor rejects with
+    tuple field that is not a list, a scalar that does not fit its field's
+    ``int``, ``float``, ``str`` or ``str | None`` hint (a bool is not a
+    number; an int is a float), or a value the constructor rejects with
     ``TypeError``.
     """
 
@@ -65,10 +67,22 @@ class ConfigDocument:
                 if not isinstance(value, (list, tuple)):
                     raise ValueError(f"{path}.{name}: expected a list, got {type(value).__name__}")
                 doc[name] = tuple(value)
+            elif not _fits(kind, value):
+                allowed = " or ".join("None" if t is type(None) else t.__name__
+                                      for t in typing.get_args(kind) or (kind,))
+                raise ValueError(f"{path}.{name}: expected {allowed}, got {type(value).__name__}")
         try:
             return cls(**doc)
         except TypeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _fits(kind, value):
+    """Whether a document's scalar fits a field hint such as ``int`` or ``str | None``."""
+    types = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types and isinstance(value, int))
 
 
 @contextmanager

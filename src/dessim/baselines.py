@@ -18,7 +18,6 @@ import numpy as np
 
 from . import vecmath
 from .models import (
-    BatchSlice,
     cross_combine,
     cross_partial,
     join_fc_blocks,
@@ -31,23 +30,16 @@ from .models import (
 )
 
 
-def _full_slice(batch):
-    return BatchSlice(
-        batch_size=batch.batch_size,
-        sample_ids=batch.sample_ids,
-        fields=batch.fields,
-        keys=batch.keys,
-        values=batch.values,
-    )
-
-
 class MonolithicModel:
-    """Single-address-space copy of a substituted model's weights."""
+    """Single-address-space copy of a substituted model's weights.
 
-    def __init__(self, graph, linear_map, latent_map, full_fc, dense, dtype):
+    ``maps`` holds each table part's weights, ``{part: {(field, key): weights}}``,
+    in the table's part order.
+    """
+
+    def __init__(self, graph, maps, full_fc, dense, dtype):
         self.graph = graph
-        self.linear_map = linear_map
-        self.latent_map = latent_map
+        self.maps = maps
         self.full_fc = full_fc
         self.dense = dense
         self.dtype = np.dtype(dtype)
@@ -60,53 +52,45 @@ class MonolithicModel:
         reassembled into the full matrix in global field order.
         """
         graph = engine.graph
-        parts = engine.table.parts
-        linear_map = engine.table.weight_map("linear") if "linear" in parts else {}
-        latent_map = engine.table.weight_map("latent") if "latent" in parts else {}
+        maps = {part: engine.table.weight_map(part) for part in engine.table.parts}
         full_fc = None
         if graph.uses_tower:
             blocks = [rank.fc_block for rank in engine.ranks]
             full_fc = join_fc_blocks(blocks, graph.n_fields, graph.embedding_dim)
         dense = {name: arr.copy() for name, arr in engine.ranks[0].dense.items()}
-        return cls(graph, linear_map, latent_map, full_fc, dense, engine.dtype)
+        return cls(graph, maps, full_fc, dense, engine.dtype)
 
     # -- exact route (engine kernels, unsharded) ---------------------------
 
-    def _gather_linear(self, fields, keys):
-        out = np.zeros((len(fields), 1), dtype=self.dtype)
+    def _gather(self, part, fields, keys):
+        """One table part's weights for each (field, key) occurrence."""
+        width = self.graph.embedding_dim if part == "latent" else 1
+        out = np.zeros((len(fields), width), dtype=self.dtype)
         for i, (f, k) in enumerate(zip(fields, keys)):
-            out[i] = self.linear_map[(int(f), int(k))]
-        return out
-
-    def _gather_latent(self, fields, keys, dtype=None):
-        d = self.graph.embedding_dim
-        out = np.zeros((len(fields), d), dtype=dtype or self.dtype)
-        for i, (f, k) in enumerate(zip(fields, keys)):
-            out[i] = self.latent_map[(int(f), int(k))]
+            out[i] = self.maps[part][(int(f), int(k))]
         return out
 
     def forward_exact(self, batch):
         """Unsharded forward with the engine's own kernels and op order."""
         graph = self.graph
-        sl = _full_slice(batch)
         B = batch.batch_size
         logit = np.zeros(B, dtype=self.dtype)
 
         if graph.uses_linear:
             logit = logit + self.dense["bias"][0]
-            w = self._gather_linear(sl.fields, sl.keys)
-            logit = logit + linear_partial(w, sl.values, sl.sample_ids, B)
+            w = self._gather("linear", batch.fields, batch.keys)
+            logit = logit + linear_partial(w, batch.values, batch.sample_ids, B)
 
         latents = None
         if graph.uses_second_order or graph.uses_tower:
-            latents = self._gather_latent(sl.fields, sl.keys)
+            latents = self._gather("latent", batch.fields, batch.keys)
 
         if graph.uses_second_order:
-            m1, m2 = second_order_partials(latents, sl.values, sl.sample_ids, B)
+            m1, m2 = second_order_partials(latents, batch.values, batch.sample_ids, B)
             logit = logit + second_order_combine(m1.copy(), m2.copy())
 
         if graph.uses_tower:
-            pooled = pooled_fields(sl, 1, latents, graph.n_fields, graph.embedding_dim)
+            pooled = pooled_fields(batch, 1, latents, graph.n_fields, graph.embedding_dim)
             agg = tower_partial(pooled, self.full_fc).copy()
             if graph.uses_mlp:
                 deep, _ = mlp_forward(self.dense, graph.hidden_widths, agg)
@@ -146,11 +130,11 @@ class MonolithicModel:
             if graph.uses_linear:
                 z += float(dense64["bias"][0])
                 for f, k, v in zip(fields, keys, values):
-                    z += float(self.linear_map[(int(f), int(k))][0]) * float(v)
+                    z += float(self.maps["linear"][(int(f), int(k))][0]) * float(v)
 
             if graph.uses_second_order or graph.uses_tower:
                 vx = [
-                    self.latent_map[(int(f), int(k))].astype(np.float64) * float(v)
+                    self.maps["latent"][(int(f), int(k))].astype(np.float64) * float(v)
                     for f, k, v in zip(fields, keys, values)
                 ]
 
@@ -199,10 +183,9 @@ class MonolithicModel:
         check.
         """
         out = []
-        for (f, k) in sorted(self.linear_map):
-            out.append((f"linear[{f},{k}]", self.linear_map[(f, k)]))
-        for (f, k) in sorted(self.latent_map):
-            out.append((f"latent[{f},{k}]", self.latent_map[(f, k)]))
+        for part, weights in self.maps.items():
+            for (f, k) in sorted(weights):
+                out.append((f"{part}[{f},{k}]", weights[(f, k)]))
         if self.full_fc is not None:
             out.append(("first_fc", self.full_fc))
         for name in sorted(self.dense):

@@ -40,7 +40,8 @@ def _build_parser():
     p_train.add_argument("--config", metavar="FILE", help="run config JSON; flags override")
     p_train.add_argument("--out", metavar="DIR", help="write metrics, config, checkpoint here")
     p_train.add_argument("--fields", type=int, default=None,
-                         help="field count (default: synthetic spec / 39 for Criteo files)")
+                         help="field count, of the synthetic data too (default: synthetic "
+                              "spec / 39 for Criteo files)")
     p_train.add_argument("--train-samples", type=int, default=None)
     p_train.add_argument("--test-samples", type=int, default=None)
 
@@ -86,6 +87,14 @@ def _cmd_train(args):
         data=args.data, train_samples=args.train_samples, test_samples=args.test_samples,
         out_dir=args.out,
     ))
+    if args.fields is not None and cfg.data == "synthetic":
+        # synthetic data gets the graph's field count; a spec with every field
+        # active keeps them all active, any other active range is clamped
+        spec, f = cfg.synthetic, args.fields
+        lo, hi = ((spec.min_active_fields, spec.max_active_fields)
+                  if spec.min_active_fields < spec.n_fields else (f, f))
+        cfg = dataclasses.replace(cfg, synthetic=dataclasses.replace(
+            spec, n_fields=f, min_active_fields=min(lo, f), max_active_fields=min(hi, f)))
     if cfg.data != "synthetic" and not os.path.exists(cfg.data):
         print(f"dessim train: data file not found: {cfg.data}", file=sys.stderr)
         return USAGE_ERROR

@@ -83,7 +83,7 @@ class SparseBatch:
         bounds = np.cumsum(np.bincount(owner, minlength=n_workers))[:-1]
         columns = zip(*(np.split(a[order], bounds) for a in (
             self.sample_ids, self.fields, self.keys, self.values)))
-        return [BatchSlice(self.batch_size, *cols) for cols in columns]
+        return [SparseBatch(self.labels, *cols) for cols in columns]
 
     @staticmethod
     def from_samples(labels, samples):
@@ -145,15 +145,6 @@ class SampleFeatures:
             keys=self.keys[lo:hi],
             values=self.values[lo:hi],
         )
-
-
-@dataclass
-class BatchSlice:
-    batch_size: int
-    sample_ids: np.ndarray
-    fields: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -386,22 +377,26 @@ def build_dense_params(graph, dtype):
 
 @dataclass
 class RankPass:
-    """One rank's state from a forward pass: what its backward and apply need.
+    """One rank's step: what its forward read, then the gradients its backward made.
 
-    ``rank`` is the ``Rank`` that ran it. The rank's (field, key) pairs are
-    resolved once per step: ``pairs`` is ``unique_with_inverse`` of its
-    slice, ``(fields, keys, inverse)``, and one table ``lookup`` gives every
-    unique pair's ``rows`` and the ``weights`` it read, ``{part: weights}``.
-    The optimizer writes back by those rows, which stay valid through the
-    step because table rows never move. ``latents`` is the latent vector of
-    each feature occurrence, row ``inverse`` of ``weights["latent"]``; the
-    rank gathers rows with ``np.take``, the same copy as fancy indexing, only
-    faster. ``cache`` is the rank's replicated-stack cache (the mlp's or the
-    cross stack's). Fields a model does not use stay None.
+    ``rank`` is the ``Rank`` that ran it and ``slice_`` its share of the
+    batch. The rank's (field, key) pairs are resolved once per step:
+    ``pairs`` is ``unique_with_inverse`` of its slice, ``(fields, keys,
+    inverse)``, and one table ``lookup`` gives every unique pair's ``rows``
+    and the ``weights`` it read, ``{part: weights}``. The optimizer writes
+    back by those rows, which stay valid through the step because table rows
+    never move. ``latents`` is the latent vector of each feature occurrence,
+    row ``inverse`` of ``weights["latent"]``; the rank gathers rows with
+    ``np.take``, the same copy as fancy indexing, only faster. ``cache`` is
+    the rank's replicated-stack cache (the mlp's or the cross stack's).
+    Backward fills ``grads``, ``{part: grads}`` over the unique pairs,
+    ``dense_grads`` and ``fc_grads``; it runs once per pass, and ``applied``
+    marks the one optimizer step taken from it. Fields a model does not use
+    stay None.
     """
 
     rank: Rank
-    slice_: BatchSlice
+    slice_: SparseBatch
     pairs: tuple
     rows: np.ndarray | None = None
     weights: dict | None = None
@@ -409,6 +404,10 @@ class RankPass:
     agg_m1: np.ndarray | None = None
     pooled: np.ndarray | None = None
     cache: dict | None = None
+    grads: dict | None = None
+    dense_grads: dict | None = None
+    fc_grads: np.ndarray | None = None
+    applied: bool = False
 
 
 @dataclass
@@ -425,28 +424,6 @@ class ForwardPass:
     epoch: int
     batch: SparseBatch
     ranks: list
-
-
-@dataclass
-class RankGradients:
-    """One rank's gradients of a pass.
-
-    ``rank`` made them. ``pairs`` are its unique ``(fields, keys)`` and
-    ``rows`` their table rows, which the optimizer writes in every part.
-    ``linear`` and ``latent`` are ``(weights, grads)`` of that table part over
-    those pairs: the weights the forward pass read and their gradients. They
-    are None where the model has no such part. ``fc_block`` is None without a tower.
-    ``applied`` is set when ``apply_gradients`` takes them, which it does once.
-    """
-
-    rank: Rank | None = None
-    dense: dict = field(default_factory=dict)
-    fc_block: np.ndarray | None = None
-    pairs: tuple | None = None
-    rows: np.ndarray | None = None
-    linear: tuple | None = None
-    latent: tuple | None = None
-    applied: bool = field(default=False, init=False)
 
 
 def join_fc_blocks(blocks, n_fields, dim):
@@ -484,6 +461,7 @@ class Rank:
         if graph.uses_cross:
             bounds = np.linspace(0, graph.first_fc_width, n + 1).astype(int)
             self.cross_range = (int(bounds[r]), int(bounds[r + 1]))
+        self.sparse_opts = {"linear": graph.first_order_opt, "latent": graph.embedding_opt}
 
     def forward(self, slice_):
         """The rank's forward program; yields ``(op, partial)`` at each aggregation.
@@ -535,17 +513,17 @@ class Rank:
         return logit, rp
 
     def backward(self, rp, delta):
-        """The rank's ``RankGradients`` from its own ``RankPass`` and the logit
+        """Fill the rank's own ``RankPass`` with its gradients, given the logit
         gradient ``delta`` every rank holds."""
         graph = self.graph
         sl = rp.slice_
-        uf, uk, inv = rp.pairs
-        grads = RankGradients(rank=self, pairs=(uf, uk), rows=rp.rows)
+        uf, _, inv = rp.pairs
+        rp.grads, rp.dense_grads = {}, {}
 
         if graph.uses_linear:
-            grads.dense["bias"] = np.array([np.sum(delta)], dtype=delta.dtype)
-            g = vecmath.scatter_add_rows(inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
-            grads.linear = (rp.weights["linear"], g)
+            rp.dense_grads["bias"] = np.array([np.sum(delta)], dtype=delta.dtype)
+            rp.grads["linear"] = vecmath.scatter_add_rows(
+                inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
 
         latent_contrib = None
         if graph.uses_second_order:
@@ -559,8 +537,8 @@ class Rank:
                 g_agg, stack_grads = mlp_backward(self.dense, graph.hidden_widths, rp.cache, delta)
             else:
                 g_agg, stack_grads = cross_backward(self.dense, graph.cross_depth, rp.cache, delta)
-            grads.dense.update(stack_grads)
-            grads.fc_block = vecmath.matmul_rows(rp.pooled.T, g_agg)
+            rp.dense_grads.update(stack_grads)
+            rp.fc_grads = vecmath.matmul_rows(rp.pooled.T, g_agg)
             g_pooled = vecmath.matmul_rows(g_agg, self.fc_block.T)
             n_local = len(self.fields)
             g_pooled = g_pooled.reshape(sl.batch_size * n_local, graph.embedding_dim)
@@ -569,27 +547,22 @@ class Rank:
             latent_contrib = contrib if latent_contrib is None else latent_contrib + contrib
 
         if latent_contrib is not None:
-            g = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
-            grads.latent = (rp.weights["latent"], g)
-        return grads
+            rp.grads["latent"] = vecmath.scatter_add_rows(inv, latent_contrib, len(uf))
 
-    def apply(self, grads):
-        """The rank's optimizer step on its table rows, its fc block and its replica."""
+    def apply(self, rp):
+        """The rank's optimizer step on its table rows, its fc block and its replica,
+        from the weights its forward read and the gradients its backward made."""
         graph = self.graph
-        for part, opt, entry in (
-            ("linear", graph.first_order_opt, grads.linear),
-            ("latent", graph.embedding_opt, grads.latent),
-        ):
-            if entry is not None and len(grads.rows):
-                w, g = entry
-                slots = self.table.slot_values(self.r, grads.rows, part)
-                new_w, new_slots = optim_step(opt, w, slots, g)
-                self.table.apply_update(self.r, grads.rows, part, new_w, new_slots)
-        if grads.fc_block is not None and self.fc_block.size:
+        if len(rp.rows):
+            for part, g in rp.grads.items():
+                slots = self.table.slot_values(self.r, rp.rows, part)
+                new_w, new_slots = optim_step(self.sparse_opts[part], rp.weights[part], slots, g)
+                self.table.apply_update(self.r, rp.rows, part, new_w, new_slots)
+        if rp.fc_grads is not None and self.fc_block.size:
             self.fc_block, self.fc_state = dense_step(
-                graph.dense_opt, self.fc_block, self.fc_state, grads.fc_block
+                graph.dense_opt, self.fc_block, self.fc_state, rp.fc_grads
             )
-        for name, g in grads.dense.items():
+        for name, g in rp.dense_grads.items():
             self.dense[name], self.dense_state[name] = dense_step(
                 graph.dense_opt, self.dense[name], self.dense_state[name], g
             )
@@ -644,10 +617,10 @@ class SubstitutedModel:
                 f"{float(batch.values[i])} in field {int(batch.fields[i])}"
             )
 
-    def _check_ranks(self, entries, what):
+    def _check_ranks(self, passes, what):
         """Reject a pass or gradient list that this engine's ranks did not make."""
-        if [e.rank for e in entries] != self.ranks:
-            raise ProtocolError(f"{what} of {len(entries)} ranks was not made by "
+        if [rp.rank for rp in passes] != self.ranks:
+            raise ProtocolError(f"{what} of {len(passes)} ranks was not made by "
                                 f"this engine's {len(self.ranks)} ranks")
 
     def forward(self, batch, phase=PHASE_FORWARD):
@@ -673,11 +646,14 @@ class SubstitutedModel:
         )
 
     def backward(self, fwd):
-        """Per-rank gradients of one forward pass. Performs no collective calls.
+        """Fill every rank's pass with its gradients and return the passes, the
+        list ``apply_gradients`` takes. Performs no collective calls.
 
         Aggregation distributes the incoming gradient unchanged to every
         local partial, and each worker already holds all aggregated values,
-        so everything below decomposes into shard-local work.
+        so everything below decomposes into shard-local work. A pass is
+        backpropagated once: a second backward is rejected before anything
+        is written.
         """
         self._check_ranks(fwd.ranks, "forward pass")
         group = self.group
@@ -685,25 +661,33 @@ class SubstitutedModel:
             raise ProtocolError(
                 f"backward for epoch {fwd.epoch} but the group is at epoch {group.epoch}"
             )
+        if any(rp.grads is not None for rp in fwd.ranks):
+            raise ProtocolError("forward pass was backpropagated before; each is "
+                                "backpropagated once")
         group.set_phase(PHASE_BACKWARD)
         delta = ((fwd.probs - fwd.batch.labels) / fwd.batch.batch_size).astype(self.dtype)
-        return [rank.backward(rp, delta) for rank, rp in zip(self.ranks, fwd.ranks)]
+        for rank, rp in zip(self.ranks, fwd.ranks):
+            rank.backward(rp, delta)
+        return fwd.ranks
 
-    def apply_gradients(self, grads):
+    def apply_gradients(self, passes):
         """Shard-local optimizer step; replicated tensors update identically.
 
         The sparse step starts from the weights the forward pass read, so
-        each pass's gradients are applied once, before the next pass: a list
-        applied before is rejected before anything is written.
+        each pass's gradients are applied once, before the next pass: passes
+        never backpropagated, or applied before, are rejected before anything
+        is written.
         """
-        self._check_ranks(grads, "gradient list")
-        if any(rank_grads.applied for rank_grads in grads):
+        self._check_ranks(passes, "gradient list")
+        if any(rp.grads is None for rp in passes):
+            raise ProtocolError("gradient list holds a pass that was never backpropagated")
+        if any(rp.applied for rp in passes):
             raise ProtocolError("gradient list was applied before; each is applied once")
-        for rank_grads in grads:
-            rank_grads.applied = True
+        for rp in passes:
+            rp.applied = True
         self.group.set_phase(PHASE_OPTIMIZER)
-        for rank, rank_grads in zip(self.ranks, grads):
-            rank.apply(rank_grads)
+        for rank, rp in zip(self.ranks, passes):
+            rank.apply(rp)
 
     def check_replicas(self):
         """Replicated tensors must stay bitwise identical across workers."""
@@ -718,8 +702,7 @@ class SubstitutedModel:
     def train_step(self, batch):
         """Forward, backward, update, replica check, epoch barrier."""
         fwd = self.forward(batch)
-        grads = self.backward(fwd)
-        self.apply_gradients(grads)
+        self.apply_gradients(self.backward(fwd))
         self.check_replicas()
         self.group.advance_epoch()
         return fwd

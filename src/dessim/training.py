@@ -31,7 +31,7 @@ from .costmodel import (
     q_mesh,
     saving_ratio,
 )
-from .data import SyntheticSpec, gen_synthetic, read_criteo_batches
+from .data import HELD_OUT_EVERY, SyntheticSpec, gen_synthetic, read_criteo_batches
 from .metrics import auc as auc_metric, logloss as logloss_metric
 from .models import MODEL_KINDS, ModelGraph, SubstitutedModel
 from .errors import MetricError
@@ -153,7 +153,8 @@ def train(cfg):
         raise ValueError(f"the training split is empty ({why}); no epoch can train")
     if cfg.epochs and not test_batches:
         why = (f"test_samples={cfg.test_samples}" if cfg.data == "synthetic"
-               else f"every 20th line is held out and {cfg.data} has fewer than 20")
+               else f"every {HELD_OUT_EVERY}th line is held out and {cfg.data} has fewer "
+                    f"than {HELD_OUT_EVERY}")
         raise ValueError(f"the held-out split is empty ({why}); no epoch can be evaluated")
 
     snapshots = []

@@ -155,8 +155,7 @@ def equivalence_case(kind, seed, n_grid=DEFAULT_N_GRID, rel_tol=1e-5, batch_size
             report, seed, graph, group, batch.batch_size, eq_epoch, f"{kind} N={n}"
         )
 
-        grads = engine.backward(fwd)
-        engine.apply_gradients(grads)
+        engine.apply_gradients(engine.backward(fwd))
         bwd = group.ledger.total_bytes(phase=PHASE_BACKWARD)
         opt = group.ledger.total_bytes(phase=PHASE_OPTIMIZER)
         if bwd != 0:
@@ -231,22 +230,21 @@ GRAD_KIND_BLOCKS = {
 }
 
 
-def _engine_grad_maps(engine, grads):
-    """Flatten per-rank gradients into oracle-shaped structures."""
+def _engine_grad_maps(engine, passes):
+    """Every rank's gradients, ``{label: grads}`` under the oracle's
+    ``perturbable_parameters`` labels."""
     graph = engine.graph
-    linear = {}
-    latent = {}
-    for rank_grads in grads:
-        for out, entry in ((linear, rank_grads.linear), (latent, rank_grads.latent)):
-            if entry is not None:
-                uf, uk = rank_grads.pairs
-                for f, k, row in zip(uf, uk, entry[1]):
-                    out[(int(f), int(k))] = row.copy()
-    full_fc = None
+    out = {}
+    for rp in passes:
+        uf, uk, _ = rp.pairs
+        for part, grads in rp.grads.items():
+            for f, k, row in zip(uf, uk, grads):
+                out[f"{part}[{int(f)},{int(k)}]"] = row
     if graph.uses_tower:
-        blocks = [rank_grads.fc_block for rank_grads in grads]
-        full_fc = join_fc_blocks(blocks, graph.n_fields, graph.embedding_dim)
-    return linear, latent, full_fc, grads[0].dense
+        blocks = [rp.fc_grads for rp in passes]
+        out["first_fc"] = join_fc_blocks(blocks, graph.n_fields, graph.embedding_dim)
+    out.update((f"dense.{name}", g) for name, g in passes[0].dense_grads.items())
+    return out
 
 
 def _fd_sample(rng, arr, max_coords):
@@ -273,22 +271,8 @@ def gradient_case(kind, seed, n_workers=2, rel_tol=1e-4, max_coords=24):
     batch = random_batch(graph, rng, batch_size=4)
     group = WorkerGroup(n_workers)
     engine = SubstitutedModel(graph, group, dtype=np.float64)
-    fwd = engine.forward(batch)
-    grads = engine.backward(fwd)
-    lin_g, lat_g, fc_g, dense_g = _engine_grad_maps(engine, grads)
+    analytic = _engine_grad_maps(engine, engine.backward(engine.forward(batch)))
     oracle = MonolithicModel.from_engine(engine)
-
-    def analytic_for(label):
-        if label.startswith("linear["):
-            f, k = label[len("linear[") : -1].split(",")
-            return lin_g.get((int(f), int(k)), np.zeros(1, dtype=np.float64))
-        if label.startswith("latent["):
-            f, k = label[len("latent[") : -1].split(",")
-            return lat_g.get((int(f), int(k)),
-                             np.zeros(graph.embedding_dim, dtype=np.float64))
-        if label == "first_fc":
-            return fc_g
-        return dense_g[label[len("dense."):]]
 
     blocks = GRAD_KIND_BLOCKS[kind]
     for label, arr in oracle.perturbable_parameters():
@@ -300,7 +284,7 @@ def gradient_case(kind, seed, n_workers=2, rel_tol=1e-4, max_coords=24):
         )
         if not wanted:
             continue
-        an = np.asarray(analytic_for(label), dtype=np.float64).reshape(-1)
+        an = np.asarray(analytic[label], dtype=np.float64).reshape(-1)
         flat, coords = _fd_sample(rng, arr, max_coords)
         for i in coords:
             report.cases += 1

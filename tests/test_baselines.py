@@ -78,7 +78,7 @@ class TestWideRoute:
         batch = SparseBatch.from_samples([1.0], [[(0, 3, 0.7)]])
         engine.forward(batch)
         oracle = MonolithicModel.from_engine(engine)
-        w = float(oracle.linear_map[(0, 3)][0])
+        w = float(oracle.maps["linear"][(0, 3)][0])
         bias = float(oracle.dense["bias"][0])
         z = bias + w * 0.7
         prob = oracle.forward_wide(batch)[0]

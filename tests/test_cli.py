@@ -72,6 +72,26 @@ class TestTrainCommand:
         assert "fewer than 20" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("active,n_fields,want", [
+        pytest.param((10, 10), 4, (4, 4), id="all-active-4"),
+        pytest.param((10, 10), 12, (12, 12), id="all-active-12"),
+        pytest.param((2, 6), 4, (2, 4), id="range-4"),
+        pytest.param((2, 6), 12, (2, 6), id="range-12"),
+    ])
+    def test_fields_sets_the_synthetic_field_count(self, active, n_fields, want, tmp_path,
+                                                   capsys):
+        spec = SyntheticSpec(min_active_fields=active[0], max_active_fields=active[1])
+        path = tmp_path / "run.json"
+        path.write_text(RunConfig(graph=ModelGraph(kind="lr", n_fields=10),
+                                  synthetic=spec).to_json())
+        out = tmp_path / "run"
+        args = TINY_TRAIN + ["--config", str(path), "--fields", str(n_fields), "--out", str(out)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out.startswith("model=lr workers=2 ")
+        cfg = RunConfig.from_json((out / "config.json").read_text())
+        assert cfg.graph.n_fields == cfg.synthetic.n_fields == n_fields
+        assert (cfg.synthetic.min_active_fields, cfg.synthetic.max_active_fields) == want
+
     @pytest.mark.parametrize("with_config", [False, True])
     def test_zero_fields_is_a_value(self, with_config, tmp_path, capsys):
         args = list(TINY_TRAIN)
@@ -300,3 +320,29 @@ class TestErrorBoundary:
         assert captured.err == f"dessim train: {expected}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("keys,value,expected", [
+        pytest.param(("seed",), "x", "RunConfig.seed: expected int, got str", id="string-seed"),
+        pytest.param(("n_workers",), True, "RunConfig.n_workers: expected int, got bool",
+                     id="bool-workers"),
+        pytest.param(("seed",), 1.5, "RunConfig.seed: expected int, got float", id="float-seed"),
+        pytest.param(("batch_size",), "64", "RunConfig.batch_size: expected int, got str",
+                     id="string-batch"),
+        pytest.param(("out_dir",), 7, "RunConfig.out_dir: expected str or None, got int",
+                     id="integer-out-dir"),
+        pytest.param(("graph", "dense_opt", "lr"), "0.1",
+                     "RunConfig.graph.dense_opt.lr: expected float, got str", id="string-lr"),
+        pytest.param(("synthetic", "noise_rate"), False,
+                     "RunConfig.synthetic.noise_rate: expected float, got bool", id="bool-noise"),
+    ])
+    def test_wrong_scalar_type_names_the_key_path(self, keys, value, expected, tmp_path, capsys):
+        doc = json.loads(RunConfig(graph=ModelGraph(kind="wdl", n_fields=4)).to_json())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dessim train: {expected}\n"
+        assert captured.out == ""

@@ -347,22 +347,50 @@ class TestEngineBackwardAndUpdate:
             assert np.array_equal(rank.dense["out.w"], out_w)
         engine.train_step(batch)
 
+    @staticmethod
+    def engine_state(engine, directory):
+        """The table's save bytes, every replica and every fc block."""
+        engine.table.save(str(directory))
+        table = {f.name: f.read_bytes() for f in directory.iterdir()}
+        replicas = [{k: v.tobytes() for k, v in rank.dense.items()} for rank in engine.ranks]
+        return table, replicas, [rank.fc_block.tobytes() for rank in engine.ranks]
+
     def test_gradient_list_applied_once(self, tmp_path):
         rng = np.random.default_rng(39)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         grads = engine.backward(engine.forward(tiny_batch(rng, 3)))
         engine.apply_gradients(grads)
-
-        def state(name):
-            engine.table.save(str(tmp_path / name))
-            table = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
-            replicas = [{k: v.tobytes() for k, v in rank.dense.items()} for rank in engine.ranks]
-            return table, replicas, [rank.fc_block.tobytes() for rank in engine.ranks]
-
-        before = state("before")
+        before = self.engine_state(engine, tmp_path / "before")
         with pytest.raises(ProtocolError, match="applied before"):
             engine.apply_gradients(grads)
-        assert state("after") == before
+        assert self.engine_state(engine, tmp_path / "after") == before
+
+    def test_pass_backpropagated_once(self, tmp_path):
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        fwd = engine.forward(batch)
+        passes = engine.backward(fwd)
+        grads = [[g.tobytes() for g in rp.grads.values()] for rp in passes]
+        before = self.engine_state(engine, tmp_path / "before")
+        with pytest.raises(ProtocolError, match="backpropagated before"):
+            engine.backward(fwd)
+        assert self.engine_state(engine, tmp_path / "after") == before
+        assert [[g.tobytes() for g in rp.grads.values()] for rp in passes] == grads
+        engine.apply_gradients(passes)
+
+    def test_pass_never_backpropagated_rejected(self, tmp_path):
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        fwd = engine.forward(batch)
+        before = self.engine_state(engine, tmp_path / "before")
+        with pytest.raises(ProtocolError, match="never backpropagated"):
+            engine.apply_gradients(fwd.ranks)
+        assert self.engine_state(engine, tmp_path / "after") == before
+        engine.apply_gradients(engine.backward(fwd))
 
     def test_training_moves_weights(self):
         rng = np.random.default_rng(40)

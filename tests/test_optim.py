@@ -41,6 +41,11 @@ class TestConfig:
         cfg = OptimizerConfig.ftrl(alpha=0.1, beta=2.0, l1=0.5, l2=0.25)
         assert OptimizerConfig.from_config(cfg.to_config()) == cfg
 
+    def test_config_takes_an_int_for_a_float(self):
+        assert OptimizerConfig.from_config({"kind": "adam", "lr": 1}).lr == 1
+        with pytest.raises(ValueError, match=r"OptimizerConfig\.lr: expected float, got bool"):
+            OptimizerConfig.from_config({"kind": "adam", "lr": True})
+
 
 class TestAdaGrad:
     def test_zero_gradient_leaves_weight_unchanged(self):

@@ -310,11 +310,11 @@ def train_and_checkpoint(kind, n_workers, directory):
     fwd = engine.forward(batches[2])
     logits.append(fwd.logit.tobytes())
     grads = []
-    for rank in engine.backward(fwd):
-        grads += [g.tobytes() for _, g in sorted(rank.dense.items())]
-        grads += [e[1].tobytes() for e in (rank.linear, rank.latent) if e is not None]
-        if rank.fc_block is not None:
-            grads.append(rank.fc_block.tobytes())
+    for rp in engine.backward(fwd):
+        grads += [g.tobytes() for _, g in sorted(rp.dense_grads.items())]
+        grads += [g.tobytes() for g in rp.grads.values()]
+        if rp.fc_grads is not None:
+            grads.append(rp.fc_grads.tobytes())
     engine.save_checkpoint(directory)
     return logits, grads, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
