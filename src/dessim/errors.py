@@ -11,8 +11,9 @@ class ProtocolError(RuntimeError):
     Raised for shape or dtype mismatches between rank payloads, a wrong
     number of contributions or worker programs, worker programs that fall
     out of lockstep (ranks calling different ops, or one rank finishing
-    while others wait at a collective), and a stale forward pass fed to
-    backward.
+    while others wait at a collective), and a forward pass that is not live
+    (another engine's, or of an epoch an apply has ended), backpropagated
+    twice, or applied without a backward.
     """
 
 

@@ -173,6 +173,10 @@ class ModelGraph(ConfigDocument):
             raise ValueError("embedding_dim and first_fc_width must be positive")
         if self.kind == "dcn-demo" and self.cross_depth < 1:
             raise ValueError("dcn-demo needs at least one cross layer")
+        bad = [w for w in self.hidden_widths
+               if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1]
+        if bad:
+            raise ValueError(f"hidden_widths: {bad[0]!r} is not an int of at least 1")
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
     @property
@@ -194,19 +198,6 @@ class ModelGraph(ConfigDocument):
     @property
     def uses_cross(self):
         return self.kind == "dcn-demo"
-
-    def aggregation_count(self):
-        """Collective calls per forward pass."""
-        m = 0
-        if self.uses_linear:
-            m += 1
-        if self.uses_second_order:
-            m += 2
-        if self.uses_tower:
-            m += 1
-        if self.uses_cross:
-            m += self.cross_depth
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +370,8 @@ def build_dense_params(graph, dtype):
 class RankPass:
     """One rank's step: what its forward read, then the gradients its backward made.
 
-    ``rank`` is the ``Rank`` that ran it and ``slice_`` its share of the
-    batch. The rank's (field, key) pairs are resolved once per step:
+    ``slice_`` is the rank's share of the batch. Its (field, key) pairs
+    are resolved once per step:
     ``pairs`` is ``unique_with_inverse`` of its slice, ``(fields, keys,
     inverse)``, and one table ``lookup`` gives every unique pair's ``rows``
     and the ``weights`` it read, ``{part: weights}``. The optimizer writes
@@ -390,12 +381,10 @@ class RankPass:
     ``np.take``, the same copy as fancy indexing, only faster. ``cache`` is
     the rank's replicated-stack cache (the mlp's or the cross stack's).
     Backward fills ``grads``, ``{part: grads}`` over the unique pairs,
-    ``dense_grads`` and ``fc_grads``; it runs once per pass, and ``applied``
-    marks the one optimizer step taken from it. Fields a model does not use
-    stay None.
+    ``dense_grads`` and ``fc_grads``, once per pass. Fields a model does not
+    use stay None.
     """
 
-    rank: Rank
     slice_: SparseBatch
     pairs: tuple
     rows: np.ndarray | None = None
@@ -407,18 +396,18 @@ class RankPass:
     grads: dict | None = None
     dense_grads: dict | None = None
     fc_grads: np.ndarray | None = None
-    applied: bool = False
 
 
 @dataclass
 class ForwardPass:
     """The output every rank agrees on, plus each rank's ``RankPass``.
 
-    Backward sums gradients over each rank's resolved pairs, and apply steps
-    the optimizer from the weights forward read, since no table is written
-    between forward and apply.
+    A pass lives for one epoch: ``engine``, which made it, finishes it in
+    ``epoch``, and applying it ends that epoch, so apply steps from the
+    weights forward read, which no other update has written.
     """
 
+    engine: SubstitutedModel
     probs: np.ndarray
     logit: np.ndarray
     epoch: int
@@ -472,7 +461,7 @@ class Rank:
         dense = self.dense
         B = slice_.batch_size
         uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
-        rp = RankPass(rank=self, slice_=slice_, pairs=(uf, uk, inv))
+        rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
         rp.rows, rp.weights = self.table.lookup(self.r, uf, uk)
         if "latent" in rp.weights:
             rp.latents = np.take(rp.weights["latent"], inv, axis=0)
@@ -617,11 +606,14 @@ class SubstitutedModel:
                 f"{float(batch.values[i])} in field {int(batch.fields[i])}"
             )
 
-    def _check_ranks(self, passes, what):
-        """Reject a pass or gradient list that this engine's ranks did not make."""
-        if [rp.rank for rp in passes] != self.ranks:
-            raise ProtocolError(f"{what} of {len(passes)} ranks was not made by "
+    def _check_live(self, fwd):
+        """Reject a pass that another engine made, or that an earlier epoch made."""
+        if fwd.engine is not self:
+            raise ProtocolError(f"forward pass of {len(fwd.ranks)} ranks was not made by "
                                 f"this engine's {len(self.ranks)} ranks")
+        if fwd.epoch != self.group.epoch:
+            raise ProtocolError(f"forward pass of epoch {fwd.epoch} is stale: the group "
+                                f"is at epoch {self.group.epoch}")
 
     def forward(self, batch, phase=PHASE_FORWARD):
         """Every rank's forward program, run in lockstep; one collective per aggregation.
@@ -642,51 +634,43 @@ class SubstitutedModel:
                 raise ConsistencyError(f"logit on worker {r} diverged from worker 0")
         return ForwardPass(
             probs=vecmath.sigmoid(logit), logit=logit, epoch=group.epoch, batch=batch,
-            ranks=[rank_pass for _, rank_pass in outs],
+            ranks=[rank_pass for _, rank_pass in outs], engine=self,
         )
 
     def backward(self, fwd):
-        """Fill every rank's pass with its gradients and return the passes, the
-        list ``apply_gradients`` takes. Performs no collective calls.
+        """Fill every rank's pass with its gradients and return ``fwd``, which
+        ``apply_gradients`` takes. Performs no collective calls.
 
         Aggregation distributes the incoming gradient unchanged to every
         local partial, and each worker already holds all aggregated values,
-        so everything below decomposes into shard-local work. A pass is
-        backpropagated once: a second backward is rejected before anything
-        is written.
+        so everything below decomposes into shard-local work. A pass this
+        engine made in the current epoch is backpropagated once; any other
+        backward is rejected before anything is written.
         """
-        self._check_ranks(fwd.ranks, "forward pass")
-        group = self.group
-        if fwd.epoch != group.epoch:
-            raise ProtocolError(
-                f"backward for epoch {fwd.epoch} but the group is at epoch {group.epoch}"
-            )
+        self._check_live(fwd)
         if any(rp.grads is not None for rp in fwd.ranks):
             raise ProtocolError("forward pass was backpropagated before; each is "
                                 "backpropagated once")
-        group.set_phase(PHASE_BACKWARD)
+        self.group.set_phase(PHASE_BACKWARD)
         delta = ((fwd.probs - fwd.batch.labels) / fwd.batch.batch_size).astype(self.dtype)
         for rank, rp in zip(self.ranks, fwd.ranks):
             rank.backward(rp, delta)
-        return fwd.ranks
+        return fwd
 
-    def apply_gradients(self, passes):
+    def apply_gradients(self, fwd):
         """Shard-local optimizer step; replicated tensors update identically.
 
-        The sparse step starts from the weights the forward pass read, so
-        each pass's gradients are applied once, before the next pass: passes
-        never backpropagated, or applied before, are rejected before anything
-        is written.
+        The sparse step starts from the weights the forward pass read, so it
+        ends the pass's epoch before any rank writes: every other pass of that
+        epoch, training or eval, goes stale, and an apply that fails partway is
+        not repeated. A pass never backpropagated is rejected before any write.
         """
-        self._check_ranks(passes, "gradient list")
-        if any(rp.grads is None for rp in passes):
-            raise ProtocolError("gradient list holds a pass that was never backpropagated")
-        if any(rp.applied for rp in passes):
-            raise ProtocolError("gradient list was applied before; each is applied once")
-        for rp in passes:
-            rp.applied = True
+        self._check_live(fwd)
+        if any(rp.grads is None for rp in fwd.ranks):
+            raise ProtocolError("forward pass was never backpropagated")
+        self.group.advance_epoch()
         self.group.set_phase(PHASE_OPTIMIZER)
-        for rank, rp in zip(self.ranks, passes):
+        for rank, rp in zip(self.ranks, fwd.ranks):
             rank.apply(rp)
 
     def check_replicas(self):
@@ -700,11 +684,10 @@ class SubstitutedModel:
                     )
 
     def train_step(self, batch):
-        """Forward, backward, update, replica check, epoch barrier."""
+        """Forward, backward, update (which ends the epoch), replica check."""
         fwd = self.forward(batch)
         self.apply_gradients(self.backward(fwd))
         self.check_replicas()
-        self.group.advance_epoch()
         return fwd
 
     def save_checkpoint(self, directory):

@@ -68,12 +68,6 @@ _DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def shard_of(field_id, n_shards):
-    if n_shards < 1:
-        raise ValueError(f"need at least one shard, got {n_shards}")
-    return int(field_id) % int(n_shards)
-
-
 @functools.lru_cache(maxsize=64)
 def _keyed_blake2b(seed):
     if not 0 <= seed < 2**64:
@@ -103,11 +97,6 @@ def hash_text(text, seed=0):
     little-endian bytes as the key, read as a little-endian integer.
     """
     return int.from_bytes(text_hasher(text, seed).digest(), "little")
-
-
-def hash_feature(field_id, token, seed=0):
-    """Key for a raw categorical token, hashed together with its field id."""
-    return hash_text(f"{field_id}:{token}", seed)
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 over the golden ratio

@@ -346,3 +346,16 @@ class TestErrorBoundary:
         captured = capsys.readouterr()
         assert captured.err == f"dessim train: {expected}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("width,shown", [
+        (1.5, "1.5"), (True, "True"), ("a", "'a'"), (-3, "-3"), (0, "0"),
+    ], ids=["float", "bool", "string", "negative", "zero"])
+    def test_hidden_width_not_a_positive_int(self, width, shown, tmp_path, capsys):
+        doc = json.loads(RunConfig(graph=ModelGraph(kind="wdl", n_fields=4)).to_json())
+        doc["graph"]["hidden_widths"] = [8, width]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["train", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dessim train: hidden_widths: {shown} is not an int of at least 1\n"
+        assert captured.out == ""

@@ -12,6 +12,7 @@ import pytest
 
 from dessim import models, sparse
 from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
+from dessim.costmodel import model_payload_sizes
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
 from dessim.models import (
     ModelGraph,
@@ -120,12 +121,13 @@ class TestModelGraph:
             assert got == want, kind
 
     def test_aggregations_per_forward(self):
-        assert ModelGraph(kind="lr", n_fields=3).aggregation_count() == 1
-        assert ModelGraph(kind="fm", n_fields=3).aggregation_count() == 3
-        assert ModelGraph(kind="wdl", n_fields=3).aggregation_count() == 2
-        assert ModelGraph(kind="deepfm", n_fields=3).aggregation_count() == 4
-        assert ModelGraph(kind="dcn-demo", n_fields=3,
-                          cross_depth=3).aggregation_count() == 4
+        def count(**kw):
+            return len(model_payload_sizes(ModelGraph(n_fields=3, **kw), 1))
+        assert count(kind="lr") == 1
+        assert count(kind="fm") == 3
+        assert count(kind="wdl") == 2
+        assert count(kind="deepfm") == 4
+        assert count(kind="dcn-demo", cross_depth=3) == 4
 
     def test_config_round_trip(self):
         g = ModelGraph(kind="deepfm", n_fields=7, embedding_dim=4,
@@ -260,7 +262,7 @@ class TestEngineForward:
             engine = SubstitutedModel(graph, WorkerGroup(2))
             engine.forward(tiny_batch(rng, 3))
             count = engine.group.ledger.op_count(phase=PHASE_FORWARD)
-            assert count == graph.aggregation_count(), kind
+            assert count == len(model_payload_sizes(graph, 1)), kind
 
 
 class TestBatchValidation:
@@ -340,7 +342,7 @@ class TestEngineBackwardAndUpdate:
         grads = other.backward(fwd)
         entries = engine.table.n_entries()
         saved = [rank.dense["out.w"].copy() for rank in engine.ranks]
-        with pytest.raises(ProtocolError, match=f"gradient list of {made_by} ranks"):
+        with pytest.raises(ProtocolError, match=f"forward pass of {made_by} ranks"):
             engine.apply_gradients(grads)
         assert engine.table.n_entries() == entries
         for rank, out_w in zip(engine.ranks, saved):
@@ -361,7 +363,7 @@ class TestEngineBackwardAndUpdate:
         grads = engine.backward(engine.forward(tiny_batch(rng, 3)))
         engine.apply_gradients(grads)
         before = self.engine_state(engine, tmp_path / "before")
-        with pytest.raises(ProtocolError, match="applied before"):
+        with pytest.raises(ProtocolError, match="epoch"):
             engine.apply_gradients(grads)
         assert self.engine_state(engine, tmp_path / "after") == before
 
@@ -371,14 +373,14 @@ class TestEngineBackwardAndUpdate:
         batch = tiny_batch(rng, 3)
         engine.train_step(batch)
         fwd = engine.forward(batch)
-        passes = engine.backward(fwd)
+        passes = engine.backward(fwd).ranks
         grads = [[g.tobytes() for g in rp.grads.values()] for rp in passes]
         before = self.engine_state(engine, tmp_path / "before")
         with pytest.raises(ProtocolError, match="backpropagated before"):
             engine.backward(fwd)
         assert self.engine_state(engine, tmp_path / "after") == before
         assert [[g.tobytes() for g in rp.grads.values()] for rp in passes] == grads
-        engine.apply_gradients(passes)
+        engine.apply_gradients(fwd)
 
     def test_pass_never_backpropagated_rejected(self, tmp_path):
         rng = np.random.default_rng(39)
@@ -388,9 +390,46 @@ class TestEngineBackwardAndUpdate:
         fwd = engine.forward(batch)
         before = self.engine_state(engine, tmp_path / "before")
         with pytest.raises(ProtocolError, match="never backpropagated"):
-            engine.apply_gradients(fwd.ranks)
+            engine.apply_gradients(fwd)
         assert self.engine_state(engine, tmp_path / "after") == before
         engine.apply_gradients(engine.backward(fwd))
+
+    def assert_stale(self, engine, fresh, backpropagated, tmp_path):
+        """Neither pass, both made in an epoch that has ended, can be finished,
+        and neither rejection writes anything."""
+        before = self.engine_state(engine, tmp_path / "before"), engine.group.epoch
+        stale = f"forward pass of epoch {fresh.epoch} is stale"
+        with pytest.raises(ProtocolError, match=stale):
+            engine.backward(fresh)
+        with pytest.raises(ProtocolError, match=stale):
+            engine.apply_gradients(fresh)
+        with pytest.raises(ProtocolError, match=stale):
+            engine.apply_gradients(backpropagated)
+        assert (self.engine_state(engine, tmp_path / "after"), engine.group.epoch) == before
+
+    def test_second_forward_of_an_epoch_rejected(self, tmp_path):
+        # applying the first pass would otherwise leave the second stepping from
+        # row weights the first apply replaced, overwriting that update
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        first, second = engine.forward(batch), engine.forward(batch)
+        third = engine.backward(engine.forward(batch))
+        engine.apply_gradients(engine.backward(first))
+        self.assert_stale(engine, second, third, tmp_path)
+        engine.train_step(batch)
+
+    def test_eval_pass_made_before_a_step_rejected(self, tmp_path):
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        held_out = engine.forward(batch, phase=PHASE_EVAL)
+        backpropagated = engine.backward(engine.forward(batch, phase=PHASE_EVAL))
+        engine.train_step(batch)
+        self.assert_stale(engine, held_out, backpropagated, tmp_path)
+        engine.train_step(batch)
 
     def test_training_moves_weights(self):
         rng = np.random.default_rng(40)

@@ -12,29 +12,11 @@ from dessim.models import SparseBatch
 from dessim.sparse import (
     ShardedWeightTable,
     TablePart,
-    hash_feature,
     hash_text,
     seeded_uniform_init,
-    shard_of,
     text_hasher,
     unique_with_inverse,
 )
-
-
-class TestShardOf:
-    def test_mod_placement(self):
-        assert shard_of(5, 4) == 1
-
-    def test_field_zero_everywhere(self):
-        for k in range(1, 10):
-            assert shard_of(0, k) == 0
-
-    def test_single_shard(self):
-        assert shard_of(7, 1) == 0
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            shard_of(3, 0)
 
 
 class TestHashing:
@@ -47,9 +29,6 @@ class TestHashing:
     def test_64_bit_range(self):
         for s in ("", "x", "I0", "C25:deadbeef"):
             assert 0 <= hash_text(s) < 2**64
-
-    def test_feature_hash_separates_fields(self):
-        assert hash_feature(1, "tok") != hash_feature(2, "tok")
 
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
     def test_equals_one_shot_keyed_blake2b(self, seed):

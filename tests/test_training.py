@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, PHASE_OPTIMIZER
-from dessim.costmodel import CostInputs, expected_forward_bytes, q_des, saving_ratio
+from dessim.costmodel import (
+    CostInputs,
+    expected_forward_bytes,
+    model_payload_sizes,
+    q_des,
+    saving_ratio,
+)
 from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import MetricError
 from dessim.metrics import auc, logloss
@@ -215,7 +221,7 @@ class TestEvalPhase:
         assert step_bytes == 512
         for epoch in (0, 1):
             assert led.op_count(phase=PHASE_FORWARD, epoch=epoch) == (
-                cfg.graph.aggregation_count())
+                len(model_payload_sizes(cfg.graph, 1)))
         assert [s.fwd_bytes for s in result.snapshots] == [step_bytes, 2 * step_bytes]
         assert [s.bwd_bytes for s in result.snapshots] == [0, 0]
         assert led.total_bytes(phase=PHASE_EVAL) == 2 * step_bytes

@@ -310,7 +310,7 @@ def train_and_checkpoint(kind, n_workers, directory):
     fwd = engine.forward(batches[2])
     logits.append(fwd.logit.tobytes())
     grads = []
-    for rp in engine.backward(fwd):
+    for rp in engine.backward(fwd).ranks:
         grads += [g.tobytes() for _, g in sorted(rp.dense_grads.items())]
         grads += [g.tobytes() for g in rp.grads.values()]
         if rp.fc_grads is not None:
