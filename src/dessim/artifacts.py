@@ -20,7 +20,7 @@ class ConfigDocument:
     tuple field that is not a list, a scalar that does not fit its field's
     ``int``, ``float``, ``str`` or ``str | None`` hint (a bool is not a
     number; an int is a float), or a value the constructor rejects with
-    ``TypeError``.
+    ``TypeError`` or ``ValueError``.
     """
 
     CONFIG_VERSION = None
@@ -73,7 +73,7 @@ class ConfigDocument:
                 raise ValueError(f"{path}.{name}: expected {allowed}, got {type(value).__name__}")
         try:
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

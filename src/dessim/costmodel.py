@@ -20,6 +20,7 @@ from .errors import MetricError
 KEY_BYTES = 8
 VALUE_BYTES = 4
 
+# in the order a composed model's forward aggregates them
 COMPONENT_KINDS = ("lr", "fm", "dnn")
 
 # Per-batch unique-feature counts of the default benchmark workload, keyed
@@ -78,23 +79,23 @@ def q_mesh(kind, c):
     return (n - 1) / n * (keys + _state_bytes(kind, c))
 
 
-def component_payload_sizes(kind, c):
-    """Aggregated partial-result payload bytes for one component's forward."""
+def component_payloads(kind, c):
+    """(op name, payload bytes) per aggregation of one component's forward."""
     B = c.batch_size
     v = c.value_bytes
     if kind == "lr":
-        return (v * B,)
+        return (("linear.partial", v * B),)
     if kind == "fm":
-        return (v * c.dim * B, v * B)
+        return (("fm2.m1", v * c.dim * B), ("fm2.m2", v * B))
     if kind == "dnn":
-        return (v * c.first_fc_width * B,)
+        return (("tower.first_fc", v * c.first_fc_width * B),)
     raise ValueError(f"unknown component kind {kind!r}")
 
 
 def q_des(kind, c):
     """Bytes per worker to ring-allreduce the component's partial results."""
     n = c.n_workers
-    return 2 * (n - 1) / n * sum(component_payload_sizes(kind, c))
+    return 2 * (n - 1) * sum(size for _, size in component_payloads(kind, c)) / n
 
 
 def saving_ratio(kind, c):
@@ -124,20 +125,16 @@ def allreduce_sent_bytes_formula(nbytes, n_ranks):
 
 
 def model_payload_sizes(graph, batch_size, value_bytes=VALUE_BYTES):
-    """(op name, payload bytes) per aggregation of a composed model's forward."""
-    B = batch_size
-    v = value_bytes
-    out = []
-    if graph.uses_linear:
-        out.append(("linear.partial", v * B))
-    if graph.uses_second_order:
-        out.append(("fm2.m1", v * graph.embedding_dim * B))
-        out.append(("fm2.m2", v * B))
-    if graph.uses_tower:
-        out.append(("tower.first_fc", v * graph.first_fc_width * B))
+    """(op name, payload bytes) per aggregation of a composed model's forward:
+    its components in forward order, then one per cross level."""
+    c = CostInputs(
+        n_workers=1, batch_size=batch_size, uniq_feats=0, dim=graph.embedding_dim,
+        first_fc_width=graph.first_fc_width, n_fields=graph.n_fields, value_bytes=value_bytes,
+    )
+    used = (graph.uses_linear, graph.uses_second_order, graph.uses_tower)
+    out = [p for kind, u in zip(COMPONENT_KINDS, used) if u for p in component_payloads(kind, c)]
     if graph.uses_cross:
-        for k in range(graph.cross_depth):
-            out.append((f"cross.{k}", v * B))
+        out += [(f"cross.{k}", value_bytes * batch_size) for k in range(graph.cross_depth)]
     return out
 
 
@@ -190,7 +187,9 @@ def strategy_times(params, kind, c):
         "T_sync_mesh": t_sync_mesh,
         "T_async_mesh": t_sync_mesh / n,
         "T_ring": ring_time(params, n, _state_bytes(kind, c)),
-        "T_des": substitution_time(params, n, component_payload_sizes(kind, c)),
+        "T_des": substitution_time(
+            params, n, (size for _, size in component_payloads(kind, c))
+        ),
     }
 
 
@@ -203,7 +202,7 @@ class CommReportRow:
     q_mesh: float
     q_des: float
     ratio: float
-    measured_bytes: int
+    measured_bytes: float  # an int when N divides the ranks' total
     deviation: float
 
 

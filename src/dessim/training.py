@@ -26,7 +26,7 @@ from .costmodel import (
     CommReportRow,
     CostInputs,
     REFERENCE_UNIQ_FEATS,
-    component_payload_sizes,
+    component_payloads,
     q_des,
     q_mesh,
     saving_ratio,
@@ -34,7 +34,6 @@ from .costmodel import (
 from .data import HELD_OUT_EVERY, SyntheticSpec, gen_synthetic, read_criteo_batches
 from .metrics import auc as auc_metric, logloss as logloss_metric
 from .models import MODEL_KINDS, ModelGraph, SubstitutedModel
-from .errors import MetricError
 
 
 @dataclass
@@ -201,20 +200,17 @@ def train(cfg):
 # communication benchmark
 
 _COMPONENT_GRAPH_KIND = {"lr": "lr", "fm": "fm", "dnn": "wdl"}
-_COMPONENT_OPS = {
-    "lr": ("linear.partial",),
-    "fm": ("fm2.m1", "fm2.m2"),
-    "dnn": ("tower.first_fc",),
-}
 
 
 def bench_comm(n_workers=4, dim=8, first_fc_width=16, rows=None, n_fields=10, seed=0):
     """Predicted vs measured bytes for each component and batch size.
 
-    Each cell runs one real engine iteration and reads the component's
-    aggregation ops out of the forward ledger. Aggregated payloads depend
-    only on batch size and widths, so the unique-feature count of the
-    reference workload enters the predictions, not the run.
+    Each cell runs one real engine iteration and measures the forward bytes
+    of the ops ``component_payloads`` names for the component: their ledger
+    total over ranks divided by N, the per-worker mean that ``q_des``
+    predicts, kept an int when N divides it. Aggregated payloads depend only
+    on batch size and widths, so the unique-feature count of the reference
+    workload enters the predictions, not the run.
     """
     if rows is None:
         rows = sorted(REFERENCE_UNIQ_FEATS.items())
@@ -238,14 +234,9 @@ def bench_comm(n_workers=4, dim=8, first_fc_width=16, rows=None, n_fields=10, se
             batch = next(gen_synthetic(spec, batch_size, batch_size, seed))
             engine.train_step(batch)
 
-            per_rank = [
-                group.ledger.per_rank_bytes(n_workers, phase=PHASE_FORWARD, op=op)
-                for op in _COMPONENT_OPS[kind]
-            ]
-            totals = [sum(col) for col in zip(*per_rank)]
-            if len(set(totals)) != 1:
-                raise MetricError(f"per-rank forward bytes are not uniform: {totals}")
-            measured = totals[0]
+            sent = sum(group.ledger.total_bytes(phase=PHASE_FORWARD, op=op)
+                       for op, _ in component_payloads(kind, c))
+            measured = sent // n_workers if sent % n_workers == 0 else sent / n_workers
             predicted = q_des(kind, c)
             reports.append(
                 CommReportRow(

@@ -11,7 +11,7 @@ from dessim.costmodel import (
     CommReportRow,
     CostInputs,
     allreduce_sent_bytes_formula,
-    component_payload_sizes,
+    component_payloads,
     expected_forward_bytes,
     model_payload_sizes,
     q_des,
@@ -73,9 +73,9 @@ class TestVolumes:
     def test_des_payloads(self):
         c = CostInputs(n_workers=4, batch_size=100, uniq_feats=1, dim=8,
                        first_fc_width=16)
-        assert component_payload_sizes("lr", c) == (400,)
-        assert component_payload_sizes("fm", c) == (3200, 400)
-        assert component_payload_sizes("dnn", c) == (6400,)
+        assert component_payloads("lr", c) == (("linear.partial", 400),)
+        assert component_payloads("fm", c) == (("fm2.m1", 3200), ("fm2.m2", 400))
+        assert component_payloads("dnn", c) == (("tower.first_fc", 6400),)
 
     def test_unknown_component_rejected(self):
         c = CostInputs(n_workers=2, batch_size=8, uniq_feats=1)
@@ -171,17 +171,37 @@ class TestStrategyTimes:
                 assert t["T_async_ps"] == t["T_sync_ps"] / c.n_workers
                 assert t["T_async_mesh"] == t["T_sync_mesh"] / c.n_workers
 
+    def test_des_sums_ring_times_over_component_payloads(self):
+        rng = np.random.default_rng(61)
+        for _ in range(100):
+            params = NetworkParams(alpha=float(rng.uniform(0, 1e-3)),
+                                   bandwidth=float(rng.uniform(1e6, 1e10)))
+            c = CostInputs(
+                n_workers=int(rng.integers(1, 17)),
+                batch_size=int(rng.integers(1, 10000)),
+                uniq_feats=int(rng.integers(0, 2_000_000)),
+                dim=int(rng.integers(1, 65)),
+                first_fc_width=int(rng.integers(1, 513)),
+                n_fields=int(rng.integers(1, 100)),
+            )
+            for kind in ("lr", "fm", "dnn"):
+                t = strategy_times(params, kind, c)
+                want = sum(ring_time(params, c.n_workers, s)
+                           for _, s in component_payloads(kind, c))
+                assert t["T_des"] == want, (kind, c)
+
     def test_single_worker_ring_time_is_zero(self):
         c = CostInputs(n_workers=1, batch_size=64, uniq_feats=100)
-        t = strategy_times(self.PARAMS, "fm", c)
-        assert t["T_ring"] == 0.0
-        assert t["T_des"] == 0.0
+        for kind in ("lr", "fm", "dnn"):
+            t = strategy_times(self.PARAMS, kind, c)
+            assert t["T_ring"] == 0.0, kind
+            assert t["T_des"] == 0.0, kind
 
     def test_substitution_time_sums_ring_times(self):
         c = CostInputs(n_workers=4, batch_size=64, uniq_feats=100)
         t = strategy_times(self.PARAMS, "fm", c)
         want = sum(ring_time(self.PARAMS, 4, s)
-                   for s in component_payload_sizes("fm", c))
+                   for _, s in component_payloads("fm", c))
         assert t["T_des"] == want
         # the ring baseline all-reduces one d-vector gradient per unique feature
         assert t["T_ring"] == ring_time(self.PARAMS, 4, c.uniq_feats * c.value_bytes * c.dim)

@@ -290,6 +290,16 @@ class TestBenchComm:
             assert r.deviation == 0.0
             assert r.ratio == saving_ratio(r.model, c)
 
+    @pytest.mark.parametrize("n_workers", [3, 5, 7])
+    def test_uneven_ring_chunks_match_closed_form(self, n_workers):
+        # payloads N does not divide: the ranks send different byte counts,
+        # and their mean over ranks is what q_des predicts
+        reports = bench_comm(n_workers=n_workers, rows=[(8, 100)], n_fields=6)
+        for r in reports:
+            c = CostInputs(n_workers=n_workers, batch_size=8, uniq_feats=100, n_fields=6)
+            assert r.measured_bytes == r.q_des == q_des(r.model, c), r
+            assert r.deviation == 0.0
+
     def test_single_worker_ratio_is_undefined(self):
         # nothing is exchanged at N=1, so the saving ratio has no denominator
         with pytest.raises(MetricError):

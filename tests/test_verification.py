@@ -19,7 +19,6 @@ from dessim.verification import (
     run_equivalence,
     run_gradient_checks,
     run_second_order_identity,
-    run_time_formula_checks,
     run_verify,
 )
 
@@ -112,17 +111,33 @@ class TestGradients:
             assert report.passed, (kind, n_workers, report.failures)
             assert report.cases > 0
 
+    @pytest.mark.parametrize("kind", ["wdl", "deepfm"])
+    def test_relu_kink_inside_the_stencil_is_not_a_failure(self, kind):
+        # a relu input within the default step of zero: the central
+        # difference straddles the kink, the smaller step does not
+        report = gradient_case(kind, seed=7930)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("kind,parts,scale", [
+        pytest.param("wdl", ("linear",), 1.01, id="wdl-linear"),
+        pytest.param("deepfm", ("linear", "latent"), 1.001, id="deepfm-sparse-1.001"),
+    ])
+    def test_scaled_sparse_gradients_are_caught(self, kind, parts, scale, monkeypatch):
+        real = models.Rank.backward
+
+        def scaled(self, rp, delta):
+            real(self, rp, delta)
+            for part in parts:
+                rp.grads[part] = rp.grads[part] * scale
+
+        monkeypatch.setattr(models.Rank, "backward", scaled)
+        report = gradient_case(kind, seed=23)
+        assert not report.passed
+
     def test_runner_covers_all_kinds(self):
         report = run_gradient_checks(instances=2, seed=2)
         assert report.passed
         assert report.name == "gradients"
-
-
-class TestTimeFormulas:
-    def test_identities_hold(self):
-        report = run_time_formula_checks(samples=40, seed=3)
-        assert report.passed
-        assert report.cases == 40
 
 
 class TestFullSuite:
@@ -131,6 +146,6 @@ class TestFullSuite:
                                  n_grid=(1, 2), seed=6)
         assert ok
         assert [r.name for r in reports] == [
-            "equivalence", "second-order-identity", "gradients", "time-formulas",
+            "equivalence", "second-order-identity", "gradients",
         ]
         assert all(r.cases > 0 for r in reports)
