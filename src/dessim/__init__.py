@@ -29,7 +29,7 @@ from .baselines import MonolithicModel
 from .metrics import auc, logloss
 from .models import ModelGraph, SparseBatch, SubstitutedModel
 from .optim import OptimizerConfig
-from .sparse import ShardedWeightTable, TablePart, hash_text
+from .sparse import ShardedWeightTable, TablePart
 from .training import MetricsSnapshot, RunConfig, bench_comm, evaluate, train
 from .verification import run_verify
 
@@ -61,7 +61,6 @@ __all__ = [
     "evaluate",
     "featurize",
     "gen_synthetic",
-    "hash_text",
     "logloss",
     "parse_criteo",
     "q_des",

@@ -1,6 +1,7 @@
 """Command-line surface: train, verify, bench-comm, digest, report.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 141 (128 + SIGPIPE)
+when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .verification import DEFAULT_N_GRID, run_verify
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+CLOSED_STDOUT = 141
 
 
 def _build_parser():
@@ -220,7 +222,13 @@ def main(argv=None):
         "report": _cmd_report,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # nobody reads stdout any more; point it at devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except (ValueError, OSError) as exc:
         # bad flag values, malformed documents, unreadable paths; protocol
         # and consistency violations are bugs and stay loud

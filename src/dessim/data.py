@@ -16,20 +16,22 @@ non-empty cell goes through ``int()`` one at a time, so the accepted syntax
 is ``int()``'s (a sign, surrounding whitespace, underscores between digits,
 non-ASCII digits). Values of 2**64 or more are rejected.
 
-Feature keys are 64-bit hashes of stable strings ("I{i}" for continuous
-columns, "C{j}:{token}" for categorical ones; see ``sparse.hash_text``), so
-identical tokens map to identical keys across runs and processes. Per hash
-seed, the 13 integer-column keys are constants, and each categorical column
-keeps a keyed hash state that has already absorbed "C{j}:", so a token costs
-one state copy plus its own bytes. Integer values are one ``np.log1p`` over
-the block. The synthetic generator draws labels from a hidden logistic model,
-which gives training runs a knowable signal level and a controllable noise
-floor.
+A feature key is the BLAKE2b-64 digest of a stable string, keyed with eight
+zero bytes and read as a little-endian integer: "I{i}" for continuous column
+i, "C{j}:{token}" for categorical column j and a token's UTF-8 bytes. So
+identical tokens map to identical keys across runs and processes. The 13
+integer-column keys are constants, and each categorical column keeps a hash
+state that has already absorbed "C{j}:", both built at import, so a token
+costs one state copy plus its own bytes. Integer values are one ``np.log1p``
+over the block. The synthetic generator draws labels from a hidden logistic
+model, which gives training runs a knowable signal level and a controllable
+noise floor.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass
 from itertools import islice
 
@@ -38,7 +40,6 @@ import numpy as np
 from .artifacts import ConfigDocument
 from .errors import ParseError
 from .models import SampleFeatures, SparseBatch
-from .sparse import hash_text, text_hasher
 
 N_INT_FEATURES = 13
 N_CAT_FEATURES = 26
@@ -180,33 +181,27 @@ def _parse_integers(buf, starts, ends):
     return integers, present
 
 
-@functools.lru_cache(maxsize=16)
-def _column_hashers(hash_seed):
-    """Per seed: the integer columns' keys and the categorical columns' states."""
-    int_keys = np.array([hash_text(f"I{i}", hash_seed) for i in range(N_INT_FEATURES)],
-                        dtype=np.uint64)
-    int_keys.flags.writeable = False
-    cat_states = tuple(text_hasher(f"C{j}:", hash_seed) for j in range(N_CAT_FEATURES))
-    return int_keys, cat_states
+_blake2b_64 = functools.partial(hashlib.blake2b, digest_size=8, key=bytes(8))
+_INT_KEYS = np.frombuffer(b"".join(_blake2b_64(f"I{i}".encode()).digest()
+                                   for i in range(N_INT_FEATURES)), dtype="<u8")
+_CAT_STATES = tuple(_blake2b_64(f"C{j}:".encode()) for j in range(N_CAT_FEATURES))
 
 
-def featurize(block, hash_seed=0):
+def featurize(block):
     """A parsed block's features as a ``SampleFeatures``, line by line.
 
     Continuous column i keeps one key per field ("I{i}") and carries its
     signal in the value, log(1+x) for x >= 0 and 0 for negative x.
     Categorical column j contributes key hash("C{j}:{token}") with value 1;
     each distinct token of a column is hashed once per block. Empty cells
-    emit nothing. Within a sample, features follow field order. A hash seed
-    outside ``[0, 2**64)`` raises ``ValueError``.
+    emit nothing. Within a sample, features follow field order.
     """
-    int_keys, cat_states = _column_hashers(hash_seed)
     n = len(block.labels)
     keys = np.empty((n, N_CRITEO_FIELDS), dtype=np.uint64)
     values = np.ones((n, N_CRITEO_FIELDS), dtype=np.float32)
-    keys[:, :N_INT_FEATURES] = int_keys
+    keys[:, :N_INT_FEATURES] = _INT_KEYS
     values[:, :N_INT_FEATURES] = np.log1p(block.integers)
-    for j, (state, column) in enumerate(zip(cat_states, block.categoricals)):
+    for j, (state, column) in enumerate(zip(_CAT_STATES, block.categoricals)):
         digests = dict.fromkeys(column)
         for token in digests:
             h = state.copy()
@@ -223,34 +218,29 @@ def featurize(block, hash_seed=0):
     )
 
 
-def read_criteo_batches(path, batch_size, split="all", hash_seed=0, limit=None):
-    """Yield SparseBatch objects from a Criteo TSV file.
+def read_criteo_batches(path, batch_size, split):
+    """Yield SparseBatch objects of one split of a Criteo TSV file.
 
-    The train/test split is positional: every twentieth line is test, the
-    rest train. ``limit`` caps the file lines read. Sample order within a
-    split follows file order. The split's lines are parsed ``BLOCK_LINES``
-    at a time, rounded to whole batches, so memory in use is one block plus
-    the batches the caller keeps. An unknown split, a batch size below 1 or
-    a hash seed outside ``[0, 2**64)`` raises ``ValueError`` before the file
-    is opened.
+    The split is ``"train"`` or ``"test"`` and is positional: every
+    twentieth line is test, the rest train. Sample order within a split
+    follows file order. The split's lines are parsed ``BLOCK_LINES`` at a
+    time, rounded to whole batches, so memory in use is one block plus the
+    batches the caller keeps. Another split or a batch size below 1 raises
+    ``ValueError`` before the file is opened.
     """
-    if split not in ("train", "test", "all"):
+    if split not in ("train", "test"):
         raise ValueError(f"unknown split {split!r}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    _column_hashers(hash_seed)  # checks the seed even when the file has no records
+    held_out = split == "test"
     block_lines = batch_size * max(1, BLOCK_LINES // batch_size)
     with open(path, "rt", encoding="utf-8") as fh:
-        numbered = enumerate(islice(fh, None if limit is None else max(limit, 0)), 1)
-        if split != "all":
-            held_out = split == "test"
-            numbered = (
-                (n, line) for n, line in numbered if (n % HELD_OUT_EVERY == 0) == held_out
-            )
+        numbered = ((n, line) for n, line in enumerate(fh, 1)
+                    if (n % HELD_OUT_EVERY == 0) == held_out)
         while chunk := list(islice(numbered, block_lines)):
             line_nos, lines = zip(*chunk)
             block = parse_criteo("".join(lines), np.array(line_nos))
-            features = featurize(block, hash_seed)
+            features = featurize(block)
             labels = block.labels
             # Free the block's per-cell objects before the batches are made,
             # so that long-lived batches do not pin the memory they held.

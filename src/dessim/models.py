@@ -160,9 +160,9 @@ class ModelGraph(ConfigDocument):
     hidden_widths: tuple = (16,)
     cross_depth: int = 2
     seed: int = 0
-    first_order_opt: OptimizerConfig = field(default_factory=OptimizerConfig.ftrl)
-    embedding_opt: OptimizerConfig = field(default_factory=OptimizerConfig.adam)
-    dense_opt: OptimizerConfig = field(default_factory=OptimizerConfig.adam)
+    first_order_opt: OptimizerConfig = field(default_factory=lambda: OptimizerConfig("ftrl"))
+    embedding_opt: OptimizerConfig = field(default_factory=lambda: OptimizerConfig("adam"))
+    dense_opt: OptimizerConfig = field(default_factory=lambda: OptimizerConfig("adam"))
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:

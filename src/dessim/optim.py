@@ -15,10 +15,14 @@ import numpy as np
 from .artifacts import ConfigDocument
 
 
+# Each kind's learning rate when a config gives none; ftrl steps by ftrl_alpha.
+DEFAULT_LR = {"ftrl": 0.01, "adagrad": 0.05, "adam": 0.001}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig(ConfigDocument):
     kind: str
-    lr: float = 0.01
+    lr: float = None  # DEFAULT_LR[kind] when not given
     # follow-the-regularized-leader
     ftrl_alpha: float = 0.05
     ftrl_beta: float = 1.0
@@ -30,26 +34,16 @@ class OptimizerConfig(ConfigDocument):
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("ftrl", "adagrad", "adam"):
+        if self.kind not in DEFAULT_LR:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if self.lr is None:
+            object.__setattr__(self, "lr", DEFAULT_LR[self.kind])
         if self.kind != "ftrl" and self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.kind == "ftrl" and (self.ftrl_alpha <= 0 or self.ftrl_beta < 0):
             raise ValueError("ftrl needs alpha > 0 and beta >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("moment decays must lie in [0, 1)")
-
-    @staticmethod
-    def ftrl(alpha=0.05, beta=1.0, l1=1e-4, l2=1e-4):
-        return OptimizerConfig("ftrl", ftrl_alpha=alpha, ftrl_beta=beta, l1=l1, l2=l2)
-
-    @staticmethod
-    def adagrad(lr=0.05, eps=1e-8):
-        return OptimizerConfig("adagrad", lr=lr, eps=eps)
-
-    @staticmethod
-    def adam(lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        return OptimizerConfig("adam", lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
     def slot_widths(self, dim):
         """Slot layout per entry; the adam step counter is one scalar per entry."""

@@ -33,12 +33,6 @@ numpy's binary search answers faster than scattered ones, and takes the new
 pairs without sorting them again. Rows are read with ``np.take``, the same
 copy as fancy indexing at a fraction of its cost for narrow rows.
 
-Text keys (``hash_text``) are keyed BLAKE2b-64 digests, the key being the
-hash seed's 8 little-endian bytes. One keyed state per seed is built once and
-copied per text; ``text_hasher`` hands out a copy that has also absorbed a
-prefix, so a caller hashing many texts under one prefix pays only for each
-text's own bytes.
-
 Initializers are batched: one call per lookup and part receives every new
 (field, key) pair and returns one row each. The "uniform" initializer,
 ``seeded_uniform_init``, is a counter-based hash: each value is splitmix64
@@ -50,8 +44,6 @@ insertion order or shard count.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import os
 import struct
 from typing import NamedTuple
@@ -66,38 +58,6 @@ CHECKPOINT_VERSION = 1
 
 _DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
-
-
-@functools.lru_cache(maxsize=64)
-def _keyed_blake2b(seed):
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"hash seed {seed} outside [0, 2**64)")
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
-
-
-def text_hasher(prefix, seed=0):
-    """A fresh keyed hash state that has absorbed ``prefix``.
-
-    Finishing a copy of it on more text gives that text's key with the
-    prefix: ``h = state.copy(); h.update(text.encode("utf-8"))`` then
-    ``int.from_bytes(h.digest(), "little") == hash_text(prefix + text,
-    seed)``. BLAKE2b streams, so a prebuilt state costs each text only its
-    own bytes, not the key block or the prefix again. Raises ``ValueError``
-    naming the seed when it is outside ``[0, 2**64)``.
-    """
-    state = _keyed_blake2b(int(seed)).copy()
-    state.update(prefix.encode("utf-8"))
-    return state
-
-
-def hash_text(text, seed=0):
-    """Seeded 64-bit hash of a string, stable across runs and platforms.
-
-    The keyed BLAKE2b-64 digest of the UTF-8 text, with the seed's 8
-    little-endian bytes as the key, read as a little-endian integer.
-    """
-    return int.from_bytes(text_hasher(text, seed).digest(), "little")
-
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 over the golden ratio
 _M64 = (1 << 64) - 1

@@ -3,7 +3,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +286,25 @@ class TestParser:
 
 
 class TestErrorBoundary:
+    @pytest.mark.parametrize("python_flags,argv", [
+        ([], ["bench-comm"]),
+        (["-u"], ["verify", "--trials", "1", "--identity-trials", "1", "--grad-instances", "1",
+                  "--workers-grid", "1,2"]),
+    ], ids=["bench-comm-buffered", "verify-unbuffered"])
+    def test_closed_stdout_exits_141(self, python_flags, argv):
+        # The pipe's read end is closed before the command starts, so its first
+        # write fails: at the end of the run when stdout is buffered, at once when not.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run([sys.executable, *python_flags, "-m", "dessim", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
     def test_nonpositive_workers_is_usage_error(self, capsys):
         assert cli.main(TINY_TRAIN[:4] + ["0"] + TINY_TRAIN[5:]) == 2
         assert "positive worker count" in capsys.readouterr().err

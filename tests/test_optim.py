@@ -22,24 +22,31 @@ class TestConfig:
 
     def test_bad_learning_rate(self):
         with pytest.raises(ValueError):
-            OptimizerConfig.adagrad(lr=0.0)
+            OptimizerConfig("adagrad", lr=0.0)
 
     def test_bad_moment_decay(self):
         with pytest.raises(ValueError):
-            OptimizerConfig.adam(beta1=1.0)
+            OptimizerConfig("adam", beta1=1.0)
 
     def test_ftrl_needs_positive_alpha(self):
         with pytest.raises(ValueError):
-            OptimizerConfig.ftrl(alpha=0.0)
+            OptimizerConfig("ftrl", ftrl_alpha=0.0)
 
     def test_slot_layouts(self):
-        assert OptimizerConfig.ftrl().slot_widths(4) == {"z": 4, "n": 4}
-        assert OptimizerConfig.adagrad().slot_widths(4) == {"acc": 4}
-        assert OptimizerConfig.adam().slot_widths(4) == {"m": 4, "v": 4, "t": 1}
+        assert OptimizerConfig("ftrl").slot_widths(4) == {"z": 4, "n": 4}
+        assert OptimizerConfig("adagrad").slot_widths(4) == {"acc": 4}
+        assert OptimizerConfig("adam").slot_widths(4) == {"m": 4, "v": 4, "t": 1}
 
     def test_config_round_trip(self):
-        cfg = OptimizerConfig.ftrl(alpha=0.1, beta=2.0, l1=0.5, l2=0.25)
+        cfg = OptimizerConfig("ftrl", ftrl_alpha=0.1, ftrl_beta=2.0, l1=0.5, l2=0.25)
         assert OptimizerConfig.from_config(cfg.to_config()) == cfg
+
+    @pytest.mark.parametrize("kind,lr", [("ftrl", 0.01), ("adagrad", 0.05), ("adam", 0.001)])
+    def test_default_lr_is_the_kind_s(self, kind, lr):
+        assert OptimizerConfig.from_config({"kind": kind}).lr == lr
+        assert OptimizerConfig(kind).lr == lr
+        with pytest.raises(ValueError, match=r"OptimizerConfig\.lr: expected float, got NoneType"):
+            OptimizerConfig.from_config({"kind": kind, "lr": None})
 
     def test_config_takes_an_int_for_a_float(self):
         assert OptimizerConfig.from_config({"kind": "adam", "lr": 1}).lr == 1
@@ -49,7 +56,7 @@ class TestConfig:
 
 class TestAdaGrad:
     def test_zero_gradient_leaves_weight_unchanged(self):
-        cfg = OptimizerConfig.adagrad()
+        cfg = OptimizerConfig("adagrad")
         w = np.array([[0.5, -0.25]], dtype=np.float32)
         new_w, new_slots = step(cfg, w, slots_for(cfg, 1, 2, np.float32),
                                 np.zeros((1, 2), np.float32))
@@ -57,7 +64,7 @@ class TestAdaGrad:
         assert np.array_equal(new_slots["acc"], np.zeros((1, 2), np.float32))
 
     def test_scalar_recompute(self):
-        cfg = OptimizerConfig.adagrad(lr=0.05, eps=1e-8)
+        cfg = OptimizerConfig("adagrad", lr=0.05, eps=1e-8)
         w = np.array([[1.0]], dtype=np.float64)
         g = np.array([[0.3]], dtype=np.float64)
         new_w, new_slots = step(cfg, w, slots_for(cfg, 1, 1), g)
@@ -67,7 +74,7 @@ class TestAdaGrad:
         assert abs(float(new_slots["acc"][0, 0]) - acc) < 1e-18
 
     def test_accumulator_grows_monotonically(self):
-        cfg = OptimizerConfig.adagrad()
+        cfg = OptimizerConfig("adagrad")
         w = np.zeros((1, 1))
         slots = slots_for(cfg, 1, 1)
         prev = 0.0
@@ -79,14 +86,14 @@ class TestAdaGrad:
 
 class TestFtrl:
     def test_large_l1_drives_weight_to_zero(self):
-        cfg = OptimizerConfig.ftrl(l1=100.0)
+        cfg = OptimizerConfig("ftrl", l1=100.0)
         w = np.array([[0.7]], dtype=np.float64)
         new_w, _ = step(cfg, w, slots_for(cfg, 1, 1), np.array([[0.01]]))
         assert new_w[0, 0] == 0.0
 
     def test_scalar_recompute_active_path(self):
         alpha, beta, l1, l2 = 0.05, 1.0, 1e-4, 1e-4
-        cfg = OptimizerConfig.ftrl(alpha=alpha, beta=beta, l1=l1, l2=l2)
+        cfg = OptimizerConfig("ftrl", ftrl_alpha=alpha, ftrl_beta=beta, l1=l1, l2=l2)
         w0, g = 0.0, 0.3
         new_w, new_slots = step(
             cfg, np.array([[w0]]), slots_for(cfg, 1, 1), np.array([[g]])
@@ -101,7 +108,7 @@ class TestFtrl:
 
     def test_two_steps_track_reference_sequence(self):
         alpha, beta, l1, l2 = 0.05, 1.0, 1e-4, 1e-4
-        cfg = OptimizerConfig.ftrl()
+        cfg = OptimizerConfig("ftrl")
         w = np.array([[0.0]])
         slots = slots_for(cfg, 1, 1)
         z = n = 0.0
@@ -120,7 +127,7 @@ class TestFtrl:
 
 class TestAdam:
     def test_single_step_hand_recompute(self):
-        cfg = OptimizerConfig.adam(lr=0.001)
+        cfg = OptimizerConfig("adam", lr=0.001)
         w = np.array([[0.5]], dtype=np.float64)
         new_w, new_slots = step(cfg, w, slots_for(cfg, 1, 1), np.array([[1.0]]))
         # bias correction makes the first update almost exactly -lr
@@ -133,7 +140,7 @@ class TestAdam:
 
     def test_three_steps_track_reference_sequence(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        cfg = OptimizerConfig.adam(lr=lr)
+        cfg = OptimizerConfig("adam", lr=lr)
         w = np.array([[1.0]])
         slots = slots_for(cfg, 1, 1)
         m = v = 0.0
@@ -151,19 +158,19 @@ class TestAdam:
 
 class TestStepContract:
     def test_nan_gradient_rejected_with_count(self):
-        cfg = OptimizerConfig.adagrad()
+        cfg = OptimizerConfig("adagrad")
         g = np.array([[np.nan, 1.0, np.nan]])
         with pytest.raises(ValueError, match="2 NaN"):
             step(cfg, np.zeros((1, 3)), slots_for(cfg, 1, 3), g)
 
     def test_shape_mismatch_rejected(self):
-        cfg = OptimizerConfig.adagrad()
+        cfg = OptimizerConfig("adagrad")
         with pytest.raises(ValueError):
             step(cfg, np.zeros((1, 3)), slots_for(cfg, 1, 3), np.zeros((1, 2)))
 
     def test_coordinate_independence(self):
-        for cfg in (OptimizerConfig.ftrl(), OptimizerConfig.adagrad(),
-                    OptimizerConfig.adam()):
+        for cfg in (OptimizerConfig("ftrl"), OptimizerConfig("adagrad"),
+                    OptimizerConfig("adam")):
             rng = np.random.default_rng(21)
             w = rng.uniform(-1, 1, (1, 3))
             g = rng.uniform(-1, 1, (1, 3))
@@ -174,7 +181,7 @@ class TestStepContract:
                 assert np.array_equal(full_w[:, c : c + 1], one_w)
 
     def test_determinism_bitwise(self):
-        cfg = OptimizerConfig.adam()
+        cfg = OptimizerConfig("adam")
         rng = np.random.default_rng(22)
         w = rng.uniform(-1, 1, (4, 2)).astype(np.float32)
         g = rng.uniform(-1, 1, (4, 2)).astype(np.float32)
@@ -186,7 +193,7 @@ class TestStepContract:
             assert np.array_equal(s1[name], s2[name])
 
     def test_dtype_preserved(self):
-        cfg = OptimizerConfig.adam()
+        cfg = OptimizerConfig("adam")
         w = np.zeros((1, 2), dtype=np.float32)
         new_w, new_slots = step(cfg, w, slots_for(cfg, 1, 2, np.float32),
                                 np.ones((1, 2), np.float32))
@@ -196,7 +203,7 @@ class TestStepContract:
 
 class TestDenseStep:
     def test_matches_flat_step(self):
-        cfg = OptimizerConfig.adam()
+        cfg = OptimizerConfig("adam")
         rng = np.random.default_rng(23)
         w = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
         g = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
@@ -208,7 +215,7 @@ class TestDenseStep:
         assert np.array_equal(new_w.reshape(1, -1), flat_w)
 
     def test_state_shapes(self):
-        state = init_dense_state(OptimizerConfig.adam(), 12, np.float32)
+        state = init_dense_state(OptimizerConfig("adam"), 12, np.float32)
         assert state["m"].shape == (1, 12)
         assert state["v"].shape == (1, 12)
         assert state["t"].shape == (1, 1)

@@ -1,6 +1,5 @@
 """Sharded table behavior: placement, lazy init, updates, persistence."""
 
-import hashlib
 import re
 
 import numpy as np
@@ -12,42 +11,9 @@ from dessim.models import SparseBatch
 from dessim.sparse import (
     ShardedWeightTable,
     TablePart,
-    hash_text,
     seeded_uniform_init,
-    text_hasher,
     unique_with_inverse,
 )
-
-
-class TestHashing:
-    def test_deterministic(self):
-        assert hash_text("C3:abc") == hash_text("C3:abc")
-
-    def test_seed_changes_value(self):
-        assert hash_text("C3:abc", seed=0) != hash_text("C3:abc", seed=1)
-
-    def test_64_bit_range(self):
-        for s in ("", "x", "I0", "C25:deadbeef"):
-            assert 0 <= hash_text(s) < 2**64
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-    def test_equals_one_shot_keyed_blake2b(self, seed):
-        key = seed.to_bytes(8, "little")
-        for text in ("", "I0", "C25:deadbeef", "C3:déjà", "キー"):
-            digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8, key=key).digest()
-            assert hash_text(text, seed) == int.from_bytes(digest, "little")
-
-    def test_prefixed_state_finishes_to_hash_text(self):
-        state = text_hasher("C7:", seed=9)
-        for token in ("", "abc", "ünï"):
-            h = state.copy()
-            h.update(token.encode("utf-8"))
-            assert int.from_bytes(h.digest(), "little") == hash_text(f"C7:{token}", 9)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_is_named(self, seed):
-        with pytest.raises(ValueError, match=f"hash seed {seed} outside"):
-            hash_text("x", seed)
 
 
 class TestInitializers:

@@ -119,7 +119,7 @@ class TestRunConfig:
         # key order, the version keys and the JSON layout are the config.json format
         cfg = tiny_config(
             graph=ModelGraph(kind="wdl", n_fields=4, hidden_widths=(8, 4), seed=2,
-                             dense_opt=OptimizerConfig.adagrad(lr=0.5)),
+                             dense_opt=OptimizerConfig("adagrad", lr=0.5)),
             out_dir="runs/pinned",
         )
         assert cfg.to_json() == PINNED_CONFIG_JSON
