@@ -82,10 +82,6 @@ class CommLedger:
                 out[rank] += nbytes
         return out
 
-    def op_count(self, phase=None, op=None, epoch=None):
-        """Number of collective calls matching the filter."""
-        return sum(1 for _ in self._select(phase, op, epoch))
-
     def ops_in_order(self, phase=None, epoch=None):
         """(op, bytes each rank sent under the ring schedule) for each call, in call order."""
         return [(e.op, list(e.sent)) for e in self._select(phase, None, epoch)]

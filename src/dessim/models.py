@@ -25,6 +25,8 @@ Model kinds:
 from __future__ import annotations
 
 import copy
+import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,9 @@ from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_
 from .sparse import ShardedWeightTable, TablePart, unique_with_inverse
 
 MODEL_KINDS = ("lr", "fm", "wdl", "deepfm", "dcn-demo")
+
+# The names of checkpoint files, the table's older ``.bin`` shards included.
+_CHECKPOINT_NAME = re.compile(r".+-shard-\d{4,}\.(npy|bin)|fc-block-\d{4,}\.npy|dense-.+\.npy")
 
 
 @dataclass
@@ -691,9 +696,12 @@ class SubstitutedModel:
         return fwd
 
     def save_checkpoint(self, directory):
-        """Table parts as shard files; fc blocks and replicas (worker 0) as .npy tensors."""
-        import os
+        """Table parts as shard record arrays; fc blocks and replicas (worker 0) as tensors.
 
+        Every file is a ``.npy``. Once all are written, files in ``directory``
+        with a checkpoint name that this save did not write are removed, so
+        the directory holds one checkpoint; a save that raises removes none.
+        """
         os.makedirs(directory, exist_ok=True)
         paths = self.table.save(directory)
         for rank in self.ranks:
@@ -707,4 +715,8 @@ class SubstitutedModel:
             with replacing(p) as fh:
                 np.save(fh, arr)
             paths.append(p)
+        written = {os.path.basename(p) for p in paths}
+        for name in os.listdir(directory):
+            if name not in written and _CHECKPOINT_NAME.fullmatch(name):
+                os.remove(os.path.join(directory, name))
         return sorted(paths)

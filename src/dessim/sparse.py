@@ -45,7 +45,6 @@ insertion order or shard count.
 from __future__ import annotations
 
 import os
-import struct
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +52,7 @@ import numpy as np
 from .artifacts import replacing
 from .errors import ConsistencyError, DimensionError, PlacementError
 
-CHECKPOINT_MAGIC = b"SHRDTBL1"
-CHECKPOINT_VERSION = 1
-
-_DTYPE_CODES = {np.dtype(np.float32): 4, np.dtype(np.float64): 8}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # splitmix64's increment, 2**64 over the golden ratio
 _M64 = (1 << 64) - 1
@@ -315,12 +310,12 @@ class _Shard:
         self.index.add(fields, keys)
 
 
-def _record_dtype(dim, dtype, slot_widths):
-    """A shard file's record: field u32, key u64, d u32, the weights, then the slots in order."""
-    fcode = "<f4" if dtype == np.float32 else "<f8"
+def _record_dtype(part, dtype):
+    """A part's shard-file record: field u32, key u64, the weights, then the slots by name."""
+    fcode = np.dtype(dtype).newbyteorder("<")
     return np.dtype(
-        [("field", "<u4"), ("key", "<u8"), ("d", "<u4"), ("w", fcode, (dim,))]
-        + [(f"s_{name}", fcode, (width,)) for name, width in slot_widths.items()]
+        [("field", "<u4"), ("key", "<u8"), ("w", fcode, (part.dim,))]
+        + [(f"s_{name}", fcode, (width,)) for name, width in sorted(part.slot_widths.items())]
     )
 
 
@@ -339,7 +334,7 @@ class ShardedWeightTable:
             raise ValueError(f"need at least one shard, got {n_shards}")
         self.n_shards = int(n_shards)
         self.dtype = np.dtype(dtype)
-        if self.dtype not in _DTYPE_CODES:
+        if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {dtype}")
         parts = [TablePart(p.name, int(p.dim), p.init, dict(p.slot_widths or {})) for p in parts]
         self.parts = {p.name: p for p in parts}
@@ -468,38 +463,28 @@ class ShardedWeightTable:
         return out
 
     def save(self, directory):
-        """One self-describing binary file per part and shard, byte-deterministic.
+        """One ``.npy`` file per part and shard, ``{part}-shard-{i:04d}.npy``, byte-deterministic.
 
-        Record layout after the header: field u32, key u64, d u32, then d
-        weight floats and the slot floats, all little-endian, records sorted
-        by (field, key). Each file is written under a temporary name and
-        then renamed, so a file at the final name is never half-written.
+        Each holds a 1-D structured array of ``_record_dtype`` records, one
+        per pair, sorted by (field, key). Each file is written under a
+        temporary name and then renamed, so a file at the final name is
+        never half-written.
         """
         os.makedirs(directory, exist_ok=True)
         entries = [shard.index.sorted_entries() for shard in self._shards]
         paths = []
         for part in self.parts.values():
-            header = bytearray(CHECKPOINT_MAGIC)
-            header += struct.pack("<IIB", CHECKPOINT_VERSION, part.dim, _DTYPE_CODES[self.dtype])
-            slot_widths = dict(sorted(part.slot_widths.items()))
-            header += struct.pack("<B", len(slot_widths))
-            for name, width in slot_widths.items():
-                raw = name.encode("ascii")
-                header += struct.pack("<B", len(raw)) + raw
-                header += struct.pack("<I", width)
-            rec_dtype = _record_dtype(part.dim, self.dtype, slot_widths)
+            rec_dtype = _record_dtype(part, self.dtype)
             for idx, (shard, (fields, keys, rows)) in enumerate(zip(self._shards, entries)):
-                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.bin")
+                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.npy")
                 recs = np.zeros(len(rows), dtype=rec_dtype)
                 recs["field"] = fields
                 recs["key"] = keys
-                recs["d"] = part.dim
                 recs["w"] = shard.weights[part.name][rows]
                 for name, arr in shard.slots[part.name].items():
                     recs[f"s_{name}"] = arr[rows]
                 with replacing(path) as fh:
-                    fh.write(bytes(header) + struct.pack("<Q", len(rows)))
-                    fh.write(recs.tobytes())
+                    np.save(fh, recs)
                 paths.append(path)
         return paths
 
@@ -508,39 +493,31 @@ class ShardedWeightTable:
         """Rebuild a table of these parts from the files written by save.
 
         Raises ``ValueError`` for fewer than one shard, and ``ValueError``
-        naming the file when it is not a shard checkpoint, when its dim,
-        dtype or slot widths differ from its part's, when its length disagrees
-        with the record count in its header, when a record's field belongs to
-        another shard, when a (field, key) pair repeats, or when its (field,
-        key) column differs from the first part's file of the same shard.
+        naming the file when it is not a ``.npy`` array that loads without
+        pickle, when bytes follow its records, when its dtype or shape is not
+        its part's record array, when a record's field belongs to another
+        shard, when a (field, key) pair repeats, or when its (field, key)
+        column differs from the first part's file of the same shard.
         """
         table = cls(n_shards, parts, seed=seed, dtype=dtype)
         for idx, shard in enumerate(table._shards):
             first = None
             weights, slots = {}, {}
             for part in table.parts.values():
-                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.bin")
+                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.npy")
                 with open(path, "rb") as fh:
-                    raw = fh.read()
-                if raw[:8] != CHECKPOINT_MAGIC:
-                    raise ValueError(f"{path}: not a shard checkpoint")
-                try:
-                    dim, file_dtype, slot_widths, n_rows, off = _read_header(raw, path)
-                except struct.error as exc:
-                    raise ValueError(f"{path}: truncated header") from exc
-                if (dim, file_dtype, slot_widths) != (part.dim, table.dtype, part.slot_widths):
+                    try:
+                        recs = np.lib.format.read_array(fh, allow_pickle=False)
+                    except (ValueError, EOFError) as exc:
+                        raise ValueError(f"{path}: not a .npy record array: {exc}") from None
+                    if fh.read(1):
+                        raise ValueError(f"{path}: bytes follow the records")
+                want = _record_dtype(part, table.dtype)
+                if recs.dtype != want or recs.ndim != 1:
                     raise ValueError(
-                        f"{path}: dim {dim}, dtype {file_dtype.name}, slots {slot_widths} differ "
-                        f"from part {part.name!r}: dim {part.dim}, dtype {table.dtype.name}, "
-                        f"slots {part.slot_widths}"
+                        f"{path}: records {recs.dtype} of shape {recs.shape} differ from "
+                        f"part {part.name!r}: 1-D {want}"
                     )
-                rec_dtype = _record_dtype(dim, file_dtype, slot_widths)
-                if len(raw) - off != n_rows * rec_dtype.itemsize:
-                    raise ValueError(
-                        f"{path}: {len(raw) - off} record bytes, but the header gives "
-                        f"{n_rows} records of {rec_dtype.itemsize} bytes"
-                    )
-                recs = np.frombuffer(raw, dtype=rec_dtype, count=n_rows, offset=off)
                 fields = recs["field"].astype(np.int64)
                 keys = recs["key"].astype(np.uint64)
                 if first is None:
@@ -552,7 +529,7 @@ class ShardedWeightTable:
                             f"{idx} of {n_shards}"
                         )
                     uf, uk, inverse = unique_with_inverse(fields, keys)
-                    if len(uf) != n_rows:
+                    if len(uf) != len(recs):
                         i = int(np.argmax(np.bincount(inverse) > 1))
                         raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
                 elif not (np.array_equal(fields, first[1]) and np.array_equal(keys, first[2])):
@@ -561,31 +538,6 @@ class ShardedWeightTable:
                 slots[part.name] = {name: recs[f"s_{name}"] for name in part.slot_widths}
             shard.insert(first[1], first[2], weights, slots)
         return table
-
-
-def _read_header(raw, path):
-    """(dim, dtype, slot widths, record count, record offset) of a shard file."""
-    off = 8
-    version, dim, code = struct.unpack_from("<IIB", raw, off)
-    off += 9
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    (n_slots,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    slot_widths = {}
-    for _ in range(n_slots):
-        (ln,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        nm = raw[off : off + ln].decode("ascii")
-        off += ln
-        (w,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        slot_widths[nm] = w
-    (n_rows,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    return dim, _CODE_DTYPES[code], slot_widths, n_rows, off
 
 
 def unique_with_inverse(fields, keys):

@@ -133,8 +133,7 @@ class TestWorkerGroup:
         assert led.total_bytes(phase=PHASE_FORWARD, epoch=0) == 32
         assert led.total_bytes(phase=PHASE_BACKWARD, epoch=1) == 32
         assert led.total_bytes(phase=PHASE_FORWARD, epoch=1) == 0
-        assert led.op_count(op="a") == 1
-        assert led.op_count() == 2
+        assert [op for op, _ in led.ops_in_order()] == ["a", "b"]
 
     def test_unknown_phase_rejected(self):
         group = WorkerGroup(1)
@@ -158,8 +157,9 @@ class TestLedger:
         led.charge("forward", "x", 2, [10, 20, 30])
         assert led.total_bytes(rank=1) == 22
         assert led.per_rank_bytes(3, epoch=2) == [10, 20, 30]
-        assert led.op_count(op="x") == 2
-        assert led.op_count(op="nope") == 0
+        assert [op for op, _ in led.ops_in_order()] == ["x", "x"]
+        assert led.total_bytes(op="x") == 66
+        assert led.total_bytes(op="nope") == 0
 
     def test_one_entry_per_call_expands_to_one_record_per_rank(self):
         led = CommLedger()

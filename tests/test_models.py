@@ -261,7 +261,7 @@ class TestEngineForward:
             graph = ModelGraph(kind=kind, n_fields=3, cross_depth=2)
             engine = SubstitutedModel(graph, WorkerGroup(2))
             engine.forward(tiny_batch(rng, 3))
-            count = engine.group.ledger.op_count(phase=PHASE_FORWARD)
+            count = len(engine.group.ledger.ops_in_order(phase=PHASE_FORWARD))
             assert count == len(model_payload_sizes(graph, 1)), kind
 
 
@@ -592,10 +592,44 @@ class TestDenseConstruction:
         engine.train_step(tiny_batch(rng, 3))
         paths = engine.save_checkpoint(tmp_path)
         names = sorted(p.split("/")[-1] for p in paths)
-        assert "linear-shard-0000.bin" in names
-        assert "latent-shard-0001.bin" in names
+        assert "linear-shard-0000.npy" in names
+        assert "latent-shard-0001.npy" in names
         assert "fc-block-0000.npy" in names
         assert "dense-out_w.npy" in names
+
+    def test_save_leaves_only_its_own_checkpoint_files(self, tmp_path):
+        rng = np.random.default_rng(45)
+        batch = tiny_batch(rng, 5)
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "linear-shard-0000.bin").write_bytes(b"an older table format")
+        for n_workers in (4, 2):
+            engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=5), WorkerGroup(n_workers))
+            engine.train_step(batch)
+            paths = engine.save_checkpoint(tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir() if p.name != "notes.txt")
+        assert names == sorted(p.split("/")[-1] for p in paths)
+        assert "fc-block-0001.npy" in names and "fc-block-0002.npy" not in names
+        assert (tmp_path / "notes.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("kind", ["lr", "fm", "wdl", "deepfm", "dcn-demo"])
+    def test_checkpoint_files_are_plain_npy(self, tmp_path, kind):
+        rng = np.random.default_rng(46)
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=5), WorkerGroup(3))
+        engine.train_step(tiny_batch(rng, 5))
+        paths = engine.save_checkpoint(tmp_path)
+        assert all(p.endswith(".npy") for p in paths)
+        arrays = {p.split("/")[-1]: np.load(p, allow_pickle=False) for p in paths}
+        for part in engine.table.parts.values():
+            record = np.dtype(
+                [("field", "<u4"), ("key", "<u8"), ("w", "<f4", (part.dim,))]
+                + [(f"s_{name}", "<f4", (width,))
+                   for name, width in sorted(part.slot_widths.items())])
+            want = sorted(engine.table.weight_map(part.name))
+            for idx in range(3):
+                recs = arrays[f"{part.name}-shard-{idx:04d}.npy"]
+                assert recs.dtype == record and recs.ndim == 1
+                pairs = list(zip(recs["field"].tolist(), recs["key"].tolist()))
+                assert pairs == [fk for fk in want if fk[0] % 3 == idx]
 
     @pytest.mark.parametrize("kind", ["lr", "fm", "wdl", "deepfm", "dcn-demo"])
     def test_table_checkpoint_loads_and_saves_the_same_bytes(self, tmp_path, kind):

@@ -1,5 +1,6 @@
 """Sharded table behavior: placement, lazy init, updates, persistence."""
 
+import io
 import re
 
 import numpy as np
@@ -539,7 +540,7 @@ class TestDeltaIndex:
             one.lookup(0, all_f, all_k)
             table.save(tmp_path / "grown")
             one.save(tmp_path / "one")
-            for name in ("table-shard-0000.bin", "table-shard-0001.bin"):
+            for name in ("table-shard-0000.npy", "table-shard-0001.npy"):
                 assert (tmp_path / "grown" / name).read_bytes() == (
                     tmp_path / "one" / name).read_bytes()
         # the first twin was merged into the base before its partner arrived in the delta
@@ -878,58 +879,56 @@ class TestPersistence:
         d2 = tmp_path / "two"
         t1.save(d1)
         t2.save(d2)
-        assert (d1 / "table-shard-0000.bin").read_bytes() == (
-            d2 / "table-shard-0000.bin"
+        assert (d1 / "table-shard-0000.npy").read_bytes() == (
+            d2 / "table-shard-0000.npy"
         ).read_bytes()
 
     def test_load_rejects_foreign_file(self, tmp_path):
-        bad = tmp_path / "table-shard-0000.bin"
-        bad.write_bytes(b"NOTATBL1" + b"\0" * 32)
-        with pytest.raises(ValueError):
-            ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
-
-    # a table of dim 1, float32, no slots: a 26-byte header, then 20-byte
-    # records of field u32, key u64, d u32 and one weight
-    HEADER, RECORD = 26, 20
+        bad = tmp_path / "table-shard-0000.npy"
+        pickled = io.BytesIO()
+        np.save(pickled, np.array([{"field": 0}], dtype=object))
+        for raw in (b"NOTATBL1" + b"\0" * 32, b"", pickled.getvalue()):
+            bad.write_bytes(raw)
+            with pytest.raises(ValueError, match=re.escape(str(bad)) + ": not a .npy record"):
+                ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     def saved_shard(self, tmp_path, n_shards=1):
         table = ShardedWeightTable(n_shards, ONE_WEIGHT)
         table.lookup(0, [0, 0, 0], [1, 2, 3])
         table.save(tmp_path)
-        return tmp_path / "table-shard-0000.bin"
+        return tmp_path / "table-shard-0000.npy"
 
-    def test_load_rejects_length_not_matching_header(self, tmp_path):
+    def test_load_rejects_truncated_file_and_trailing_bytes(self, tmp_path):
         path = self.saved_shard(tmp_path)
         raw = path.read_bytes()
-        assert len(raw) == self.HEADER + 3 * self.RECORD
-        for bad in (raw[:-5], raw[: self.HEADER + self.RECORD], raw + b"\0", raw[:20]):
+        header = len(raw) - 3 * np.load(path).itemsize
+        truncated = ": not a .npy record array"
+        for bad, match in ((raw[:20], truncated), (raw[: header - 1], truncated),
+                           (raw[: header + 1], truncated), (raw[:-5], truncated),
+                           (raw + b"\0", ": bytes follow the records")):
             path.write_bytes(bad)
-            with pytest.raises(ValueError, match=re.escape(str(path))):
+            with pytest.raises(ValueError, match=re.escape(str(path) + match)):
                 ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
-    def test_load_rejects_unknown_dtype_code(self, tmp_path):
+    def test_load_rejects_records_of_another_shape(self, tmp_path):
         path = self.saved_shard(tmp_path)
-        raw = bytearray(path.read_bytes())
-        assert raw[16] == 4  # the dtype byte follows magic, version and dim
-        raw[16] = 5
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=re.escape(str(path)) + ": unknown dtype code 5"):
+        np.save(path, np.load(path).reshape(3, 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: records") + r".*shape \(3, 1\)"):
             ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
     def test_load_rejects_field_of_another_shard(self, tmp_path):
         path = self.saved_shard(tmp_path, n_shards=2)
-        raw = bytearray(path.read_bytes())
-        raw[self.HEADER : self.HEADER + 4] = (3).to_bytes(4, "little")
-        path.write_bytes(bytes(raw))
+        recs = np.load(path)
+        recs["field"][0] = 3
+        np.save(path, recs)
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*field 3 .*shard 0 of 2"):
             ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 2)
 
     def test_load_rejects_repeated_pair(self, tmp_path):
         path = self.saved_shard(tmp_path)
-        raw = bytearray(path.read_bytes())
-        first = raw[self.HEADER : self.HEADER + self.RECORD]
-        raw[self.HEADER + 2 * self.RECORD :] = first
-        path.write_bytes(bytes(raw))
+        recs = np.load(path)
+        recs[2] = recs[0]
+        np.save(path, recs)
         with pytest.raises(ValueError, match=re.escape(str(path)) + r".*field=0, key=1\) repeats"):
             ShardedWeightTable.load(tmp_path, ONE_WEIGHT, 1)
 
@@ -952,8 +951,8 @@ class TestPersistence:
                              slot_widths=kw["slot_widths"])
             table.lookup(1, [1, 3], [5, 6])
             table.save(tmp_path / sub)
-        path = tmp_path / "a" / "table-shard-0001.bin"
-        path.write_bytes((tmp_path / "b" / "table-shard-0001.bin").read_bytes())
+        path = tmp_path / "a" / "table-shard-0001.npy"
+        path.write_bytes((tmp_path / "b" / "table-shard-0001.npy").read_bytes())
         with pytest.raises(ValueError, match=re.escape(str(path)) + ".*differ from part 'table'"):
             ShardedWeightTable.load(tmp_path / "a", list(table_of(2, **like).parts.values()), 2)
 
@@ -964,9 +963,9 @@ class TestPersistence:
             table = ShardedWeightTable(2, parts)
             table.lookup(1, [1] * len(keys), keys)
             table.save(tmp_path / sub)
-        path = tmp_path / "a" / "lat-shard-0001.bin"
-        path.write_bytes((tmp_path / "b" / "lat-shard-0001.bin").read_bytes())
-        first = tmp_path / "a" / "lin-shard-0001.bin"
+        path = tmp_path / "a" / "lat-shard-0001.npy"
+        path.write_bytes((tmp_path / "b" / "lat-shard-0001.npy").read_bytes())
+        first = tmp_path / "a" / "lin-shard-0001.npy"
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: (field, key) pairs differ from {first}'s")):
             ShardedWeightTable.load(tmp_path / "a", parts, 2)
@@ -975,8 +974,8 @@ class TestPersistence:
         table = table_of(1, 2, seed=2)
         table.lookup(0, [0], [1])
         table.save(tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["table-shard-0000.bin"]
-        before = (tmp_path / "table-shard-0000.bin").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table-shard-0000.npy"]
+        before = (tmp_path / "table-shard-0000.npy").read_bytes()
         table.lookup(0, [1], [2])
 
         def refuse(src, dst):
@@ -985,7 +984,7 @@ class TestPersistence:
         monkeypatch.setattr(sparse.os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             table.save(tmp_path)
-        assert (tmp_path / "table-shard-0000.bin").read_bytes() == before
+        assert (tmp_path / "table-shard-0000.npy").read_bytes() == before
 
 
 def unique_reference(fields, keys):

@@ -220,7 +220,7 @@ class TestEvalPhase:
         step_bytes = sum(expected_forward_bytes(cfg.graph, 64, 2))
         assert step_bytes == 512
         for epoch in (0, 1):
-            assert led.op_count(phase=PHASE_FORWARD, epoch=epoch) == (
+            assert len(led.ops_in_order(phase=PHASE_FORWARD, epoch=epoch)) == (
                 len(model_payload_sizes(cfg.graph, 1)))
         assert [s.fwd_bytes for s in result.snapshots] == [step_bytes, 2 * step_bytes]
         assert [s.bwd_bytes for s in result.snapshots] == [0, 0]
