@@ -497,9 +497,15 @@ class ShardedWeightTable:
         pickle, when bytes follow its records, when its dtype or shape is not
         its part's record array, when a record's field belongs to another
         shard, when a (field, key) pair repeats, or when its (field, key)
-        column differs from the first part's file of the same shard.
+        column differs from the first part's file of the same shard. A
+        first-part file of shard ``n_shards`` means the table was saved at a
+        larger shard count, whose extra rows would be lost: ``ValueError``
+        naming that file.
         """
         table = cls(n_shards, parts, seed=seed, dtype=dtype)
+        extra = os.path.join(directory, f"{next(iter(table.parts))}-shard-{n_shards:04d}.npy")
+        if os.path.exists(extra):
+            raise ValueError(f"{extra}: the table was saved at more than {n_shards} shards")
         for idx, shard in enumerate(table._shards):
             first = None
             weights, slots = {}, {}

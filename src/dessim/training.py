@@ -6,6 +6,11 @@ communication-free backward, apply shard-local and replicated updates, check
 replica integrity, and cross the epoch barrier. The loop is deterministic:
 a config and seed fully determine every metric, ledger entry, and
 checkpoint byte.
+
+A click log's training split is streamed: each epoch reads it from the file
+again, one block at a time, so a run holds one block of training batches
+however long the log is. Its held-out split, which every epoch evaluates,
+and both synthetic splits are lists built once per run.
 """
 
 from __future__ import annotations
@@ -104,22 +109,36 @@ class TrainResult:
     checkpoint_dir: str | None = None
 
 
+@dataclass(frozen=True)
+class ClickLogSplit:
+    """One split of a click log, read from the file again on each iteration.
+
+    The file must not change while a run reads it.
+    """
+
+    path: str
+    batch_size: int
+    split: str
+
+    def __iter__(self):
+        return read_criteo_batches(self.path, self.batch_size, split=self.split)
+
+
 def load_batches(cfg, split):
-    """Materialized batch list for one split; identical across calls."""
+    """One split's batches, identical across calls and across iterations.
+
+    A click log's training split is a ``ClickLogSplit``, so a run holds one
+    block of it at a time. Every other split is a list: the held-out split is
+    evaluated every epoch, and synthetic splits are generated once.
+    """
     if cfg.data == "synthetic":
         if split == "train":
             return list(gen_synthetic(cfg.synthetic, cfg.train_samples, cfg.batch_size, cfg.seed))
         return list(
             gen_synthetic(cfg.synthetic, cfg.test_samples, cfg.batch_size, cfg.seed + 1)
         )
-    return list(read_criteo_batches(cfg.data, cfg.batch_size, split=split))
-
-
-def _released(batches):
-    """Yield the list's items in order, removing each from the list as it goes."""
-    batches.reverse()
-    while batches:
-        yield batches.pop()
+    source = ClickLogSplit(cfg.data, cfg.batch_size, split)
+    return source if split == "train" else list(source)
 
 
 def evaluate(engine, batches):
@@ -138,15 +157,19 @@ def evaluate(engine, batches):
 
 
 def train(cfg):
-    """Run the synchronous loop; snapshot held-out metrics after each epoch."""
+    """Run the synchronous loop; snapshot held-out metrics after each epoch.
+
+    Every epoch iterates the training split once. For a click log that reads
+    the file again, so a bad training line raises its ``ParseError`` when the
+    reader reaches it, and 0 epochs never read the training split. An empty
+    split raises ``ValueError`` before any step; that check reads the
+    training split's first block.
+    """
     group = WorkerGroup(cfg.n_workers)
     engine = SubstitutedModel(cfg.graph, group)
-    # Loading the held-out split first, and letting go of each training batch
-    # after its last step (below), lowers a run's peak memory: together, not
-    # one without the other, in paired criteo-fm-n2-cold benchmark runs.
     test_batches = load_batches(cfg, "test")
     train_batches = load_batches(cfg, "train")
-    if cfg.epochs and not train_batches:
+    if cfg.epochs and next(iter(train_batches), None) is None:
         why = (f"train_samples={cfg.train_samples}" if cfg.data == "synthetic"
                else f"{cfg.data} has no training lines")
         raise ValueError(f"the training split is empty ({why}); no epoch can train")
@@ -159,9 +182,8 @@ def train(cfg):
     snapshots = []
     step = 0
     t0 = time.perf_counter()
-    for epoch in range(cfg.epochs):
-        last = epoch + 1 == cfg.epochs
-        for batch in _released(train_batches) if last else train_batches:
+    for _ in range(cfg.epochs):
+        for batch in train_batches:
             engine.train_step(batch)
             step += 1
         test_auc, test_ll = evaluate(engine, test_batches)

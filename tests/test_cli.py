@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dessim.cli as cli
+from dessim import data, models
 from dessim.costmodel import CommReportRow, report_to_tsv
 from dessim.data import SyntheticSpec
 from dessim.models import ModelGraph
@@ -74,6 +75,37 @@ class TestTrainCommand:
         assert "held-out split is empty" in captured.err
         assert "fewer than 20" in captured.err
         assert captured.out == ""
+
+    def late_bad_label_log(self, tmp_path, monkeypatch):
+        """A 100-line log read in blocks of 16 lines whose line 99, in the last
+        training block, has a bad label."""
+        monkeypatch.setattr(data, "BLOCK_LINES", 16)
+        lines = ["\t".join([str(i % 2)] + ["2"] * 13 + [f"tok{i % 7}"] * 26) for i in range(100)]
+        lines[98] = "\t".join(["yes"] + lines[98].split("\t")[1:])
+        path = tmp_path / "late.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_bad_line_in_a_late_training_block(self, tmp_path, monkeypatch, capsys):
+        path = self.late_bad_label_log(tmp_path, monkeypatch)
+        steps = []
+        step = models.SubstitutedModel.train_step
+        monkeypatch.setattr(models.SubstitutedModel, "train_step",
+                            lambda engine, batch: steps.append(step(engine, batch)))
+        out = tmp_path / "run"
+        args = ["train", "--data", str(path), "--model", "fm", "--workers", "2",
+                "--batch", "8", "--epochs", "1", "--out", str(out)]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "dessim train: bad label 'yes', expected 0 or 1 at line 99\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert len(steps) == 10  # the five blocks before the bad one trained
+
+    def test_zero_epochs_never_read_the_training_split(self, tmp_path, monkeypatch, capsys):
+        path = self.late_bad_label_log(tmp_path, monkeypatch)
+        assert cli.main(["train", "--data", str(path), "--epochs", "0", "--batch", "8"]) == 0
+        assert "no training steps (0 epochs)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("active,n_fields,want", [
         pytest.param((10, 10), 4, (4, 4), id="all-active-4"),

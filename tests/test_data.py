@@ -446,12 +446,14 @@ class TestFileReader:
 
 
 class TestCriteoTrainingBits:
-    def test_train_run_equals_per_line_reference_reader(self, tmp_path, monkeypatch):
+    def runs(self, tmp_path, monkeypatch, epochs):
+        """(metrics, ledger records, checkpoint bytes) of the block reader's run
+        and of a run on the per-line reference reader's batch lists."""
         path = write_criteo_tsv(tmp_path / "clicks.tsv", seed=9, n_lines=2000)
 
         def run(name):
             cfg = RunConfig(graph=ModelGraph(kind="fm", n_fields=39, seed=4), n_workers=2,
-                            batch_size=128, epochs=1, seed=4, data=str(path),
+                            batch_size=128, epochs=epochs, seed=4, data=str(path),
                             out_dir=str(tmp_path / name))
             result = train(cfg)
             checkpoint = {p.name: p.read_bytes() for p in
@@ -462,10 +464,61 @@ class TestCriteoTrainingBits:
         got = run("block-reader")
         monkeypatch.setattr(training, "load_batches", lambda cfg, split: list(
             reference_batches(Path(cfg.data), cfg.batch_size, split)))
-        want = run("per-line-reader")
+        return got, run("per-line-reader")
+
+    def test_train_run_equals_per_line_reference_reader(self, tmp_path, monkeypatch):
+        got, want = self.runs(tmp_path, monkeypatch, epochs=1)
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] == want[2]
+
+    def test_two_epochs_equal_per_line_reference_reader(self, tmp_path, monkeypatch):
+        # The second epoch reads the training split from the file again.
+        got, want = self.runs(tmp_path, monkeypatch, epochs=2)
+        assert [s[0] for s in got[0]] == [15, 30]
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+
+
+class TestStreamedTrainingSplit:
+    def config(self, path, **overrides):
+        base = dict(graph=ModelGraph(kind="fm", n_fields=39, seed=4), n_workers=2,
+                    batch_size=128, epochs=2, seed=4, data=str(path))
+        return RunConfig(**{**base, **overrides})
+
+    def test_every_pass_reads_the_same_batches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_LINES", 64)
+        path = write_criteo_tsv(tmp_path / "clicks.tsv", seed=8, n_lines=1000)
+        source = training.load_batches(self.config(path, batch_size=32), "train")
+        first, second = batch_bits(source), batch_bits(source)
+        assert len(first) == math.ceil(950 / 32)
+        assert first == second == batch_bits(reference_batches(path, 32, "train"))
+
+    def test_train_holds_one_block_of_training_batches(self, tmp_path, monkeypatch):
+        # Steps and evaluation are stubbed out, so what train allocates is the
+        # engine, the held-out list and the training split as it is read.
+        monkeypatch.setattr(training.SubstitutedModel, "train_step", lambda engine, batch: None)
+        monkeypatch.setattr(training, "evaluate", lambda engine, batches: (0.5, 0.5))
+
+        def peak(n_lines):
+            path = write_criteo_tsv(tmp_path / f"clicks-{n_lines}.tsv", seed=3, n_lines=n_lines)
+            cfg = self.config(path)
+            tracemalloc.start()
+            try:
+                held_out = training.load_batches(cfg, "test")
+                held_out_bytes = tracemalloc.get_traced_memory()[0]
+                del held_out
+                tracemalloc.reset_peak()
+                train(cfg)
+                return held_out_bytes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (_, small), (held_out, large) = peak(1500), peak(6000)
+        # Four times the lines may add only the larger held-out list: a run
+        # that kept the training split would hold 5,700 lines of batches, not 512.
+        assert large <= small + held_out, (small, large, held_out)
 
 
 class TestSyntheticSpec:

@@ -938,6 +938,19 @@ class TestPersistence:
             with pytest.raises(ValueError, match="at least one shard"):
                 ShardedWeightTable.load(tmp_path, ONE_WEIGHT, n_shards)
 
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_load_rejects_a_table_saved_at_more_shards(self, tmp_path, n_shards):
+        parts = [TablePart("lin", 1, "zeros"), TablePart("lat", 2)]
+        table = ShardedWeightTable(4, parts)
+        for field in range(8):
+            table.lookup(field % 4, [field], [field + 10])
+        table.save(tmp_path)
+        extra = tmp_path / f"lin-shard-{n_shards:04d}.npy"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{extra}: the table was saved at more than {n_shards} shards")):
+            ShardedWeightTable.load(tmp_path, parts, n_shards)
+        assert ShardedWeightTable.load(tmp_path, parts, 4).n_entries() == 8
+
     @pytest.mark.parametrize("other", [
         {"dim": 3},
         {"dtype": np.float64},
