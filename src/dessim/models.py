@@ -6,9 +6,9 @@ computation exactly. Everything above the aggregation is replicated per
 worker. The collective group is the only inter-worker channel and it is
 used in the forward phase only: backward consumes aggregated values every
 worker already holds, so its communication is zero by construction. Each
-worker is one ``Rank``: its fields, its fc row block, its replica and their
-optimizer state. Its forward program is a generator that yields its partials
-at each aggregation; ``WorkerGroup.run`` drives one per rank in lockstep.
+worker is one ``Rank``: its fields and one dense array (replica, fc row block)
+with one optimizer state. Its forward program is a generator that yields its
+partials at each aggregation; ``WorkerGroup.run`` drives one per rank in lockstep.
 
 Model kinds:
 
@@ -24,7 +24,6 @@ Model kinds:
 
 from __future__ import annotations
 
-import copy
 import os
 import re
 from dataclasses import dataclass, field
@@ -96,6 +95,8 @@ class SparseBatch:
         if not isinstance(samples, SampleFeatures):
             samples = SampleFeatures.from_lists(samples)
         counts = np.diff(samples.offsets)
+        if np.size(labels) != len(counts):
+            raise DimensionError(f"{np.size(labels)} labels for {len(counts)} samples")
         return SparseBatch(
             labels=labels,
             sample_ids=np.repeat(np.arange(len(counts), dtype=np.int64), counts),
@@ -431,11 +432,12 @@ def join_fc_blocks(blocks, n_fields, dim):
 
 class Rank:
     """One worker: rank r of N owns fields ``range(r, n_fields, N)``, field f
-    at local position f // N, and their row block of the first fully-connected
-    layer. It holds a replica of everything above the aggregation, the dense
-    optimizer state of both, and for dcn-demo its range of the cross vectors.
-    Its sparse rows are shard r of the engine's one table. ``forward`` is its
-    worker program; ``backward`` and ``apply`` need only its own pass.
+    at local position f // N, and for dcn-demo a range of the cross vectors.
+    Its sparse rows are shard r of the engine's one table. ``flat`` holds its
+    ``replica`` of the upper stack (a view per tensor in ``dense``), then its
+    row block of the first fc layer, ``fc_block``; one optimizer ``state``
+    steps it in place. ``forward`` is its worker program; ``backward`` and
+    ``apply`` need only its own pass.
     """
 
     def __init__(self, r, graph, table, params, full_fc):
@@ -444,14 +446,17 @@ class Rank:
         self.graph = graph
         self.table = table
         self.fields = range(r, graph.n_fields, n)
-        self.dense = copy.deepcopy(params)
-        self.dense_state = {name: init_dense_state(graph.dense_opt, arr.size, dtype)
-                            for name, arr in params.items()}
-        self.fc_block = self.fc_state = None
+        tensors = list(params.values())
         if full_fc is not None:
             d, h = graph.embedding_dim, graph.first_fc_width
-            self.fc_block = full_fc.reshape(graph.n_fields, d, h)[r::n].reshape(-1, h).copy()
-            self.fc_state = init_dense_state(graph.dense_opt, self.fc_block.size, dtype)
+            tensors.append(full_fc.reshape(graph.n_fields, d, h)[r::n].reshape(-1, h))
+        self.flat = np.concatenate([t.ravel() for t in tensors])
+        ends = np.cumsum([0] + [t.size for t in tensors])
+        views = [self.flat[a:b].reshape(t.shape) for a, b, t in zip(ends, ends[1:], tensors)]
+        self.dense = dict(zip(params, views))
+        self.replica = self.flat[: ends[len(params)]]
+        self.fc_block = views[-1] if full_fc is not None else None
+        self.state = init_dense_state(graph.dense_opt, self.flat.size, dtype)
         if graph.uses_cross:
             bounds = np.linspace(0, graph.first_fc_width, n + 1).astype(int)
             self.cross_range = (int(bounds[r]), int(bounds[r + 1]))
@@ -546,20 +551,16 @@ class Rank:
     def apply(self, rp):
         """The rank's optimizer step on its table rows, its fc block and its replica,
         from the weights its forward read and the gradients its backward made."""
-        graph = self.graph
         if len(rp.rows):
             for part, g in rp.grads.items():
                 slots = self.table.slot_values(self.r, rp.rows, part)
                 new_w, new_slots = optim_step(self.sparse_opts[part], rp.weights[part], slots, g)
                 self.table.apply_update(self.r, rp.rows, part, new_w, new_slots)
-        if rp.fc_grads is not None and self.fc_block.size:
-            self.fc_block, self.fc_state = dense_step(
-                graph.dense_opt, self.fc_block, self.fc_state, rp.fc_grads
-            )
-        for name, g in rp.dense_grads.items():
-            self.dense[name], self.dense_state[name] = dense_step(
-                graph.dense_opt, self.dense[name], self.dense_state[name], g
-            )
+        grads = [rp.dense_grads[name].ravel() for name in self.dense]
+        if self.fc_block is not None:
+            grads.append(rp.fc_grads.ravel())
+        self.flat[:], self.state = dense_step(
+            self.graph.dense_opt, self.flat, self.state, np.concatenate(grads))
 
 
 class SubstitutedModel:
@@ -680,13 +681,13 @@ class SubstitutedModel:
 
     def check_replicas(self):
         """Replicated tensors must stay bitwise identical across workers."""
-        first = self.ranks[0].dense
+        first = self.ranks[0]
         for rank in self.ranks[1:]:
-            for name, ref in first.items():
-                if ref.tobytes() != rank.dense[name].tobytes():
-                    raise ConsistencyError(
-                        f"replica of {name} on worker {rank.r} diverged from worker 0"
-                    )
+            if rank.replica.tobytes() != first.replica.tobytes():
+                name = next(name for name, arr in first.dense.items()
+                            if arr.tobytes() != rank.dense[name].tobytes())
+                raise ConsistencyError(
+                    f"replica of {name} on worker {rank.r} diverged from worker 0")
 
     def train_step(self, batch):
         """Forward, backward, update (which ends the epoch), replica check."""
@@ -702,16 +703,13 @@ class SubstitutedModel:
         with a checkpoint name that this save did not write are removed, so
         the directory holds one checkpoint; a save that raises removes none.
         """
-        os.makedirs(directory, exist_ok=True)
-        paths = self.table.save(directory)
-        for rank in self.ranks:
-            if rank.fc_block is not None:
-                p = os.path.join(directory, f"fc-block-{rank.r:04d}.npy")
-                with replacing(p) as fh:
-                    np.save(fh, rank.fc_block)
-                paths.append(p)
-        for name, arr in self.ranks[0].dense.items():
-            p = os.path.join(directory, f"dense-{name.replace('.', '_')}.npy")
+        paths = self.table.save(directory)  # makes the directory
+        tensors = [(f"fc-block-{rank.r:04d}", rank.fc_block)
+                   for rank in self.ranks if rank.fc_block is not None]
+        tensors += [(f"dense-{name.replace('.', '_')}", arr)
+                    for name, arr in self.ranks[0].dense.items()]
+        for stem, arr in tensors:
+            p = os.path.join(directory, f"{stem}.npy")
             with replacing(p) as fh:
                 np.save(fh, arr)
             paths.append(p)

@@ -162,14 +162,15 @@ def train(cfg):
     Every epoch iterates the training split once. For a click log that reads
     the file again, so a bad training line raises its ``ParseError`` when the
     reader reaches it, and 0 epochs never read the training split. An empty
-    split raises ``ValueError`` before any step; that check reads the
-    training split's first block.
+    split raises ``ValueError`` before any step; a click log's training split
+    is empty only when the file is, since line 1 is a training line.
     """
     group = WorkerGroup(cfg.n_workers)
     engine = SubstitutedModel(cfg.graph, group)
     test_batches = load_batches(cfg, "test")
     train_batches = load_batches(cfg, "train")
-    if cfg.epochs and next(iter(train_batches), None) is None:
+    if cfg.epochs and (cfg.train_samples == 0 if cfg.data == "synthetic"
+                       else os.path.getsize(cfg.data) == 0):
         why = (f"train_samples={cfg.train_samples}" if cfg.data == "synthetic"
                else f"{cfg.data} has no training lines")
         raise ValueError(f"the training split is empty ({why}); no epoch can train")

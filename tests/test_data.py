@@ -495,6 +495,22 @@ class TestStreamedTrainingSplit:
         assert len(first) == math.ceil(950 / 32)
         assert first == second == batch_bits(reference_batches(path, 32, "train"))
 
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_a_run_reads_the_file_once_per_epoch_and_once_for_held_out(
+            self, tmp_path, monkeypatch, epochs):
+        # The check that the training split is not empty reads nothing.
+        reads = []
+
+        def counting(*args, **kwargs):
+            reads.append(args)
+            return read_criteo_batches(*args, **kwargs)
+
+        monkeypatch.setattr(training, "read_criteo_batches", counting)
+        path = write_criteo_tsv(tmp_path / "clicks.tsv", seed=8, n_lines=300)
+        result = train(self.config(path, epochs=epochs))
+        assert len(result.snapshots) == epochs
+        assert len(reads) == 1 + epochs
+
     def test_train_holds_one_block_of_training_batches(self, tmp_path, monkeypatch):
         # Steps and evaluation are stubbed out, so what train allocates is the
         # engine, the held-out list and the training split as it is read.

@@ -65,6 +65,11 @@ class TestSparseBatch:
                 fields=np.array([0]), keys=np.array([0]), values=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("n_labels, n_samples", [(3, 2), (1, 2)])
+    def test_from_samples_needs_one_label_per_sample(self, n_labels, n_samples):
+        with pytest.raises(DimensionError, match=f"{n_labels} labels for {n_samples} samples"):
+            SparseBatch.from_samples([1.0] * n_labels, [[(0, 1, 1.0)]] * n_samples)
+
     def test_feature_arrays_must_align(self):
         with pytest.raises(DimensionError):
             SparseBatch(
@@ -648,3 +653,65 @@ class TestDenseConstruction:
             name = path.split("/")[-1]
             assert (tmp_path / "loaded" / name).read_bytes() == (
                 tmp_path / "engine" / name).read_bytes(), name
+
+
+def trained_engine(kind, steps=3):
+    rng = np.random.default_rng(48)
+    engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=4), WorkerGroup(3))
+    for _ in range(steps):
+        engine.train_step(tiny_batch(rng, 4))
+    return engine
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+class TestOneDenseArray:
+    """A rank's replica and fc block are views into one array with one optimizer state."""
+
+    def test_one_dense_step_per_rank_per_train_step(self, kind, monkeypatch):
+        engine = trained_engine(kind, steps=1)
+        dense_step, calls = models.dense_step, []
+
+        def counting(*args):
+            calls.append(args)
+            return dense_step(*args)
+
+        monkeypatch.setattr(models, "dense_step", counting)
+        engine.train_step(tiny_batch(np.random.default_rng(49), 4))
+        assert len(calls) == len(engine.ranks)
+
+    def test_tensors_are_views_of_the_rank_array(self, kind):
+        engine = trained_engine(kind)
+        params, full_fc = build_dense_params(engine.graph, np.float32)
+        for rank in engine.ranks:
+            assert list(rank.dense) == list(params)
+            for arr in rank.dense.values():
+                assert np.shares_memory(arr, rank.flat)
+                assert np.shares_memory(arr, rank.replica)
+            assert rank.replica.size == sum(arr.size for arr in params.values())
+            assert rank.replica.tobytes() == b"".join(a.tobytes() for a in rank.dense.values())
+            if full_fc is None:
+                assert rank.fc_block is None
+                assert rank.replica.size == rank.flat.size
+            else:
+                assert rank.replica.size + rank.fc_block.size == rank.flat.size
+                if rank.fc_block.size:
+                    assert np.shares_memory(rank.fc_block, rank.flat)
+                    assert not np.shares_memory(rank.fc_block, rank.replica)
+
+    def test_each_replica_tensor_is_named_when_it_diverges(self, kind):
+        engine = trained_engine(kind)
+        for name, arr in engine.ranks[2].dense.items():
+            saved = arr.flat[-1]
+            arr.flat[-1] += 1.0
+            with pytest.raises(ConsistencyError,
+                               match=f"replica of {name} on worker 2 diverged from worker 0"):
+                engine.check_replicas()
+            arr.flat[-1] = saved
+            engine.check_replicas()
+
+
+@pytest.mark.parametrize("kind", ["wdl", "deepfm", "dcn-demo"])
+def test_fc_blocks_stay_out_of_the_replica_check(kind):
+    engine = trained_engine(kind)
+    engine.ranks[1].fc_block[0, 0] += 1.0
+    engine.check_replicas()

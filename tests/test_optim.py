@@ -214,6 +214,30 @@ class TestDenseStep:
         assert new_w.shape == w.shape
         assert np.array_equal(new_w.reshape(1, -1), flat_w)
 
+    @pytest.mark.parametrize("kind", ["ftrl", "adagrad", "adam"])
+    def test_one_state_over_concatenated_tensors_matches_per_tensor_states(self, kind):
+        # The optimizers are elementwise, so one array with one state steps
+        # every tensor in it to the same bits as a state of its own would.
+        cfg = OptimizerConfig(kind)
+        rng = np.random.default_rng(29)
+        shapes = [(3, 4), (5,), (2, 1)]
+        ws = [rng.uniform(-1, 1, s).astype(np.float32) for s in shapes]
+        states = [init_dense_state(cfg, w.size, np.float32) for w in ws]
+        flat = np.concatenate([w.ravel() for w in ws])
+        flat_state = init_dense_state(cfg, flat.size, np.float32)
+        for _ in range(3):
+            gs = [rng.uniform(-1, 1, s).astype(np.float32) for s in shapes]
+            for i, g in enumerate(gs):
+                ws[i], states[i] = dense_step(cfg, ws[i], states[i], g)
+            flat, flat_state = dense_step(cfg, flat, flat_state,
+                                          np.concatenate([g.ravel() for g in gs]))
+        assert flat.tobytes() == b"".join(w.tobytes() for w in ws)
+        for name, slot in flat_state.items():
+            if name == "t":
+                assert all(state["t"].tobytes() == slot.tobytes() for state in states)
+            else:
+                assert slot.tobytes() == b"".join(state[name].tobytes() for state in states)
+
     def test_state_shapes(self):
         state = init_dense_state(OptimizerConfig("adam"), 12, np.float32)
         assert state["m"].shape == (1, 12)
