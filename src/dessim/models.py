@@ -66,6 +66,11 @@ class SparseBatch:
         self.values = np.asarray(self.values, dtype=np.float32)
         if self.labels.ndim != 1 or self.labels.shape[0] < 1:
             raise DimensionError("batch needs at least one sample")
+        self._check_columns()
+
+    def _check_columns(self):
+        """Raise ``DimensionError`` unless the feature columns share one length
+        and every sample id lies in [0, batch_size)."""
         n = self.sample_ids.shape[0]
         if not (self.fields.shape[0] == self.keys.shape[0] == self.values.shape[0] == n):
             raise DimensionError("feature arrays must share one length")
@@ -80,14 +85,22 @@ class SparseBatch:
         """Each worker's feature occurrences, by rank, in batch order within each.
 
         Field f belongs to worker f mod N. One stable sort by owner groups
-        the occurrences, and each rank's slice is a run of that order.
+        the occurrences, and each rank's slice is a run of that order. The
+        slices share this batch's labels and are not checked again: the
+        engine checks the whole batch once, at entry.
         """
         owner = self.fields % n_workers
         order = np.argsort(owner, kind="stable")
         bounds = np.cumsum(np.bincount(owner, minlength=n_workers))[:-1]
         columns = zip(*(np.split(a[order], bounds) for a in (
             self.sample_ids, self.fields, self.keys, self.values)))
-        return [SparseBatch(self.labels, *cols) for cols in columns]
+        slices = []
+        for ids, fields, keys, values in columns:
+            sl = object.__new__(SparseBatch)
+            sl.labels, sl.sample_ids, sl.fields, sl.keys, sl.values = (
+                self.labels, ids, fields, keys, values)
+            slices.append(sl)
+        return slices
 
     @staticmethod
     def from_samples(labels, samples):
@@ -590,8 +603,11 @@ class SubstitutedModel:
         self.ranks = [Rank(r, graph, self.table, params, full_fc) for r in range(group.n_workers)]
 
     def _check_batch(self, batch):
-        """Reject labels other than 0 and 1, fields outside [0, n_fields) and
-        non-finite values, naming the sample."""
+        """Reject feature columns of unequal length and sample ids outside
+        [0, batch_size) again, which catches a batch changed after it was
+        built; then labels other than 0 and 1, fields outside [0, n_fields)
+        and non-finite values, naming the sample."""
+        batch._check_columns()
         bad = np.flatnonzero((batch.labels != 0) & (batch.labels != 1))
         if bad.size:
             i = bad[0]

@@ -19,9 +19,13 @@ columns. The index is a large sorted base plus a small sorted delta that
 takes new pairs, merged into the base once it outgrows a fixed share of it,
 so an insert copies the delta rather than the whole index: the two-level
 form of the log-structured merge tree (O'Neil et al., Acta Informatica 1996).
+Each insert and merge sorts the index's hash column once, a stable merge
+of two sorted runs, and gathers all three columns through that one order
+(``_inserted``).
 
-Pairs are resolved to rows once: ``lookup`` returns each pair's row with
-the weights of every part, and ``slot_values`` and ``apply_update`` address
+Pairs are resolved to rows once: ``lookup`` computes each pair's ``h``
+once, finds, assigns and indexes rows with it, and returns each pair's row
+with the weights of every part; ``slot_values`` and ``apply_update`` address
 rows of one part. A row is the pair's position in the shard's row arrays,
 assigned in the order the index creates rows: a lookup's new pairs in
 ascending ``(h, field)`` order, ``h`` being the index's sort value. Row i of
@@ -31,7 +35,9 @@ is re-sorted. ``unique_with_inverse`` returns a batch's pairs in that same
 order, so a lookup of them searches the index with sorted needles, which
 numpy's binary search answers faster than scattered ones, and takes the new
 pairs without sorting them again. Rows are read with ``np.take``, the same
-copy as fancy indexing at a fraction of its cost for narrow rows.
+copy as fancy indexing at a fraction of its cost for narrow rows, and
+written through a row-sized ``np.void`` view, the same bytes as fancy
+assignment at about half its cost for rows of 8 float32.
 
 Initializers are batched: one call per lookup and part receives every new
 (field, key) pair and returns one row each. The "uniform" initializer,
@@ -157,9 +163,26 @@ def _probe(index, h, fields):
 
 
 def _inserted(index, new):
-    """``index`` with the sorted entries ``new`` inserted: one ``np.insert`` per column."""
-    at = np.searchsorted(index[0], new[0])
-    return tuple(np.insert(col, at, vals) for col, vals in zip(index, new))
+    """``index`` with the entries ``new`` inserted, each before any old entry of equal hash.
+
+    One stable argsort of the new hashes, then the old, orders them all, so
+    equal hashes keep the new entries first, in their given order. Each
+    column is gathered through that one order. Sorted entries make two
+    sorted runs, which the sort merges in one pass.
+    """
+    order = np.argsort(np.concatenate((new[0], index[0])), kind="stable")
+    return tuple(np.concatenate((vals, col))[order] for col, vals in zip(index, new))
+
+
+def _write_rows(arr, rows, values):
+    """``arr[rows] = values`` for a table array, each row copied as one ``np.void`` of its bytes.
+
+    ``values`` is cast to ``arr``'s dtype and made C-contiguous first, as
+    ``arr`` always is, so the copy moves the same bytes as the assignment.
+    """
+    row = np.dtype((np.void, arr.shape[1] * arr.itemsize))
+    values = np.ascontiguousarray(values, dtype=arr.dtype)
+    arr.view(row).reshape(-1)[rows] = values.view(row).reshape(-1)
 
 
 class _RowIndex:
@@ -177,65 +200,67 @@ class _RowIndex:
     Each pair sits in exactly one of two sorted indexes, ``_base`` and
     ``_delta``. ``add`` inserts new pairs into the delta, which costs a copy
     of the delta, not of the whole index. Once the delta holds more than
-    ``_MAX_DELTA_SHARE`` of the base's entries, one ``np.insert`` per column
-    merges it into the base and the delta starts empty again. A ``resolve``
-    that inserts nothing merges a non-empty delta too, so an index that has
-    stopped growing answers each find with one probe, and one that alternates
-    inserts with quiet lookups copies itself no more often than a single
-    sorted index would. ``find`` probes the base, then the delta for the
-    pairs the base lacks; it is fastest when the pairs arrive in ascending
-    ``(h, field)`` order, as ``unique_with_inverse`` gives them. Rows are
-    assigned in ``add`` order, ``0 .. n_rows - 1``, and never move, so
-    merging re-sorts the index only and a row found once stays valid. The
-    index is the only record of which (field, key) a row holds.
+    ``_MAX_DELTA_SHARE`` of the base's entries, ``_inserted`` merges it into
+    the base, one sort for all three columns, and the delta starts empty
+    again. A ``resolve`` that inserts nothing merges a non-empty delta too,
+    so an index that has stopped growing answers each find with one probe,
+    and one that alternates inserts with quiet lookups copies itself no more
+    often than a single sorted index would. ``find`` probes the base, then
+    the delta for the pairs the base lacks; it is fastest when the pairs
+    arrive in ascending ``(h, field)`` order, as ``unique_with_inverse``
+    gives them. ``find``, ``resolve`` and ``add`` take each pair's ``h``
+    from the caller, which computes it once per lookup. Rows are assigned in
+    ``add`` order, ``0 .. n_rows - 1``, and never move, so merging re-sorts
+    the index only and a row found once stays valid. The index is the only
+    record of which (field, key) a row holds.
     """
 
     def __init__(self):
         self._base = self._delta = _EMPTY_INDEX
         self.n_rows = 0
 
-    def find(self, fields, keys):
-        """Row of each (field, key) pair, -1 where the pair has no entry."""
-        h = keys ^ _mix64(fields)
+    def find(self, h, fields):
+        """Row of each (h, field) pair, -1 where the pair has no entry."""
         rows = _probe(self._base, h, fields)
         miss = np.flatnonzero(rows < 0)
         if miss.size:
             rows[miss] = _probe(self._delta, h[miss], fields[miss])
         return rows
 
-    def resolve(self, fields, keys):
+    def resolve(self, h, fields, keys):
         """Row of each pair, giving each distinct missing pair the next free row.
 
-        Returns ``(rows, new_fields, new_keys)``: the new pairs in row order,
-        which follow ``n_rows`` in ascending ``(h, field)`` order and are not
-        indexed until ``add`` receives them. Missing pairs that arrive
-        strictly ascending in that order, as the engine's pairs from
-        ``unique_with_inverse`` do, are taken as they are; others are
-        deduplicated first. A call that finds every pair merges the delta.
+        Returns ``(rows, new)``: ``new`` holds, in row order, the position
+        of one occurrence of each new pair. New pairs follow ``n_rows`` in
+        ascending ``(h, field)`` order and are not indexed until ``add``
+        receives them. Missing pairs that arrive strictly ascending in that
+        order, as the engine's pairs from ``unique_with_inverse`` do, are
+        taken as they are; others are deduplicated first. A call that finds
+        every pair merges the delta.
         """
-        rows = self.find(fields, keys)
-        miss = np.flatnonzero(rows < 0)
-        f, k = fields[miss], keys[miss]
-        if miss.size:
-            h = k ^ _mix64(f)
-            if np.all((h[1:] > h[:-1]) | ((h[1:] == h[:-1]) & (f[1:] > f[:-1]))):
-                rows[miss] = np.arange(self.n_rows, self.n_rows + miss.size)
+        rows = self.find(h, fields)
+        new = np.flatnonzero(rows < 0)
+        if new.size:
+            hm, f = h[new], fields[new]
+            if np.all((hm[1:] > hm[:-1]) | ((hm[1:] == hm[:-1]) & (f[1:] > f[:-1]))):
+                rows[new] = np.arange(self.n_rows, self.n_rows + new.size)
             else:
-                f, k, inverse = unique_with_inverse(f, k)
-                rows[miss] = self.n_rows + inverse
+                _, _, inverse = unique_with_inverse(f, keys[new])
+                rows[new] = self.n_rows + inverse
+                first = np.empty(inverse.max() + 1, dtype=np.intp)
+                first[inverse] = new
+                new = first
         elif len(self._delta[0]):
             self._merge()
-        return rows, f, k
+        return rows, new
 
-    def add(self, fields, keys):
-        """Index new, distinct (field, key) pairs as the next rows, in order."""
-        start = self.n_rows
-        h = keys ^ _mix64(fields)
-        order = np.argsort(h, kind="stable")
+    def add(self, h, fields):
+        """Index new, distinct (h, field) pairs as the next rows, in order."""
+        end = self.n_rows + len(fields)
         self._delta = _inserted(self._delta, (
-            h[order], fields[order].astype(np.uint32), (start + order).astype(np.int32)
+            h, fields.astype(np.uint32), np.arange(self.n_rows, end, dtype=np.int32)
         ))
-        self.n_rows += len(fields)
+        self.n_rows = end
         if len(self._delta[0]) > _MAX_DELTA_SHARE * len(self._base[0]):
             self._merge()
 
@@ -281,8 +306,8 @@ class _Shard:
             for p in parts
         }
 
-    def insert(self, fields, keys, weights, slots=None):
-        """Store new, distinct pairs as the next rows, ``index.n_rows`` on, and index them.
+    def insert(self, h, fields, weights, slots=None):
+        """Store new, distinct (h, field) pairs as the next rows, ``index.n_rows`` on; index them.
 
         ``weights`` is ``{part: weights}`` and ``slots`` is ``{part: {slot:
         values}}``; slots not given are zero. The rows count only once the
@@ -307,7 +332,7 @@ class _Shard:
             for name in part_slots:
                 part_slots[name] = fit(part_slots[name])
                 part_slots[name][start:end] = 0 if slots is None else slots[part][name]
-        self.index.add(fields, keys)
+        self.index.add(h, fields)
 
 
 def _record_dtype(part, dtype):
@@ -389,9 +414,11 @@ class ShardedWeightTable:
         self._check_placement(shard_idx, fields)
         shard = self._shards[shard_idx]
         fields = fields.astype(np.int64, copy=False)
-        rows, new_f, new_k = shard.index.resolve(fields, keys)
-        if len(new_f):
-            shard.insert(new_f, new_k, {
+        h = keys ^ _mix64(fields)
+        rows, new = shard.index.resolve(h, fields, keys)
+        if len(new):
+            new_f, new_k = fields[new], keys[new]
+            shard.insert(h[new], new_f, {
                 name: self._inits[name](new_f, new_k, part.dim, self.dtype)
                 for name, part in self.parts.items()
             })
@@ -444,9 +471,9 @@ class ShardedWeightTable:
         want = {name: (len(rows), arr.shape[1]) for name, arr in part_slots.items()}
         if got != want:
             raise ConsistencyError(f"part {part!r}: update slots {got} do not match {want}")
-        shard.weights[part][rows] = weights
+        _write_rows(shard.weights[part], rows, weights)
         for name, arr in slots.items():
-            part_slots[name][rows] = arr
+            _write_rows(part_slots[name], rows, arr)
 
     def n_entries(self, shard_idx=None):
         if shard_idx is None:
@@ -542,7 +569,8 @@ class ShardedWeightTable:
                     raise ValueError(f"{path}: (field, key) pairs differ from {first[0]}'s")
                 weights[part.name] = recs["w"]
                 slots[part.name] = {name: recs[f"s_{name}"] for name in part.slot_widths}
-            shard.insert(first[1], first[2], weights, slots)
+            fields, keys = first[1:]
+            shard.insert(keys ^ _mix64(fields), fields, weights, slots)
         return table
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dessim import models, sparse
+from dessim import models, sparse, training
 from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from dessim.costmodel import model_payload_sizes
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
@@ -311,6 +311,26 @@ class TestBatchValidation:
         assert engine.table.n_entries() == 0
         assert engine.group.ledger.total_bytes() == 0
 
+    @pytest.mark.parametrize("sample_ids, match", [
+        ([0, 0, 1, 2], "sample ids out of range"),
+        ([0, -1, 1, 1], "sample ids out of range"),
+        ([0, 0, 1], "feature arrays must share one length"),
+    ])
+    @pytest.mark.parametrize("entry", ["forward", "train_step", "evaluate"])
+    def test_sample_ids_changed_after_construction_rejected(self, sample_ids, match, entry):
+        # the ranks' slices are cut from the checked batch and not checked
+        # again, so the engine's own check must catch what the batch's did
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=3), WorkerGroup(2))
+        batch = SparseBatch.from_samples(
+            [1.0, 0.0], [[(0, 1, 1.0), (1, 2, 1.0)], [(2, 3, 1.0), (1, 4, 0.5)]])
+        batch.sample_ids = np.array(sample_ids)
+        call = {"forward": engine.forward, "train_step": engine.train_step,
+                "evaluate": lambda b: training.evaluate(engine, [b])}[entry]
+        with pytest.raises(DimensionError, match=match):
+            call(batch)
+        assert engine.table.n_entries() == 0
+        assert engine.group.ledger.records() == []
+
 
 class TestEngineBackwardAndUpdate:
     def test_backward_moves_no_bytes(self):
@@ -529,16 +549,15 @@ class TestPairsResolvedOnce:
             table_dedups.append(len(fields))
             return real_dedup(fields, keys)
 
-        def find(index, fields, keys):
+        def find(index, h, fields):
             finds[indexes.index(index)] += 1
-            h = keys ^ sparse._mix64(fields)
             if np.any(h[1:] < h[:-1]):
                 unsorted_finds.append(len(h))
-            return real_find(index, fields, keys)
+            return real_find(index, h, fields)
 
-        def add(index, fields, keys):
+        def add(index, h, fields):
             adds[indexes.index(index)] += 1
-            return real_add(index, fields, keys)
+            return real_add(index, h, fields)
 
         monkeypatch.setattr(models, "unique_with_inverse", dedup)
         monkeypatch.setattr(sparse, "unique_with_inverse", table_dedup)

@@ -275,8 +275,9 @@ class TestLookup:
 
 def find(table, shard, fields, keys):
     """Rows of the pairs in one shard's index, -1 where absent; inserts nothing."""
-    return table._shards[shard].index.find(
-        np.asarray(fields, dtype=np.int64), np.asarray(keys, dtype=np.uint64))
+    fields = np.asarray(fields, dtype=np.int64)
+    h = np.asarray(keys, dtype=np.uint64) ^ sparse._mix64(fields)
+    return table._shards[shard].index.find(h, fields)
 
 
 class TestIndex:
@@ -555,6 +556,83 @@ class TestDeltaIndex:
         assert find(table, 0, [0], [2**64 - 1]).tolist() == rows.tolist() == [len(shadow)]
 
 
+def inserted_reference(index, new):
+    """The merge ``_inserted`` replaced: a stable sort of the new entries by
+    hash, then one ``np.insert`` per column."""
+    order = np.argsort(new[0], kind="stable")
+    at = np.searchsorted(index[0], new[0][order])
+    return tuple(np.insert(col, at, vals[order]) for col, vals in zip(index, new))
+
+
+def index_columns(rng, n, pool):
+    """``n`` random (hash, field, row) entries sorted by hash, hashes drawn from ``pool``."""
+    h = np.sort(rng.choice(pool, n))
+    fields = rng.integers(0, 2**32, n, dtype=np.uint32)
+    rows = rng.integers(0, 2**31, n).astype(np.int32)
+    return h, fields, rows
+
+
+class TestInserted:
+    """``_inserted`` against the per-column ``np.insert`` merge it replaced."""
+
+    @pytest.mark.parametrize("n_old, n_new", [
+        (0, 0), (0, 1), (1, 0), (1, 1), (0, 40), (40, 0), (1, 40), (40, 1), (300, 37), (37, 300),
+    ])
+    @pytest.mark.parametrize("pool_size", [3, 50, 10_000])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_matches_np_insert_byte_for_byte(self, n_old, n_new, pool_size, shuffled):
+        # a small pool of hashes makes runs of equal h, with distinct fields,
+        # inside each side and across the two; a table's own inserts come
+        # sorted, a load's in file order
+        rng = np.random.default_rng(n_old * 1000 + n_new * 7 + pool_size)
+        pool = np.concatenate([
+            rng.integers(0, 2**64 - 1, pool_size - 2, dtype=np.uint64, endpoint=True),
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+        ])
+        old, new = index_columns(rng, n_old, pool), index_columns(rng, n_new, pool)
+        if shuffled:
+            perm = rng.permutation(n_new)
+            new = tuple(col[perm] for col in new)
+        got = sparse._inserted(old, new)
+        want = inserted_reference(old, new)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_an_inserting_lookup_mixes_its_pairs_once(self, monkeypatch):
+        # the lookup computes h = key ^ mix(field) once, and its index finds,
+        # assigns and indexes rows with that h: the base, the delta and the
+        # new pairs all read the one array
+        table = table_of(1, 4, seed=3)
+        rng = np.random.default_rng(8)
+        fields = rng.integers(0, 6, 400)
+        keys = rng.integers(0, 2**64 - 1, 400, dtype=np.uint64, endpoint=True)
+        table.lookup(0, fields[:100], keys[:100])  # merged into the base
+        table.lookup(0, fields[100:105], keys[100:105])  # stays in the delta
+        index = table._shards[0].index
+        assert len(index._base[0]) == 100 and len(index._delta[0]) == 5
+        uf, uk, _ = unique_with_inverse(fields[50:], keys[50:])  # hits in both, and misses
+        mixes, splitmixes = [], []
+        real_mix, real_splitmix = sparse._mix64, sparse._splitmix64
+
+        def mix(z):
+            mixes.append(np.shape(z))
+            return real_mix(z)
+
+        def splitmix(z):  # the initializer's own mixing, one finalizer call each
+            splitmixes.append(np.shape(z))
+            return real_splitmix(z)
+
+        monkeypatch.setattr(sparse, "_mix64", mix)
+        monkeypatch.setattr(sparse, "_splitmix64", splitmix)
+        rows, _ = table.lookup(0, uf, uk)
+        assert table.n_entries() == 400
+        assert len(mixes) - len(splitmixes) == 1
+        assert (len(uf),) in mixes
+        monkeypatch.undo()
+        assert np.array_equal(find(table, 0, uf, uk), rows)
+
+
 class TestSharedIndex:
     """A two-part table, one row index per shard, against two one-part tables."""
 
@@ -795,6 +873,89 @@ class TestApplyUpdate:
         for shard_idx in range(4):
             fields, _, _ = table._shards[shard_idx].index.sorted_entries()
             assert len(fields) and np.all(fields % 4 == shard_idx)
+
+
+# Adam's slots: m and v as wide as the part, the step counter t one wide
+ADAM_PARTS = [
+    TablePart("narrow", 1, "uniform", {"m": 1, "v": 1, "t": 1}),
+    TablePart("wide", 8, "uniform", {"m": 8, "v": 8, "t": 1}),
+]
+
+
+def table_arrays(table, shard_idx=0):
+    """Every weight and slot array of one shard, by (part, name), as bytes."""
+    shard = table._shards[shard_idx]
+    out = {(part, "w"): arr.tobytes() for part, arr in shard.weights.items()}
+    for part, slots in shard.slots.items():
+        out.update({(part, name): arr.tobytes() for name, arr in slots.items()})
+    return out
+
+
+def given_as(values, form, dtype):
+    """float64 ``values`` as the caller may pass them: float64 as they are, or in
+    ``dtype`` in C order, in Fortran order or as a strided view."""
+    if form == "float64":
+        return values
+    values = values.astype(dtype)
+    if form == "fortran":
+        return np.asfortranarray(values)
+    if form == "strided":
+        wide = np.zeros((2 * values.shape[0], 3 * values.shape[1]), dtype=values.dtype)
+        view = wide[::2, ::3]
+        view[...] = values
+        return view
+    return values
+
+
+class TestRowWrites:
+    """``apply_update``'s row writes leave the bytes that ``arr[rows] = values`` leaves."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("form", ["plain", "float64", "fortran", "strided"])
+    def test_same_bytes_as_fancy_assignment(self, dtype, form):
+        rng = np.random.default_rng(31)
+        table = ShardedWeightTable(1, ADAM_PARTS, seed=2, dtype=dtype)
+        all_rows, _ = table.lookup(0, np.zeros(90, dtype=np.int64), np.arange(90, dtype=np.uint64))
+        for _ in range(3):
+            rows = rng.permutation(all_rows)[:37]  # unsorted
+            assert np.any(np.diff(rows) < 0)
+            for part in table.parts.values():
+                shard = table._shards[0]
+                want_w = shard.weights[part.name].copy()
+                want_slots = {name: arr.copy() for name, arr in shard.slots[part.name].items()}
+                w = given_as(rng.uniform(-1, 1, (len(rows), part.dim)), form, dtype)
+                slots = {name: given_as(rng.uniform(0, 2, (len(rows), width)), form, dtype)
+                         for name, width in part.slot_widths.items()}
+                want_w[rows] = w
+                for name, arr in slots.items():
+                    want_slots[name][rows] = arr
+                table.apply_update(0, rows, part.name, w, slots)
+                assert shard.weights[part.name].tobytes() == want_w.tobytes()
+                for name, arr in shard.slots[part.name].items():
+                    assert arr.dtype == dtype and arr.tobytes() == want_slots[name].tobytes()
+
+    def test_empty_update_writes_nothing(self):
+        table = ShardedWeightTable(1, ADAM_PARTS, seed=2)
+        table.lookup(0, [0, 0], [1, 2])
+        before = table_arrays(table)
+        empty = np.zeros((0, 8), np.float32)
+        table.apply_update(0, [], "wide", empty, {"m": empty, "v": empty, "t": empty[:, :1]})
+        assert table_arrays(table) == before
+
+    @pytest.mark.parametrize("rows, weights, slots, match", [
+        ([0, 5], (2, 8), {"m": (2, 8), "v": (2, 8), "t": (2, 1)}, "row 5 is outside"),
+        ([0, 1], (2, 7), {"m": (2, 8), "v": (2, 8), "t": (2, 1)}, "update shape"),
+        ([0, 1], (2, 8), {"m": (2, 8), "v": (2, 8)}, "update slots"),
+        ([0, 1], (2, 8), {"m": (2, 8), "v": (2, 8), "t": (2, 8)}, "update slots"),
+    ])
+    def test_rejected_update_leaves_every_array_unchanged(self, rows, weights, slots, match):
+        table = ShardedWeightTable(1, ADAM_PARTS, seed=2)
+        table.lookup(0, [0, 0, 0], [1, 2, 3])
+        before = table_arrays(table)
+        with pytest.raises(ConsistencyError, match=match):
+            table.apply_update(0, rows, "wide", np.ones(weights, np.float32),
+                               {name: np.ones(shape, np.float32) for name, shape in slots.items()})
+        assert table_arrays(table) == before
 
 
 # a table of one part of dim 1, initialized to zeros, without slots
