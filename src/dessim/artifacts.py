@@ -93,7 +93,7 @@ def replacing(path):
     ``path``. If the block or the rename fails, the temp file is removed and
     a previous file at ``path`` is left as it was.
     """
-    tmp = path + ".tmp"
+    tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             yield fh

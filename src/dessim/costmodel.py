@@ -124,24 +124,22 @@ def allreduce_sent_bytes_formula(nbytes, n_ranks):
     ]
 
 
-def model_payload_sizes(graph, batch_size, value_bytes=VALUE_BYTES):
+def model_payload_sizes(graph, batch_size):
     """(op name, payload bytes) per aggregation of a composed model's forward:
     its components in forward order, then one per cross level."""
-    c = CostInputs(
-        n_workers=1, batch_size=batch_size, uniq_feats=0, dim=graph.embedding_dim,
-        first_fc_width=graph.first_fc_width, n_fields=graph.n_fields, value_bytes=value_bytes,
-    )
+    c = CostInputs(n_workers=1, batch_size=batch_size, uniq_feats=0, dim=graph.embedding_dim,
+                   first_fc_width=graph.first_fc_width, n_fields=graph.n_fields)
     used = (graph.uses_linear, graph.uses_second_order, graph.uses_tower)
     out = [p for kind, u in zip(COMPONENT_KINDS, used) if u for p in component_payloads(kind, c)]
     if graph.uses_cross:
-        out += [(f"cross.{k}", value_bytes * batch_size) for k in range(graph.cross_depth)]
+        out += [(f"cross.{k}", VALUE_BYTES * batch_size) for k in range(graph.cross_depth)]
     return out
 
 
-def expected_forward_bytes(graph, batch_size, n_workers, value_bytes=VALUE_BYTES):
+def expected_forward_bytes(graph, batch_size, n_workers):
     """Per-rank forward bytes of a composed model, from the closed form."""
     totals = [0] * n_workers
-    for _, size in model_payload_sizes(graph, batch_size, value_bytes):
+    for _, size in model_payload_sizes(graph, batch_size):
         for r, b in enumerate(allreduce_sent_bytes_formula(size, n_workers)):
             totals[r] += b
     return totals

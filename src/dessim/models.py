@@ -24,23 +24,18 @@ Model kinds:
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import vecmath
 from .artifacts import ConfigDocument, replacing
-from .collectives import PHASE_BACKWARD, PHASE_FORWARD, PHASE_OPTIMIZER
+from .collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, PHASE_OPTIMIZER
 from .errors import ConsistencyError, DimensionError, ProtocolError
 from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_step
 from .sparse import ShardedWeightTable, TablePart, unique_with_inverse
 
 MODEL_KINDS = ("lr", "fm", "wdl", "deepfm", "dcn-demo")
-
-# The names of checkpoint files, the table's older ``.bin`` shards included.
-_CHECKPOINT_NAME = re.compile(r".+-shard-\d{4,}\.(npy|bin)|fc-block-\d{4,}\.npy|dense-.+\.npy")
 
 
 @dataclass
@@ -423,13 +418,16 @@ class ForwardPass:
 
     A pass lives for one epoch: ``engine``, which made it, finishes it in
     ``epoch``, and applying it ends that epoch, so apply steps from the
-    weights forward read, which no other update has written.
+    weights forward read, which no other update has written. ``phase`` is
+    the phase its collectives were charged to; a ``PHASE_EVAL`` pass is
+    never backpropagated.
     """
 
     engine: SubstitutedModel
     probs: np.ndarray
     logit: np.ndarray
     epoch: int
+    phase: str
     batch: SparseBatch
     ranks: list
 
@@ -642,9 +640,14 @@ class SubstitutedModel:
 
         Its collectives are charged to ``phase``: held-out evaluation passes
         ``PHASE_EVAL``, so the training forward phase holds training traffic
-        only. Every rank computes the logit with its own replica of the upper
-        stack, so a replica that diverged shows up here as a different logit.
+        only. Any phase but ``PHASE_FORWARD`` and ``PHASE_EVAL`` raises
+        ``ValueError`` before any collective. Every rank computes the logit
+        with its own replica of the upper stack, so a replica that diverged
+        shows up here as a different logit.
         """
+        if phase not in (PHASE_FORWARD, PHASE_EVAL):
+            raise ValueError(
+                f"forward runs in phase {PHASE_FORWARD!r} or {PHASE_EVAL!r}, got {phase!r}")
         self._check_batch(batch)
         group = self.group
         group.set_phase(phase)
@@ -655,8 +658,8 @@ class SubstitutedModel:
             if rank_logit.tobytes() != logit.tobytes():
                 raise ConsistencyError(f"logit on worker {r} diverged from worker 0")
         return ForwardPass(
-            probs=vecmath.sigmoid(logit), logit=logit, epoch=group.epoch, batch=batch,
-            ranks=[rank_pass for _, rank_pass in outs], engine=self,
+            probs=vecmath.sigmoid(logit), logit=logit, epoch=group.epoch, phase=phase,
+            batch=batch, ranks=[rank_pass for _, rank_pass in outs], engine=self,
         )
 
     def backward(self, fwd):
@@ -665,11 +668,15 @@ class SubstitutedModel:
 
         Aggregation distributes the incoming gradient unchanged to every
         local partial, and each worker already holds all aggregated values,
-        so everything below decomposes into shard-local work. A pass this
-        engine made in the current epoch is backpropagated once; any other
-        backward is rejected before anything is written.
+        so everything below decomposes into shard-local work. A training
+        pass this engine made in the current epoch is backpropagated once;
+        any other backward, an eval pass's included, is rejected before
+        anything is written.
         """
         self._check_live(fwd)
+        if fwd.phase != PHASE_FORWARD:
+            raise ProtocolError(f"forward pass of phase {fwd.phase!r} is not backpropagated; "
+                                f"only a {PHASE_FORWARD!r} pass is")
         if any(rp.grads is not None for rp in fwd.ranks):
             raise ProtocolError("forward pass was backpropagated before; each is "
                                 "backpropagated once")
@@ -712,25 +719,17 @@ class SubstitutedModel:
         self.check_replicas()
         return fwd
 
-    def save_checkpoint(self, directory):
-        """Table parts as shard record arrays; fc blocks and replicas (worker 0) as tensors.
+    def save_checkpoint(self, path):
+        """Write one ``.npz`` at ``path``, replaced whole or not at all.
 
-        Every file is a ``.npy``. Once all are written, files in ``directory``
-        with a checkpoint name that this save did not write are removed, so
-        the directory holds one checkpoint; a save that raises removes none.
+        Its arrays are the table's ``records()``, ``{part}-shard-{i:04d}``;
+        each rank's fc row block, ``fc-block-{r:04d}``; and worker 0's
+        replica tensors, ``dense-{name}`` with dots as underscores.
         """
-        paths = self.table.save(directory)  # makes the directory
-        tensors = [(f"fc-block-{rank.r:04d}", rank.fc_block)
-                   for rank in self.ranks if rank.fc_block is not None]
-        tensors += [(f"dense-{name.replace('.', '_')}", arr)
-                    for name, arr in self.ranks[0].dense.items()]
-        for stem, arr in tensors:
-            p = os.path.join(directory, f"{stem}.npy")
-            with replacing(p) as fh:
-                np.save(fh, arr)
-            paths.append(p)
-        written = {os.path.basename(p) for p in paths}
-        for name in os.listdir(directory):
-            if name not in written and _CHECKPOINT_NAME.fullmatch(name):
-                os.remove(os.path.join(directory, name))
-        return sorted(paths)
+        arrays = self.table.records()
+        arrays.update((f"fc-block-{rank.r:04d}", rank.fc_block)
+                      for rank in self.ranks if rank.fc_block is not None)
+        arrays.update((f"dense-{name.replace('.', '_')}", arr)
+                      for name, arr in self.ranks[0].dense.items())
+        with replacing(path) as fh:
+            np.savez(fh, **arrays)

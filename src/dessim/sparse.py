@@ -50,12 +50,10 @@ insertion order or shard count.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import replacing
 from .errors import ConsistencyError, DimensionError, PlacementError
 
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -281,7 +279,7 @@ class TablePart(NamedTuple):
     Each row holds ``dim`` weights of the part, set at creation by ``init``
     ("uniform", ``seeded_uniform_init`` of the table seed, or "zeros"), and
     one optimizer slot array per ``slot_widths`` entry, ``{slot: width}``,
-    zero at creation. The name names the part's checkpoint files.
+    zero at creation. The name names the part's checkpoint arrays.
     """
 
     name: str
@@ -489,84 +487,79 @@ class ShardedWeightTable:
                 out[(f, k)] = w
         return out
 
-    def save(self, directory):
-        """One ``.npy`` file per part and shard, ``{part}-shard-{i:04d}.npy``, byte-deterministic.
+    def records(self):
+        """``{f"{part}-shard-{i:04d}": records}`` for every part and shard, byte-deterministic.
 
-        Each holds a 1-D structured array of ``_record_dtype`` records, one
-        per pair, sorted by (field, key). Each file is written under a
-        temporary name and then renamed, so a file at the final name is
-        never half-written.
+        Each value is a 1-D structured array of ``_record_dtype`` records,
+        one per pair, sorted by (field, key).
         """
-        os.makedirs(directory, exist_ok=True)
         entries = [shard.index.sorted_entries() for shard in self._shards]
-        paths = []
+        out = {}
         for part in self.parts.values():
             rec_dtype = _record_dtype(part, self.dtype)
             for idx, (shard, (fields, keys, rows)) in enumerate(zip(self._shards, entries)):
-                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.npy")
                 recs = np.zeros(len(rows), dtype=rec_dtype)
                 recs["field"] = fields
                 recs["key"] = keys
                 recs["w"] = shard.weights[part.name][rows]
                 for name, arr in shard.slots[part.name].items():
                     recs[f"s_{name}"] = arr[rows]
-                with replacing(path) as fh:
-                    np.save(fh, recs)
-                paths.append(path)
-        return paths
+                out[f"{part.name}-shard-{idx:04d}"] = recs
+        return out
 
     @classmethod
-    def load(cls, directory, parts, n_shards, seed=0, dtype=np.float32):
-        """Rebuild a table of these parts from the files written by save.
+    def load(cls, records, parts, n_shards, seed=0, dtype=np.float32):
+        """Rebuild a table of these parts from a mapping of the arrays ``records`` returns.
 
+        ``records`` is any mapping by name, a dict or an open ``NpzFile``.
         Raises ``ValueError`` for fewer than one shard, and ``ValueError``
-        naming the file when it is not a ``.npy`` array that loads without
-        pickle, when bytes follow its records, when its dtype or shape is not
-        its part's record array, when a record's field belongs to another
-        shard, when a (field, key) pair repeats, or when its (field, key)
-        column differs from the first part's file of the same shard. A
-        first-part file of shard ``n_shards`` means the table was saved at a
-        larger shard count, whose extra rows would be lost: ``ValueError``
-        naming that file.
+        naming the array when it is missing, when it cannot be read (an
+        ``NpzFile`` member that is not a ``.npy`` readable without pickle),
+        when its dtype or shape is not its part's record array, when a
+        record's field belongs to another shard, when a (field, key) pair
+        repeats, or when its (field, key) column differs from the first
+        part's array of the same shard. A first-part array of shard
+        ``n_shards`` means the table was saved at a larger shard count, whose
+        extra rows would be lost: ``ValueError`` naming that array.
         """
         table = cls(n_shards, parts, seed=seed, dtype=dtype)
-        extra = os.path.join(directory, f"{next(iter(table.parts))}-shard-{n_shards:04d}.npy")
-        if os.path.exists(extra):
+        extra = f"{next(iter(table.parts))}-shard-{n_shards:04d}"
+        if extra in records:
             raise ValueError(f"{extra}: the table was saved at more than {n_shards} shards")
         for idx, shard in enumerate(table._shards):
             first = None
             weights, slots = {}, {}
             for part in table.parts.values():
-                path = os.path.join(directory, f"{part.name}-shard-{idx:04d}.npy")
-                with open(path, "rb") as fh:
-                    try:
-                        recs = np.lib.format.read_array(fh, allow_pickle=False)
-                    except (ValueError, EOFError) as exc:
-                        raise ValueError(f"{path}: not a .npy record array: {exc}") from None
-                    if fh.read(1):
-                        raise ValueError(f"{path}: bytes follow the records")
+                member = f"{part.name}-shard-{idx:04d}"
+                if member not in records:
+                    raise ValueError(f"{member}: missing")
+                try:
+                    recs = records[member]
+                except ValueError as exc:  # an npz member that is not a .npy without pickle
+                    raise ValueError(f"{member}: {exc}") from None
                 want = _record_dtype(part, table.dtype)
                 if recs.dtype != want or recs.ndim != 1:
                     raise ValueError(
-                        f"{path}: records {recs.dtype} of shape {recs.shape} differ from "
+                        f"{member}: records {recs.dtype} of shape {recs.shape} differ from "
                         f"part {part.name!r}: 1-D {want}"
                     )
                 fields = recs["field"].astype(np.int64)
                 keys = recs["key"].astype(np.uint64)
                 if first is None:
-                    first = path, fields, keys
+                    first = member, fields, keys
                     foreign = np.flatnonzero(fields % n_shards != idx)
                     if foreign.size:
                         raise ValueError(
-                            f"{path}: field {int(fields[foreign[0]])} does not belong to shard "
+                            f"{member}: field {int(fields[foreign[0]])} does not belong to shard "
                             f"{idx} of {n_shards}"
                         )
                     uf, uk, inverse = unique_with_inverse(fields, keys)
                     if len(uf) != len(recs):
                         i = int(np.argmax(np.bincount(inverse) > 1))
-                        raise ValueError(f"{path}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
+                        raise ValueError(
+                            f"{member}: (field={int(uf[i])}, key={int(uk[i])}) repeats")
                 elif not (np.array_equal(fields, first[1]) and np.array_equal(keys, first[2])):
-                    raise ValueError(f"{path}: (field, key) pairs differ from {first[0]}'s")
+                    raise ValueError(f"{member}: (field, key) pairs differ from {first[0]}'s")
                 weights[part.name] = recs["w"]
                 slots[part.name] = {name: recs[f"s_{name}"] for name in part.slot_widths}
             fields, keys = first[1:]

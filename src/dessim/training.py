@@ -106,7 +106,7 @@ class TrainResult:
     snapshots: list
     engine: SubstitutedModel
     group: WorkerGroup
-    checkpoint_dir: str | None = None
+    checkpoint_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -199,11 +199,11 @@ def train(cfg):
             )
         )
 
-    checkpoint_dir = None
+    checkpoint_path = None
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        checkpoint_dir = os.path.join(cfg.out_dir, "checkpoint")
-        engine.save_checkpoint(checkpoint_dir)
+        checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.npz")
+        engine.save_checkpoint(checkpoint_path)
         doc = {"version": 1, "rows": [asdict(s) for s in snapshots]}
         for name, text in (
             ("metrics.tsv", metrics_to_tsv(snapshots)),
@@ -215,7 +215,7 @@ def train(cfg):
 
     return TrainResult(
         config=cfg, snapshots=snapshots, engine=engine, group=group,
-        checkpoint_dir=checkpoint_dir,
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -289,11 +289,10 @@ def bits_digest():
 
     Each case trains 2 epochs on synthetic data (10 fields, vocab 300, 4,096
     training and 2,048 held-out samples, seed 7). Its line gives the sha256
-    over the checkpoint files' names and bytes in name order, the final
-    held-out AUC and log loss as float hex, and the sha256 of
-    ``ledger.records()`` as JSON. The ledger hashes are the same on every
-    host; the rest depends on the numpy/BLAS build (see ``vecmath``), so
-    compare lines printed on one host and build.
+    of the checkpoint file, the final held-out AUC and log loss as float
+    hex, and the sha256 of ``ledger.records()`` as JSON. The ledger hashes
+    are the same on every host; the rest depends on the numpy/BLAS build
+    (see ``vecmath``), so compare lines printed on one host and build.
     """
     for kind in MODEL_KINDS:
         for n_workers in DIGEST_WORKERS:
@@ -305,12 +304,11 @@ def bits_digest():
                     train_samples=4096, test_samples=2048,
                 )
                 result = train(cfg)
-                checkpoint = hashlib.sha256()
                 with tempfile.TemporaryDirectory() as tmp:
-                    for path in result.engine.save_checkpoint(tmp):
-                        checkpoint.update(os.path.basename(path).encode("utf-8"))
-                        with open(path, "rb") as fh:
-                            checkpoint.update(fh.read())
+                    path = os.path.join(tmp, "checkpoint.npz")
+                    result.engine.save_checkpoint(path)
+                    with open(path, "rb") as fh:
+                        checkpoint = hashlib.sha256(fh.read())
                 records = json.dumps(result.group.ledger.records()).encode("utf-8")
                 snap = result.snapshots[-1]
                 yield (

@@ -6,7 +6,6 @@ and equivalence checks have wall-clock budgets asserted in-line.
 """
 
 import filecmp
-import os
 import time
 
 import numpy as np
@@ -161,13 +160,7 @@ def test_08_identical_seeds_reproduce_runs(tmp_path):
     b = run(tmp_path / "b")
     assert [s.deterministic_fields() for s in a.snapshots] == \
         [s.deterministic_fields() for s in b.snapshots]
-    files_a = sorted(os.listdir(a.checkpoint_dir))
-    files_b = sorted(os.listdir(b.checkpoint_dir))
-    assert files_a == files_b and files_a
-    for name in files_a:
-        assert filecmp.cmp(os.path.join(a.checkpoint_dir, name),
-                           os.path.join(b.checkpoint_dir, name),
-                           shallow=False), name
+    assert filecmp.cmp(a.checkpoint_path, b.checkpoint_path, shallow=False)
     _ok("identical seeds reproduce runs")
 
 

@@ -43,7 +43,7 @@ class TestTrainCommand:
         assert (out / "metrics.tsv").exists()
         assert (out / "metrics.json").exists()
         assert (out / "config.json").exists()
-        assert (out / "checkpoint").is_dir()
+        assert (out / "checkpoint.npz").is_file()
         assert f"artifacts written to {out}" in capsys.readouterr().out
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):

@@ -456,8 +456,7 @@ class TestCriteoTrainingBits:
                             batch_size=128, epochs=epochs, seed=4, data=str(path),
                             out_dir=str(tmp_path / name))
             result = train(cfg)
-            checkpoint = {p.name: p.read_bytes() for p in
-                          sorted(Path(result.checkpoint_dir).iterdir())}
+            checkpoint = Path(result.checkpoint_path).read_bytes()
             return ([s.deterministic_fields() for s in result.snapshots],
                     result.group.ledger.records(), checkpoint)
 

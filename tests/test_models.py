@@ -5,6 +5,8 @@ exercised exhaustively by the verification suite; these tests pin down the
 unit-level contracts and the failure modes.
 """
 
+import os
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -213,6 +215,12 @@ class TestPartialOperators:
         assert np.allclose(out, [[1 * 3 + 0.1 + 0.5, 2 * 3 + 0.2 - 0.5]])
 
 
+def table_records(table):
+    """Each record array of the table by name, as its dtype, shape and bytes."""
+    return {name: (recs.dtype, recs.shape, recs.tobytes())
+            for name, recs in table.records().items()}
+
+
 def tiny_batch(rng, n_fields, batch_size=6, vocab=12):
     samples = []
     for _ in range(batch_size):
@@ -375,24 +383,23 @@ class TestEngineBackwardAndUpdate:
         engine.train_step(batch)
 
     @staticmethod
-    def engine_state(engine, directory):
-        """The table's save bytes, every replica and every fc block."""
-        engine.table.save(str(directory))
-        table = {f.name: f.read_bytes() for f in directory.iterdir()}
+    def engine_state(engine):
+        """The table's records, every replica and every fc block."""
+        table = table_records(engine.table)
         replicas = [{k: v.tobytes() for k, v in rank.dense.items()} for rank in engine.ranks]
         return table, replicas, [rank.fc_block.tobytes() for rank in engine.ranks]
 
-    def test_gradient_list_applied_once(self, tmp_path):
+    def test_gradient_list_applied_once(self):
         rng = np.random.default_rng(39)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         grads = engine.backward(engine.forward(tiny_batch(rng, 3)))
         engine.apply_gradients(grads)
-        before = self.engine_state(engine, tmp_path / "before")
+        before = self.engine_state(engine)
         with pytest.raises(ProtocolError, match="epoch"):
             engine.apply_gradients(grads)
-        assert self.engine_state(engine, tmp_path / "after") == before
+        assert self.engine_state(engine) == before
 
-    def test_pass_backpropagated_once(self, tmp_path):
+    def test_pass_backpropagated_once(self):
         rng = np.random.default_rng(39)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         batch = tiny_batch(rng, 3)
@@ -400,29 +407,29 @@ class TestEngineBackwardAndUpdate:
         fwd = engine.forward(batch)
         passes = engine.backward(fwd).ranks
         grads = [[g.tobytes() for g in rp.grads.values()] for rp in passes]
-        before = self.engine_state(engine, tmp_path / "before")
+        before = self.engine_state(engine)
         with pytest.raises(ProtocolError, match="backpropagated before"):
             engine.backward(fwd)
-        assert self.engine_state(engine, tmp_path / "after") == before
+        assert self.engine_state(engine) == before
         assert [[g.tobytes() for g in rp.grads.values()] for rp in passes] == grads
         engine.apply_gradients(fwd)
 
-    def test_pass_never_backpropagated_rejected(self, tmp_path):
+    def test_pass_never_backpropagated_rejected(self):
         rng = np.random.default_rng(39)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         batch = tiny_batch(rng, 3)
         engine.train_step(batch)
         fwd = engine.forward(batch)
-        before = self.engine_state(engine, tmp_path / "before")
+        before = self.engine_state(engine)
         with pytest.raises(ProtocolError, match="never backpropagated"):
             engine.apply_gradients(fwd)
-        assert self.engine_state(engine, tmp_path / "after") == before
+        assert self.engine_state(engine) == before
         engine.apply_gradients(engine.backward(fwd))
 
-    def assert_stale(self, engine, fresh, backpropagated, tmp_path):
+    def assert_stale(self, engine, fresh, backpropagated):
         """Neither pass, both made in an epoch that has ended, can be finished,
         and neither rejection writes anything."""
-        before = self.engine_state(engine, tmp_path / "before"), engine.group.epoch
+        before = self.engine_state(engine), engine.group.epoch
         stale = f"forward pass of epoch {fresh.epoch} is stale"
         with pytest.raises(ProtocolError, match=stale):
             engine.backward(fresh)
@@ -430,9 +437,9 @@ class TestEngineBackwardAndUpdate:
             engine.apply_gradients(fresh)
         with pytest.raises(ProtocolError, match=stale):
             engine.apply_gradients(backpropagated)
-        assert (self.engine_state(engine, tmp_path / "after"), engine.group.epoch) == before
+        assert (self.engine_state(engine), engine.group.epoch) == before
 
-    def test_second_forward_of_an_epoch_rejected(self, tmp_path):
+    def test_second_forward_of_an_epoch_rejected(self):
         # applying the first pass would otherwise leave the second stepping from
         # row weights the first apply replaced, overwriting that update
         rng = np.random.default_rng(39)
@@ -442,18 +449,49 @@ class TestEngineBackwardAndUpdate:
         first, second = engine.forward(batch), engine.forward(batch)
         third = engine.backward(engine.forward(batch))
         engine.apply_gradients(engine.backward(first))
-        self.assert_stale(engine, second, third, tmp_path)
+        self.assert_stale(engine, second, third)
         engine.train_step(batch)
 
-    def test_eval_pass_made_before_a_step_rejected(self, tmp_path):
+    def test_eval_pass_made_before_a_step_rejected(self):
         rng = np.random.default_rng(39)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         batch = tiny_batch(rng, 3)
         engine.train_step(batch)
         held_out = engine.forward(batch, phase=PHASE_EVAL)
-        backpropagated = engine.backward(engine.forward(batch, phase=PHASE_EVAL))
+        backpropagated = engine.backward(engine.forward(batch))
         engine.train_step(batch)
-        self.assert_stale(engine, held_out, backpropagated, tmp_path)
+        self.assert_stale(engine, held_out, backpropagated)
+        engine.train_step(batch)
+
+    def test_eval_pass_not_backpropagated(self):
+        # applying it would train on the held-out batch, charging nothing to
+        # the training forward phase
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        fwd = engine.forward(batch, phase=PHASE_EVAL)
+        assert fwd.phase == PHASE_EVAL
+        before = table_records(engine.table), engine.group.ledger.records(), engine.group.epoch
+        with pytest.raises(ProtocolError, match="phase 'eval' is not backpropagated"):
+            engine.apply_gradients(engine.backward(fwd))
+        assert all(rp.grads is None for rp in fwd.ranks)
+        after = table_records(engine.table), engine.group.ledger.records(), engine.group.epoch
+        assert after == before
+        engine.train_step(batch)
+
+    @pytest.mark.parametrize("phase", [PHASE_BACKWARD, "optimizer", "train"])
+    def test_forward_in_another_phase_rejected(self, phase):
+        # its all-reduces would be charged to that phase
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind="lr", n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        engine.train_step(batch)
+        before = table_records(engine.table), engine.group.ledger.records(), engine.group.phase
+        with pytest.raises(ValueError, match=f"'forward' or 'eval', got {phase!r}"):
+            engine.forward(batch, phase=phase)
+        after = table_records(engine.table), engine.group.ledger.records(), engine.group.phase
+        assert after == before
         engine.train_step(batch)
 
     def test_training_moves_weights(self):
@@ -614,35 +652,89 @@ class TestDenseConstruction:
         rng = np.random.default_rng(44)
         engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
         engine.train_step(tiny_batch(rng, 3))
-        paths = engine.save_checkpoint(tmp_path)
-        names = sorted(p.split("/")[-1] for p in paths)
-        assert "linear-shard-0000.npy" in names
-        assert "latent-shard-0001.npy" in names
-        assert "fc-block-0000.npy" in names
-        assert "dense-out_w.npy" in names
+        path = tmp_path / "checkpoint.npz"
+        engine.save_checkpoint(path)
+        with np.load(path, allow_pickle=False) as arrays:
+            names = sorted(arrays.files)
+        assert "linear-shard-0000" in names
+        assert "latent-shard-0001" in names
+        assert "fc-block-0000" in names
+        assert "dense-out_w" in names
 
-    def test_save_leaves_only_its_own_checkpoint_files(self, tmp_path):
+    @staticmethod
+    def members(path):
+        """Each array of a checkpoint file by name, as its dtype, shape and bytes."""
+        with np.load(path, allow_pickle=False) as arrays:
+            return {name: (arrays[name].dtype, arrays[name].shape, arrays[name].tobytes())
+                    for name in arrays.files}
+
+    def test_a_later_save_replaces_the_whole_file(self, tmp_path):
         rng = np.random.default_rng(45)
         batch = tiny_batch(rng, 5)
         (tmp_path / "notes.txt").write_text("kept")
-        (tmp_path / "linear-shard-0000.bin").write_bytes(b"an older table format")
+        older = tmp_path / "checkpoint" / "linear-shard-0000.npy"
+        older.parent.mkdir()
+        np.save(older, np.arange(3))
+        kept = older.read_bytes()
+        path = tmp_path / "checkpoint.npz"
         for n_workers in (4, 2):
             engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=5), WorkerGroup(n_workers))
             engine.train_step(batch)
-            paths = engine.save_checkpoint(tmp_path)
-        names = sorted(p.name for p in tmp_path.iterdir() if p.name != "notes.txt")
-        assert names == sorted(p.split("/")[-1] for p in paths)
-        assert "fc-block-0001.npy" in names and "fc-block-0002.npy" not in names
+            engine.save_checkpoint(path)
+        engine.save_checkpoint(tmp_path / "alone.npz")
+        members = self.members(path)
+        assert members == self.members(tmp_path / "alone.npz")
+        assert "fc-block-0001" in members and "fc-block-0002" not in members
+        assert "linear-shard-0001" in members and "linear-shard-0002" not in members
         assert (tmp_path / "notes.txt").read_text() == "kept"
+        assert older.read_bytes() == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alone.npz", "checkpoint", "checkpoint.npz", "notes.txt"]
+
+    @pytest.mark.parametrize("failure", ["write_array", "replace"])
+    def test_failed_save_leaves_previous_file(self, tmp_path, monkeypatch, failure):
+        rng = np.random.default_rng(45)
+        batch = tiny_batch(rng, 5)
+        engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=5), WorkerGroup(2))
+        engine.train_step(batch)
+        path = tmp_path / "checkpoint.npz"
+        engine.save_checkpoint(path)
+        before = path.read_bytes()
+        engine.train_step(batch)
+        if failure == "replace":
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refuse)
+            match = "rename refused"
+        else:
+            write_array = np.lib.format.write_array
+            calls = []
+
+            def third_fails(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+                return write_array(*args, **kwargs)
+
+            monkeypatch.setattr(np.lib.format, "write_array", third_fails)
+            match = "disk full"
+        with pytest.raises(OSError, match=match):
+            engine.save_checkpoint(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
 
     @pytest.mark.parametrize("kind", ["lr", "fm", "wdl", "deepfm", "dcn-demo"])
     def test_checkpoint_files_are_plain_npy(self, tmp_path, kind):
         rng = np.random.default_rng(46)
         engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=5), WorkerGroup(3))
         engine.train_step(tiny_batch(rng, 5))
-        paths = engine.save_checkpoint(tmp_path)
-        assert all(p.endswith(".npy") for p in paths)
-        arrays = {p.split("/")[-1]: np.load(p, allow_pickle=False) for p in paths}
+        path = tmp_path / "checkpoint.npz"
+        engine.save_checkpoint(path)
+        with zipfile.ZipFile(path) as archive:
+            assert all(name.endswith(".npy") for name in archive.namelist())
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = dict(npz)
         for part in engine.table.parts.values():
             record = np.dtype(
                 [("field", "<u4"), ("key", "<u8"), ("w", "<f4", (part.dim,))]
@@ -650,7 +742,7 @@ class TestDenseConstruction:
                    for name, width in sorted(part.slot_widths.items())])
             want = sorted(engine.table.weight_map(part.name))
             for idx in range(3):
-                recs = arrays[f"{part.name}-shard-{idx:04d}.npy"]
+                recs = arrays[f"{part.name}-shard-{idx:04d}"]
                 assert recs.dtype == record and recs.ndim == 1
                 pairs = list(zip(recs["field"].tolist(), recs["key"].tolist()))
                 assert pairs == [fk for fk in want if fk[0] % 3 == idx]
@@ -661,17 +753,17 @@ class TestDenseConstruction:
         engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=5), WorkerGroup(3))
         for _ in range(3):
             engine.train_step(tiny_batch(rng, 5))
-        engine.save_checkpoint(tmp_path / "engine")
+        path = tmp_path / "checkpoint.npz"
+        engine.save_checkpoint(path)
         table = engine.table
-        loaded = sparse.ShardedWeightTable.load(
-            tmp_path / "engine", list(table.parts.values()), 3, seed=engine.graph.seed)
+        with np.load(path, allow_pickle=False) as arrays:
+            loaded = sparse.ShardedWeightTable.load(
+                arrays, list(table.parts.values()), 3, seed=engine.graph.seed)
         assert loaded.n_entries() == table.n_entries() > 0
-        paths = loaded.save(tmp_path / "loaded")
-        assert len(paths) == 3 * len(table.parts)
-        for path in paths:
-            name = path.split("/")[-1]
-            assert (tmp_path / "loaded" / name).read_bytes() == (
-                tmp_path / "engine" / name).read_bytes(), name
+        records, saved = table_records(loaded), self.members(path)
+        assert len(records) == 3 * len(table.parts)
+        for name, recs in records.items():
+            assert recs == saved[name], name
 
 
 def trained_engine(kind, steps=3):

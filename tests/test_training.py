@@ -2,6 +2,7 @@
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -233,9 +234,9 @@ class TestArtifacts:
     def test_out_dir_contents(self, tmp_path):
         out = tmp_path / "run"
         result = train(tiny_config(epochs=1, out_dir=str(out)))
-        assert result.checkpoint_dir == str(out / "checkpoint")
-        assert os.path.isdir(result.checkpoint_dir)
-        assert sorted(os.listdir(out)) == ["checkpoint", "config.json",
+        assert result.checkpoint_path == str(out / "checkpoint.npz")
+        assert os.path.isfile(result.checkpoint_path)
+        assert sorted(os.listdir(out)) == ["checkpoint.npz", "config.json",
                                            "metrics.json", "metrics.tsv"]
         back = RunConfig.from_json((out / "config.json").read_text())
         assert back == result.config
@@ -247,21 +248,30 @@ class TestArtifacts:
                                       "checkpoint/dense-out_w.npy",
                                       "checkpoint/fc-block-0001.npy"])
     def test_failed_rename_leaves_previous_file(self, tmp_path, monkeypatch, name):
+        # "checkpoint/<member>" names a member of checkpoint.npz, the file renamed.
         out = tmp_path / "run"
+        stem, _, member = name.partition("/")
+        path = out / (stem + ".npz" if member else stem)
         graph = ModelGraph(kind="wdl", n_fields=4, embedding_dim=2, first_fc_width=4, seed=2)
         train(tiny_config(graph=graph, epochs=1, out_dir=str(out)))
-        before = (out / name).read_bytes()
+        before = path.read_bytes()
+        if member:
+            with zipfile.ZipFile(path) as zf:
+                before_member = zf.read(member)
         real_replace = os.replace
 
         def refuse(src, dst):
-            if str(dst) == str(out / name):
+            if str(dst) == str(path):
                 raise OSError("rename refused")
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
             train(tiny_config(graph=graph, epochs=2, seed=6, out_dir=str(out)))
-        assert (out / name).read_bytes() == before
+        assert path.read_bytes() == before
+        if member:
+            with zipfile.ZipFile(path) as zf:
+                assert zf.read(member) == before_member
         left = [p.name for p in out.rglob("*") if p.name.endswith(".tmp")]
         assert left == []
 
