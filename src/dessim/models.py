@@ -98,6 +98,25 @@ class SparseBatch:
         return slices
 
     @staticmethod
+    def concat(batches):
+        """One batch of the samples of ``batches``, in order; a single batch is returned as is.
+
+        Each batch's sample ids shift by the samples before it. The parts are
+        not checked again, so check each one first: a sample id out of one
+        batch's range could fall inside another batch's rows.
+        """
+        if len(batches) == 1:
+            return batches[0]
+        starts = np.cumsum([0] + [b.batch_size for b in batches[:-1]])
+        return SparseBatch(
+            labels=np.concatenate([b.labels for b in batches]),
+            sample_ids=np.concatenate([b.sample_ids + s for b, s in zip(batches, starts)]),
+            fields=np.concatenate([b.fields for b in batches]),
+            keys=np.concatenate([b.keys for b in batches]),
+            values=np.concatenate([b.values for b in batches]),
+        )
+
+    @staticmethod
     def from_samples(labels, samples):
         """Build from one (field, key, value) list per sample, or from a ``SampleFeatures``."""
         if not isinstance(samples, SampleFeatures):
@@ -326,7 +345,7 @@ def cross_backward(params, depth, cache, g_logit):
     g_x0 = np.zeros_like(x0)
     for k in reversed(range(depth)):
         c = np.sum(x0 * g, axis=1)
-        grads[f"cross{k}.w"] = vecmath.matmul_rows(c[None, :], xs[k])[0]
+        grads[f"cross{k}.w"] = vecmath.vecmat(c, xs[k])
         grads[f"cross{k}.b"] = np.sum(g, axis=0)
         g_x0 += ss[k][:, None] * g
         g = g + c[:, None] * params[f"cross{k}.w"][None, :]
@@ -396,7 +415,8 @@ class RankPass:
     the rank's replicated-stack cache (the mlp's or the cross stack's).
     Backward fills ``grads``, ``{part: grads}`` over the unique pairs,
     ``dense_grads`` and ``fc_grads``, once per pass. Fields a model does not
-    use stay None.
+    use stay None, and so does everything after ``pairs`` on an eval pass,
+    which is never backpropagated: it keeps no backward state.
     """
 
     slice_: SparseBatch
@@ -420,7 +440,8 @@ class ForwardPass:
     ``epoch``, and applying it ends that epoch, so apply steps from the
     weights forward read, which no other update has written. ``phase`` is
     the phase its collectives were charged to; a ``PHASE_EVAL`` pass is
-    never backpropagated.
+    never backpropagated, so its rank passes hold no backward state, only
+    their slices and pairs.
     """
 
     engine: SubstitutedModel
@@ -473,40 +494,40 @@ class Rank:
             self.cross_range = (int(bounds[r]), int(bounds[r + 1]))
         self.sparse_opts = {"linear": graph.first_order_opt, "latent": graph.embedding_opt}
 
-    def forward(self, slice_):
+    def forward(self, slice_, backprop=True):
         """The rank's forward program; yields ``(op, partial)`` at each aggregation.
 
-        Returns the rank's logit and its ``RankPass``.
+        Returns the rank's logit and its ``RankPass``. Only a pass made for
+        backprop keeps the state backward reads; any other keeps none.
         """
         graph = self.graph
         dense = self.dense
         B = slice_.batch_size
         uf, uk, inv = unique_with_inverse(slice_.fields, slice_.keys)
-        rp = RankPass(slice_=slice_, pairs=(uf, uk, inv))
-        rp.rows, rp.weights = self.table.lookup(self.r, uf, uk)
-        if "latent" in rp.weights:
-            rp.latents = np.take(rp.weights["latent"], inv, axis=0)
+        rows, weights = self.table.lookup(self.r, uf, uk)
+        latents = np.take(weights["latent"], inv, axis=0) if "latent" in weights else None
+        agg_m1 = pooled = cache = None
         ids, values = slice_.sample_ids, slice_.values
         logit = np.zeros(B, dtype=self.table.dtype)
 
         if graph.uses_linear:
-            partial = linear_partial(np.take(rp.weights["linear"], inv, axis=0), values, ids, B)
+            partial = linear_partial(np.take(weights["linear"], inv, axis=0), values, ids, B)
             logit = logit + dense["bias"][0]
             logit = logit + (yield "linear.partial", partial)
 
         if graph.uses_second_order:
-            m1, m2 = second_order_partials(rp.latents, values, ids, B)
-            rp.agg_m1 = yield "fm2.m1", m1
+            m1, m2 = second_order_partials(latents, values, ids, B)
+            agg_m1 = yield "fm2.m1", m1
             agg_m2 = yield "fm2.m2", m2
-            logit = logit + second_order_combine(rp.agg_m1, agg_m2)
+            logit = logit + second_order_combine(agg_m1, agg_m2)
 
         if graph.uses_tower:
-            rp.pooled = pooled_fields(
-                slice_, self.table.n_shards, rp.latents, len(self.fields), graph.embedding_dim
+            pooled = pooled_fields(
+                slice_, self.table.n_shards, latents, len(self.fields), graph.embedding_dim
             )
-            agg = yield "tower.first_fc", tower_partial(rp.pooled, self.fc_block)
+            agg = yield "tower.first_fc", tower_partial(pooled, self.fc_block)
             if graph.uses_mlp:
-                deep, rp.cache = mlp_forward(dense, graph.hidden_widths, agg)
+                deep, cache = mlp_forward(dense, graph.hidden_widths, agg)
             else:
                 # each cross layer aggregates one scalar per sample, summed over
                 # the ranks' disjoint coordinate ranges of the running vector
@@ -518,9 +539,14 @@ class Rank:
                     ss.append(s)
                     xs.append(x)
                 deep = vecmath.matmul_rows(x, dense["out.w"])[:, 0] + dense["out.b"][0]
-                rp.cache = {"xs": xs, "ss": ss}
+                cache = {"xs": xs, "ss": ss}
             logit = logit + deep
-        return logit, rp
+        if not backprop:
+            return logit, RankPass(slice_=slice_, pairs=(uf, uk, inv))
+        return logit, RankPass(
+            slice_=slice_, pairs=(uf, uk, inv), rows=rows, weights=weights, latents=latents,
+            agg_m1=agg_m1, pooled=pooled, cache=cache,
+        )
 
     def backward(self, rp, delta):
         """Fill the rank's own ``RankPass`` with its gradients, given the logit
@@ -600,7 +626,7 @@ class SubstitutedModel:
         params, full_fc = build_dense_params(graph, self.dtype)
         self.ranks = [Rank(r, graph, self.table, params, full_fc) for r in range(group.n_workers)]
 
-    def _check_batch(self, batch):
+    def check_batch(self, batch):
         """Reject feature columns of unequal length and sample ids outside
         [0, batch_size) again, which catches a batch changed after it was
         built; then labels other than 0 and 1, fields outside [0, n_fields)
@@ -640,19 +666,21 @@ class SubstitutedModel:
 
         Its collectives are charged to ``phase``: held-out evaluation passes
         ``PHASE_EVAL``, so the training forward phase holds training traffic
-        only. Any phase but ``PHASE_FORWARD`` and ``PHASE_EVAL`` raises
-        ``ValueError`` before any collective. Every rank computes the logit
-        with its own replica of the upper stack, so a replica that diverged
-        shows up here as a different logit.
+        only, and its rank passes keep no backward state. Any phase but
+        ``PHASE_FORWARD`` and ``PHASE_EVAL`` raises ``ValueError`` before any
+        collective. Every rank computes the logit with its own replica of the
+        upper stack, so a replica that diverged shows up here as a different
+        logit.
         """
         if phase not in (PHASE_FORWARD, PHASE_EVAL):
             raise ValueError(
                 f"forward runs in phase {PHASE_FORWARD!r} or {PHASE_EVAL!r}, got {phase!r}")
-        self._check_batch(batch)
+        self.check_batch(batch)
         group = self.group
         group.set_phase(phase)
         slices = batch.shard_slices(len(self.ranks))
-        outs = group.run(rank.forward(sl) for rank, sl in zip(self.ranks, slices))
+        backprop = phase == PHASE_FORWARD
+        outs = group.run(rank.forward(sl, backprop) for rank, sl in zip(self.ranks, slices))
         logit = outs[0][0]
         for r, (rank_logit, _) in enumerate(outs[1:], start=1):
             if rank_logit.tobytes() != logit.tobytes():

@@ -11,6 +11,12 @@ A click log's training split is streamed: each epoch reads it from the file
 again, one block at a time, so a run holds one block of training batches
 however long the log is. Its held-out split, which every epoch evaluates,
 and both synthetic splits are lists built once per run.
+
+Evaluation forwards the held-out batches in passes of whole batches, up to
+``EVAL_PASS_SAMPLES`` samples each: one forward, and one collective per
+aggregation, per pass rather than per batch. Every per-sample value is the
+same either way, so the metrics do not depend on the pass size, while the
+eval phase of the ledger holds fewer, larger calls of the same total bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +44,10 @@ from .costmodel import (
 )
 from .data import HELD_OUT_EVERY, SyntheticSpec, gen_synthetic, read_criteo_batches
 from .metrics import auc as auc_metric, logloss as logloss_metric
-from .models import MODEL_KINDS, ModelGraph, SubstitutedModel
+from .models import MODEL_KINDS, ModelGraph, SparseBatch, SubstitutedModel
+
+# The most samples one held-out forward pass joins; a larger batch is its own pass.
+EVAL_PASS_SAMPLES = 2048
 
 
 @dataclass
@@ -141,16 +150,38 @@ def load_batches(cfg, split):
     return source if split == "train" else list(source)
 
 
-def evaluate(engine, batches):
-    """Held-out AUC and log loss through the engine's own forward.
+def eval_passes(batches):
+    """Consecutive batches in groups of at most ``EVAL_PASS_SAMPLES`` samples.
 
-    Its collectives are charged to the eval phase, never to training forward.
+    A batch larger than that is a group of its own.
+    """
+    group, size = [], 0
+    for batch in batches:
+        if group and size + batch.batch_size > EVAL_PASS_SAMPLES:
+            yield group
+            group, size = [], 0
+        group.append(batch)
+        size += batch.batch_size
+    if group:
+        yield group
+
+
+def evaluate(engine, batches):
+    """Held-out AUC and log loss through the engine's own forward, a pass at a time.
+
+    Each group of ``eval_passes`` is one ``PHASE_EVAL`` forward of the
+    joined batch, so its collectives are charged to the eval phase, never to
+    training forward. Every batch of a group passes the engine's batch check
+    before the group is joined, so a bad batch raises the error it raises
+    alone, and nothing of its group is forwarded.
     """
     probs, labels = [], []
-    for batch in batches:
-        fwd = engine.forward(batch, phase=PHASE_EVAL)
-        probs.append(fwd.probs)
-        labels.append(batch.labels)
+    for group in eval_passes(batches):
+        for batch in group:
+            engine.check_batch(batch)
+        joined = SparseBatch.concat(group)
+        probs.append(engine.forward(joined, phase=PHASE_EVAL).probs)
+        labels.append(joined.labels)
     p = np.concatenate(probs)
     y = np.concatenate(labels)
     return auc_metric(p, y), logloss_metric(p, y)

@@ -17,6 +17,18 @@ unsharded reference both go through ``matmul_rows``, so a sharded
 computation evaluated at one worker reproduces the unsharded one bit for
 bit on any one build.
 
+``matmul_rows`` also gives each output row the same bits alone and inside
+a block of any number of rows; held-out evaluation relies on this when it
+forwards many batches as one pass. numpy hands a single row or a single
+output column to BLAS's vector kernels, which treat a block's last rows
+(its last M mod 4 on the host measured) apart from the others. So x is
+padded with zero rows to a multiple of ``ROW_GROUP``, whose outputs are
+dropped. A BLAS may still switch kernels with a product's size:
+scipy-openblas 0.3.31 on an AVX-512 Xeon does for outputs 2 to 8 wide with
+an inner dimension of 80 or more. Output widths 1 and 16, the defaults, are
+tested. ``vecmat`` multiplies one vector, unpadded: a weight gradient summed
+over a batch, which BLAS is given as a vector product.
+
 ``scatter_add_rows`` sums value rows into target rows, each target seeing
 its values in occurrence order. It runs numpy's one-dimensional
 ``np.add.at`` once per column into a column-major buffer. That path adds in
@@ -30,18 +42,38 @@ from .errors import DimensionError
 
 SIGMOID_CLAMP = 1e-15
 K_CHUNK = 256
+ROW_GROUP = 16
+
+
+def _chunked_product(x, mat):
+    """x @ mat for C-contiguous operands, over chunks of K added first to last."""
+    out = np.ascontiguousarray(x[..., :K_CHUNK] @ mat[:K_CHUNK])
+    for lo in range(K_CHUNK, mat.shape[0], K_CHUNK):
+        out += x[..., lo : lo + K_CHUNK] @ mat[lo : lo + K_CHUNK]
+    return out
 
 
 def matmul_rows(x, mat):
-    """Every row of x against mat: BLAS products over chunks of K, added in order."""
-    x = np.ascontiguousarray(x)
+    """Every row of x against mat, in row groups of ``ROW_GROUP``: chunked BLAS products."""
+    x = np.asarray(x)
     mat = np.ascontiguousarray(mat)
     if x.ndim != 2 or mat.ndim != 2 or x.shape[1] != mat.shape[0]:
         raise DimensionError(f"matmul_rows: incompatible shapes {x.shape} and {mat.shape}")
-    out = np.ascontiguousarray(x[:, :K_CHUNK] @ mat[:K_CHUNK])
-    for lo in range(K_CHUNK, x.shape[1], K_CHUNK):
-        out += x[:, lo : lo + K_CHUNK] @ mat[lo : lo + K_CHUNK]
-    return out
+    m = x.shape[0]
+    if m % ROW_GROUP:
+        padded = np.zeros((m + ROW_GROUP - m % ROW_GROUP, x.shape[1]), dtype=x.dtype)
+        padded[:m] = x
+        return _chunked_product(padded, mat)[:m]
+    return _chunked_product(np.ascontiguousarray(x), mat)
+
+
+def vecmat(v, mat):
+    """The vector v against mat: chunked BLAS vector products, unpadded."""
+    v = np.ascontiguousarray(v)
+    mat = np.ascontiguousarray(mat)
+    if v.ndim != 1 or mat.ndim != 2 or v.shape[0] != mat.shape[0]:
+        raise DimensionError(f"vecmat: incompatible shapes {v.shape} and {mat.shape}")
+    return _chunked_product(v, mat)
 
 
 def scatter_add_rows(index, values, n_rows):

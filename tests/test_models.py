@@ -17,6 +17,7 @@ from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, Worker
 from dessim.costmodel import model_payload_sizes
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
 from dessim.models import (
+    MODEL_KINDS,
     ModelGraph,
     SparseBatch,
     SubstitutedModel,
@@ -30,6 +31,17 @@ from dessim.models import (
 
 
 class TestSparseBatch:
+    def test_concat_shifts_sample_ids(self):
+        a = SparseBatch.from_samples([1.0, 0.0], [[(0, 10, 1.0)], [(1, 20, 0.5), (2, 30, 2.0)]])
+        b = SparseBatch.from_samples([0.0], [[(1, 40, 3.0)]])
+        joined = SparseBatch.concat([a, b])
+        assert joined.labels.tolist() == [1.0, 0.0, 0.0]
+        assert joined.sample_ids.tolist() == [0, 1, 1, 2]
+        assert joined.fields.tolist() == [0, 1, 2, 1]
+        assert joined.keys.tolist() == [10, 20, 30, 40]
+        assert joined.values.tolist() == [1.0, 0.5, 2.0, 3.0]
+        assert SparseBatch.concat([a]) is a
+
     def test_from_samples_round_trip(self):
         batch = SparseBatch.from_samples(
             [1.0, 0.0],
@@ -324,20 +336,59 @@ class TestBatchValidation:
         ([0, -1, 1, 1], "sample ids out of range"),
         ([0, 0, 1], "feature arrays must share one length"),
     ])
-    @pytest.mark.parametrize("entry", ["forward", "train_step", "evaluate"])
+    @pytest.mark.parametrize("entry", ["forward", "train_step", "evaluate", "evaluate-pass"])
     def test_sample_ids_changed_after_construction_rejected(self, sample_ids, match, entry):
         # the ranks' slices are cut from the checked batch and not checked
-        # again, so the engine's own check must catch what the batch's did
+        # again, so the engine's own check must catch what the batch's did;
+        # in an eval pass, a sample id past its batch would fall inside the
+        # next batch's rows once the batches are joined
         engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=3), WorkerGroup(2))
         batch = SparseBatch.from_samples(
             [1.0, 0.0], [[(0, 1, 1.0), (1, 2, 1.0)], [(2, 3, 1.0), (1, 4, 0.5)]])
         batch.sample_ids = np.array(sample_ids)
         call = {"forward": engine.forward, "train_step": engine.train_step,
-                "evaluate": lambda b: training.evaluate(engine, [b])}[entry]
+                "evaluate": lambda b: training.evaluate(engine, [b]),
+                "evaluate-pass": lambda b: training.evaluate(
+                    engine, [self.good_batch(), b, self.good_batch()])}[entry]
         with pytest.raises(DimensionError, match=match):
             call(batch)
         assert engine.table.n_entries() == 0
         assert engine.group.ledger.records() == []
+
+    @staticmethod
+    def good_batch():
+        return SparseBatch.from_samples([1.0, 0.0], [[(0, 5, 1.0)], [(1, 6, 1.0), (2, 7, 2.0)]])
+
+    @pytest.mark.parametrize("bad, error, text", [
+        ("sample id", DimensionError, "sample ids out of range"),
+        ("column length", DimensionError, "feature arrays must share one length"),
+        ("label", ValueError, "sample 1 has label 2.0, not 0 or 1"),
+        ("field", DimensionError, "sample 1 has field 3 outside [0, 3)"),
+        ("nan", ValueError, "sample 1 has non-finite value nan in field 2"),
+    ])
+    def test_bad_batch_in_an_eval_pass_fails_as_it_does_alone(self, bad, error, text):
+        # the bad batch is second of three in one pass; each batch is checked
+        # before the pass is joined, so the error names the sample in its own
+        # batch and nothing of the pass is forwarded
+        labels, value, field = [1.0, 0.0], 1.0, 2
+        if bad == "label":
+            labels = [1.0, 2.0]
+        elif bad == "nan":
+            value = np.nan
+        elif bad == "field":
+            field = 3
+        batch = SparseBatch.from_samples(labels, [[(0, 1, 1.0)], [(1, 2, 1.0), (field, 3, value)]])
+        if bad == "sample id":
+            batch.sample_ids = np.array([0, 1, 2])
+        elif bad == "column length":
+            batch.sample_ids = np.array([0, 1])
+        for batches in ([batch], [self.good_batch(), batch, self.good_batch()]):
+            engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=3), WorkerGroup(2))
+            with pytest.raises(ValueError) as err:
+                training.evaluate(engine, batches)
+            assert (type(err.value), str(err.value)) == (error, text)
+            assert engine.table.n_entries() == 0
+            assert engine.group.ledger.records() == []
 
 
 class TestEngineBackwardAndUpdate:
@@ -479,6 +530,23 @@ class TestEngineBackwardAndUpdate:
         after = table_records(engine.table), engine.group.ledger.records(), engine.group.epoch
         assert after == before
         engine.train_step(batch)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_eval_pass_keeps_no_backward_state(self, kind):
+        # backward reads these; an eval pass is never backpropagated, and a
+        # held-out pass of many batches would otherwise hold them all at once
+        rng = np.random.default_rng(39)
+        engine = SubstitutedModel(ModelGraph(kind=kind, n_fields=3), WorkerGroup(2))
+        batch = tiny_batch(rng, 3)
+        backward_state = ("rows", "weights", "latents", "agg_m1", "pooled", "cache")
+        trained = engine.forward(batch)
+        held_out = engine.forward(batch, phase=PHASE_EVAL)
+        assert held_out.logit.tobytes() == trained.logit.tobytes()
+        for rp, kept in zip(held_out.ranks, trained.ranks):
+            assert [getattr(rp, name) for name in backward_state] == [None] * 6
+            assert rp.slice_ is not None and rp.pairs is not None
+            assert kept.rows is not None and kept.weights is not None
+            assert (kept.cache is not None) == engine.graph.uses_tower
 
     @pytest.mark.parametrize("phase", [PHASE_BACKWARD, "optimizer", "train"])
     def test_forward_in_another_phase_rejected(self, phase):

@@ -18,13 +18,15 @@ from dessim.costmodel import (
 from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import MetricError
 from dessim.metrics import auc, logloss
-from dessim.models import ModelGraph
+from dessim.models import MODEL_KINDS, ModelGraph, SparseBatch
 from dessim.optim import OptimizerConfig
 from dessim.training import (
     METRICS_COLUMNS,
     MetricsSnapshot,
+    EVAL_PASS_SAMPLES,
     RunConfig,
     bench_comm,
+    eval_passes,
     evaluate,
     load_batches,
     metrics_to_tsv,
@@ -203,13 +205,71 @@ class TestTrainLoop:
             assert np.array_equal(got.labels, exp.labels)
 
     def test_evaluate_concatenates_batches(self):
-        result = train(tiny_config(epochs=1))
-        batches = load_batches(result.config, "test")
-        got_auc, got_ll = evaluate(result.engine, batches)
-        probs = np.concatenate([result.engine.forward(b).probs for b in batches])
-        labels = np.concatenate([b.labels for b in batches])
-        assert got_auc == auc(probs, labels)
-        assert got_ll == logloss(probs, labels)
+        # every kind at N = 1 and 3, over several passes, the last batch smaller
+        for kind in MODEL_KINDS:
+            for n_workers in (1, 3):
+                result, batches = held_out_run(kind, n_workers)
+                engine = result.engine
+                got_auc, got_ll = evaluate(engine, batches)
+                alone = [engine.forward(b, phase=PHASE_EVAL).probs for b in batches]
+                probs = np.concatenate(alone)
+                labels = np.concatenate([b.labels for b in batches])
+                assert got_auc.hex() == auc(probs, labels).hex(), (kind, n_workers)
+                assert got_ll.hex() == logloss(probs, labels).hex(), (kind, n_workers)
+                first = engine.forward(SparseBatch.concat(batches[:8]), phase=PHASE_EVAL)
+                assert first.probs.tobytes() == np.concatenate(alone[:8]).tobytes()
+
+
+def held_out_run(kind, n_workers):
+    """A trained engine and its held-out list: 2,600 samples in batches of 250.
+
+    They make more than one pass, the last batch 100 samples. Alone, each
+    batch is a block of rows that is not a multiple of
+    ``vecmath.ROW_GROUP``, so its products have a row tail.
+    """
+    graph = ModelGraph(kind=kind, n_fields=4, seed=2)
+    result = train(tiny_config(graph=graph, n_workers=n_workers, batch_size=250,
+                               epochs=1, test_samples=2600))
+    batches = load_batches(result.config, "test")
+    assert [b.batch_size for b in batches] == [250] * 10 + [100]
+    assert len(list(eval_passes(batches))) > 1
+    return result, batches
+
+
+class TestEvalPasses:
+    """Held-out batches are forwarded in passes of whole batches."""
+
+    def test_batches_group_up_to_the_budget(self):
+        sizes = [EVAL_PASS_SAMPLES // 2, EVAL_PASS_SAMPLES // 2, 1,
+                 EVAL_PASS_SAMPLES + 1, 3, EVAL_PASS_SAMPLES - 3, 1]
+        batches = [SparseBatch.from_samples([0.0] * n, [[]] * n) for n in sizes]
+        groups = [[b.batch_size for b in group] for group in eval_passes(batches)]
+        assert groups == [sizes[:2], sizes[2:3], sizes[3:4], sizes[4:6], sizes[6:]]
+        assert list(eval_passes([])) == []
+
+    @pytest.mark.parametrize("n_workers", [1, 3, 4])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_eval_bytes_are_conserved(self, kind, n_workers):
+        # a ring all-reduce sends 2(N - 1) times its payload over all ranks,
+        # so joining batches into passes cannot change the eval phase's total
+        result, batches = held_out_run(kind, n_workers)
+        graph, led = result.config.graph, result.group.ledger
+
+        def closed_form(split):
+            return sum(sum(expected_forward_bytes(graph, b.batch_size, n_workers)) for b in split)
+
+        trained, held_out = closed_form(load_batches(result.config, "train")), closed_form(batches)
+        ops = len(model_payload_sizes(graph, 1))
+        passes = len(list(eval_passes(batches)))
+        for evals in (1, 2):
+            if evals == 2:
+                evaluate(result.engine, batches)
+            assert led.total_bytes(phase=PHASE_EVAL) == evals * held_out
+            assert len(led.ops_in_order(phase=PHASE_EVAL)) == evals * passes * ops
+            rows = [r for r in led.records() if r["phase"] == PHASE_EVAL]
+            assert len(rows) == evals * passes * ops * n_workers
+            assert led.total_bytes(phase=PHASE_FORWARD) == trained
+            assert led.total_bytes(phase=PHASE_BACKWARD) == 0
 
 
 class TestEvalPhase:

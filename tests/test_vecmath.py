@@ -17,7 +17,9 @@ from dessim.collectives import WorkerGroup
 from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import DimensionError
 from dessim.models import ModelGraph, SparseBatch, SubstitutedModel
-from dessim.vecmath import SIGMOID_CLAMP, matmul_rows, relu, scatter_add_rows, sigmoid
+from dessim.vecmath import (
+    K_CHUNK, SIGMOID_CLAMP, matmul_rows, relu, scatter_add_rows, sigmoid, vecmat,
+)
 
 # (m, k, n) of the engine's products: forward products up to B=2048, weight
 # gradients summed over the batch, and single outputs, which numpy hands to
@@ -256,6 +258,39 @@ class TestMatmulRows:
             matmul_rows(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(DimensionError):
             matmul_rows(np.ones(3), np.ones((3, 2)))
+
+
+class TestRowIndependence:
+    """A row's product has the same bits alone and inside any block of rows.
+
+    Held-out evaluation forwards many batches as one pass and relies on it.
+    Blocks are cut from the front and from the back of the rows, so a row
+    sits at different offsets from the start of its block.
+    """
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("k", [K_CHUNK, 2 * K_CHUNK])
+    def test_rows_alone_and_in_a_block(self, k, n):
+        rng = np.random.default_rng([k, n])
+        x = rng.standard_normal((4097, k)).astype(np.float32)
+        mat = rng.standard_normal((k, n)).astype(np.float32)
+        alone = np.concatenate([matmul_rows(x[i : i + 1], mat) for i in range(len(x))])
+        for m in (1, 7, 512, 2048, 4097):
+            assert_bitwise(matmul_rows(x[:m], mat), alone[:m])
+            assert_bitwise(matmul_rows(x[-m:], mat), alone[-m:])
+
+    def test_vecmat_is_the_vector_product(self):
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(700).astype(np.float32)
+        mat = rng.standard_normal((700, 16)).astype(np.float32)
+        want = v[:K_CHUNK] @ mat[:K_CHUNK]
+        for lo in range(K_CHUNK, len(v), K_CHUNK):
+            want += v[lo : lo + K_CHUNK] @ mat[lo : lo + K_CHUNK]
+        assert_bitwise(vecmat(v, mat), want)
+        assert_within_sum_rounding(vecmat(v, mat)[None, :], matmul_rows(v[None, :], mat),
+                                   v[None, :], mat)
+        with pytest.raises(DimensionError):
+            vecmat(v[:-1], mat)
 
 
 class TestScatterAddRows:
