@@ -21,12 +21,12 @@ bit on any one build.
 a block of any number of rows; held-out evaluation relies on this when it
 forwards many batches as one pass. numpy hands a single row or a single
 output column to BLAS's vector kernels, which treat a block's last rows
-(its last M mod 4 on the host measured) apart from the others. So x is
+(its last M mod 4 with OpenBLAS on x86-64) apart from the others. So x is
 padded with zero rows to a multiple of ``ROW_GROUP``, whose outputs are
 dropped. A BLAS may still switch kernels with a product's size:
-scipy-openblas 0.3.31 on an AVX-512 Xeon does for outputs 2 to 8 wide with
-an inner dimension of 80 or more. Output widths 1 and 16, the defaults, are
-tested. ``vecmat`` multiplies one vector, unpadded: a weight gradient summed
+scipy-openblas 0.3.31 on an AVX-512 Xeon does for some outputs 2 to 8 wide
+with an inner dimension of 80 or more. Output widths 1 and 16, the defaults,
+are tested. ``vecmat`` multiplies one vector, unpadded: a weight gradient summed
 over a batch, which BLAS is given as a vector product.
 
 ``scatter_add_rows`` sums value rows into target rows, each target seeing
