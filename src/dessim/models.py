@@ -10,6 +10,14 @@ worker is one ``Rank``: its fields and one dense array (replica, fc row block)
 with one optimizer state. Its forward program is a generator that yields its
 partials at each aggregation; ``WorkerGroup.run`` drives one per rank in lockstep.
 
+The first engine of a process calls ``keep_heap_mapped``: with glibc it sets
+``M_TOP_PAD`` so the main heap keeps ``HEAP_TOP_PAD`` bytes of freed memory
+mapped. Every step and eval pass frees megabytes of temporaries; without the
+pad glibc returns those pages, and the next step faults each one in again
+(about 320 minor faults per warm deepfm step at N = 4, B = 512, against
+under 1 with it). It only changes where memory comes from, never a value.
+Other C libraries are left as they are.
+
 Model kinds:
 
 - ``lr``        logistic regression; one scalar partial per sample.
@@ -24,6 +32,9 @@ Model kinds:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +47,23 @@ from .optim import OptimizerConfig, dense_step, init_dense_state, step as optim_
 from .sparse import ShardedWeightTable, TablePart, unique_with_inverse
 
 MODEL_KINDS = ("lr", "fm", "wdl", "deepfm", "dcn-demo")
+
+# glibc's mallopt parameter for the free memory kept at the top of the main
+# heap when a free would trim it (malloc.h), and the amount the engine keeps.
+M_TOP_PAD = -2
+HEAP_TOP_PAD = 64 << 20
+
+
+@functools.cache
+def keep_heap_mapped():
+    """Set ``M_TOP_PAD`` to ``HEAP_TOP_PAD``, once per process; a no-op without ``mallopt``.
+
+    The pages a step frees then stay mapped for the next step, which would
+    otherwise fault them in again.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
 @dataclass
@@ -555,16 +583,18 @@ class Rank:
         sl = rp.slice_
         uf, _, inv = rp.pairs
         rp.grads, rp.dense_grads = {}, {}
+        # each occurrence's logit gradient, read by the linear and second-order terms
+        occ_delta = delta[sl.sample_ids]
 
         if graph.uses_linear:
             rp.dense_grads["bias"] = np.array([np.sum(delta)], dtype=delta.dtype)
             rp.grads["linear"] = vecmath.scatter_add_rows(
-                inv, (delta[sl.sample_ids] * sl.values)[:, None], len(uf))
+                inv, (occ_delta * sl.values)[:, None], len(uf))
 
         latent_contrib = None
         if graph.uses_second_order:
             x = sl.values[:, None]
-            latent_contrib = delta[sl.sample_ids][:, None] * (
+            latent_contrib = occ_delta[:, None] * (
                 np.take(rp.agg_m1, sl.sample_ids, axis=0) * x - rp.latents * x * x
             )
 
@@ -612,6 +642,7 @@ class SubstitutedModel:
     """
 
     def __init__(self, graph, group, dtype=np.float32):
+        keep_heap_mapped()
         self.graph = graph
         self.group = group
         self.dtype = np.dtype(dtype)

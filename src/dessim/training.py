@@ -173,8 +173,11 @@ def evaluate(engine, batches):
     joined batch, so its collectives are charged to the eval phase, never to
     training forward. Every batch of a group passes the engine's batch check
     before the group is joined, so a bad batch raises the error it raises
-    alone, and nothing of its group is forwarded.
+    alone, and nothing of its group is forwarded. An empty held-out list
+    raises ``ValueError``, with nothing forwarded.
     """
+    if not batches:
+        raise ValueError("the held-out batch list is empty; evaluate needs at least one batch")
     probs, labels = [], []
     for group in eval_passes(batches):
         for batch in group:

@@ -5,7 +5,11 @@ exercised exhaustively by the verification suite; these tests pin down the
 unit-level contracts and the failure modes.
 """
 
+import ctypes
 import os
+import subprocess
+import sys
+import types
 import zipfile
 from collections import Counter
 
@@ -15,6 +19,7 @@ import pytest
 from dessim import models, sparse, training
 from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from dessim.costmodel import model_payload_sizes
+from dessim.data import SyntheticSpec, gen_synthetic
 from dessim.errors import ConsistencyError, DimensionError, ProtocolError
 from dessim.models import (
     MODEL_KINDS,
@@ -894,3 +899,70 @@ def test_fc_blocks_stay_out_of_the_replica_check(kind):
     engine = trained_engine(kind)
     engine.ranks[1].fc_block[0, 0] += 1.0
     engine.check_replicas()
+
+
+def heap_fault_counts():
+    """Minor page faults of a warm deepfm engine (N = 4, B = 512): the mean
+    over 20 steps after one epoch, and one 2,048-sample eval pass after a
+    first one."""
+    import resource
+
+    spec = SyntheticSpec(n_fields=10, vocab_per_field=1000)
+    train_batches = list(gen_synthetic(spec, 20480, 512, 3))
+    eval_batches = list(gen_synthetic(spec, 2048, 512, 4))
+    engine = SubstitutedModel(ModelGraph(kind="deepfm", n_fields=10), WorkerGroup(4))
+    for batch in train_batches:
+        engine.train_step(batch)
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    start = faults()
+    for batch in train_batches[:20]:
+        engine.train_step(batch)
+    per_step = (faults() - start) / 20
+    assert len(list(training.eval_passes(eval_batches))) == 1
+    training.evaluate(engine, eval_batches)
+    start = faults()
+    training.evaluate(engine, eval_batches)
+    return per_step, faults() - start
+
+
+@pytest.fixture
+def fresh_heap_call():
+    """``keep_heap_mapped`` runs again at the next engine, before and after the test."""
+    models.keep_heap_mapped.cache_clear()
+    yield
+    models.keep_heap_mapped.cache_clear()
+
+
+class TestHeapKeptMapped:
+    """The engine keeps the main heap's top mapped, so a step reuses the last one's pages."""
+
+    @pytest.mark.skipif(os.name != "posix" or getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                        reason="the C library has no mallopt")
+    def test_warm_steps_and_eval_passes_take_few_page_faults(self):
+        # a fresh interpreter, so no earlier test has shaped the heap
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_models as t; "
+                "print(*t.heap_fault_counts())")
+        paths = [os.path.dirname(os.path.dirname(models.__file__)), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run([sys.executable, "-c", code, os.path.dirname(__file__)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        per_step, per_pass = map(float, done.stdout.split())
+        assert per_step < 5
+        assert per_pass < 100
+
+    def test_mallopt_is_called_once_per_process(self, monkeypatch, fresh_heap_call):
+        calls = []
+        libc = types.SimpleNamespace(mallopt=lambda *args: calls.append(args))
+        monkeypatch.setattr(models.ctypes, "CDLL", lambda name: libc)
+        for n_workers in (1, 2):
+            SubstitutedModel(ModelGraph(kind="fm", n_fields=2), WorkerGroup(n_workers))
+        assert calls == [(models.M_TOP_PAD, models.HEAP_TOP_PAD)]
+
+    def test_a_c_library_without_mallopt_is_left_alone(self, monkeypatch, fresh_heap_call):
+        monkeypatch.setattr(models.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        engine = SubstitutedModel(ModelGraph(kind="fm", n_fields=2), WorkerGroup(2))
+        engine.train_step(tiny_batch(np.random.default_rng(50), 2))

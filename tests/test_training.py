@@ -219,6 +219,13 @@ class TestTrainLoop:
                 first = engine.forward(SparseBatch.concat(batches[:8]), phase=PHASE_EVAL)
                 assert first.probs.tobytes() == np.concatenate(alone[:8]).tobytes()
 
+    def test_evaluate_rejects_an_empty_held_out_list(self):
+        result = train(tiny_config(epochs=1))
+        records = result.group.ledger.records()
+        with pytest.raises(ValueError, match="held-out batch list is empty"):
+            evaluate(result.engine, [])
+        assert result.group.ledger.records() == records
+
 
 def held_out_run(kind, n_workers):
     """A trained engine and its held-out list: 2,600 samples in batches of 250.
