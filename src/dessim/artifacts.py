@@ -1,8 +1,13 @@
-"""Run artifacts: config documents, and files that are never left half-written."""
+"""Run artifacts: config documents, row reports, and files that are never left half-written.
+
+A row report is a list of dataclass rows, written as TSV (a header of field
+names, then tab-separated cells) and as a versioned JSON document.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import typing
 from contextlib import contextmanager
@@ -102,3 +107,31 @@ def replacing(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def encode_cell(value):
+    """A report cell's text: a float at full precision (``.17g``), anything else ``str``."""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def rows_to_tsv(row_type, rows):
+    """The header of ``row_type``'s field names, then one line of encoded cells per row."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    lines = ["\t".join(names)]
+    lines += ["\t".join(encode_cell(getattr(row, n)) for n in names) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def rows_to_json(rows):
+    """The version 1 document of ``rows``: ``{"version": 1, "rows": [row objects]}``."""
+    doc = {"version": 1, "rows": [dataclasses.asdict(row) for row in rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_files(directory, texts):
+    """Write each ``{name: text}`` as UTF-8 under ``directory``, made if missing,
+    in order and each through ``replacing``."""
+    os.makedirs(directory, exist_ok=True)
+    for name, text in texts.items():
+        with replacing(os.path.join(directory, name)) as fh:
+            fh.write(text.encode("utf-8"))

@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .artifacts import replacing
-from .costmodel import report_to_json, report_to_tsv
+from .artifacts import encode_cell, rows_to_json, rows_to_tsv, write_files
+from .costmodel import CommReportRow
 from .models import MODEL_KINDS, ModelGraph
 from .training import RunConfig, bench_comm, bits_digest, train
 from .verification import DEFAULT_N_GRID, run_verify
@@ -149,15 +149,12 @@ def _cmd_bench(args):
     rows = bench_comm(
         n_workers=args.workers, dim=args.dim, first_fc_width=args.fc_width, seed=args.seed
     )
-    tsv = report_to_tsv(rows)
+    tsv = rows_to_tsv(CommReportRow, rows)
     print(tsv, end="")
     exact = all(row.measured_bytes == row.q_des for row in rows)
     print(f"measured == predicted q_des for all rows: {'yes' if exact else 'NO'}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for name, text in (("comm-report.tsv", tsv), ("comm-report.json", report_to_json(rows))):
-            with replacing(os.path.join(args.out, name)) as fh:
-                fh.write(text.encode("utf-8"))
+        write_files(args.out, {"comm-report.tsv": tsv, "comm-report.json": rows_to_json(rows)})
         print(f"reports written to {args.out}")
     return 0 if exact else CHECK_FAILURE
 
@@ -180,35 +177,26 @@ def _cmd_report(args):
         if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
             raise ValueError(f"{args.path}: expected an object, a list of row objects "
                              f"or an object whose \"rows\" is one")
-        if not rows:
-            print("(empty report)")
-            return 0
-        cols = list(rows[0].keys())
-        widths = [max(len(c), *(len(_fmt(r.get(c))) for r in rows)) for c in cols]
-        print("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-        for r in rows:
-            print("  ".join(_fmt(r.get(c)).ljust(w) for c, w in zip(cols, widths)))
-        return 0
-    # TSV: align columns
-    lines = [(n, ln.split("\t")) for n, ln in enumerate(text.splitlines(), start=1) if ln]
-    if not lines:
+        # every key of any row, first seen first; a TSV file and its JSON twin print alike
+        header = list(dict.fromkeys(key for row in rows for key in row))
+        lines = [header] + [[encode_cell(row[k]) if k in row else "" for k in header]
+                            for row in rows]
+    else:
+        numbered = [(n, ln.split("\t"))
+                    for n, ln in enumerate(text.splitlines(), start=1) if ln]
+        header = numbered[0][1] if numbered else []
+        for n, row in numbered:
+            if len(row) > len(header):
+                raise ValueError(f"{args.path}: line {n} has {len(row)} cells, "
+                                 f"more than the header's {len(header)}")
+        lines = [row for _, row in numbered]
+    if not header:
         print("(empty report)")
         return 0
-    header = lines[0][1]
-    for n, row in lines:
-        if len(row) > len(header):
-            raise ValueError(f"{args.path}: line {n} has {len(row)} cells, "
-                             f"more than the header's {len(header)}")
-    widths = [max(len(row[i]) for _, row in lines if i < len(row)) for i in range(len(header))]
-    for _, row in lines:
+    widths = [max(len(row[i]) for row in lines if i < len(row)) for i in range(len(header))]
+    for row in lines:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return 0
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
 
 
 def main(argv=None):

@@ -12,8 +12,7 @@ transport in ``collectives``; tests require the two to agree byte for byte.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from .errors import MetricError
 
@@ -202,23 +201,3 @@ class CommReportRow:
     ratio: float
     measured_bytes: float  # an int when N divides the ranks' total
     deviation: float
-
-
-_REPORT_COLUMNS = tuple(f.name for f in fields(CommReportRow))
-
-
-def report_to_tsv(rows):
-    lines = ["\t".join(_REPORT_COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(_format_cell(v) for v in asdict(row).values()))
-    return "\n".join(lines) + "\n"
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
-
-
-def report_to_json(rows):
-    return json.dumps({"version": 1, "rows": [asdict(r) for r in rows]}, indent=2) + "\n"

@@ -300,10 +300,6 @@ class SyntheticTruth:
                 hi = mid
         self.bias = 0.5 * (lo + hi)
 
-    def logits(self, tokens):
-        fields = np.arange(self.spec.n_fields)[None, :]
-        return self.weights[fields, tokens].sum(axis=1) + self.bias
-
 
 def gen_synthetic(spec, n_samples, batch_size, seed):
     """Yield seeded SparseBatch objects; the same arguments replay the stream.
@@ -325,11 +321,9 @@ def gen_synthetic(spec, n_samples, batch_size, seed):
             counts = rng.integers(spec.min_active_fields, spec.max_active_fields + 1, size=b)
             order = np.argsort(rng.random((b, spec.n_fields)), axis=1)
             active = order < counts[:, None]
-        z = truth.logits(tokens)
         # inactive fields do not contribute signal
-        if spec.min_active_fields != spec.n_fields:
-            contrib = truth.weights[np.arange(spec.n_fields)[None, :], tokens]
-            z = (contrib * active).sum(axis=1) + truth.bias
+        contrib = truth.weights[np.arange(spec.n_fields)[None, :], tokens]
+        z = (contrib * active).sum(axis=1) + truth.bias
         p = 1.0 / (1.0 + np.exp(-z))
         labels = (rng.random(b) < p).astype(np.float64)
         flip = rng.random(b) < spec.noise_rate

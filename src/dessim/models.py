@@ -72,7 +72,9 @@ class SparseBatch:
 
     ``sample_ids`` maps each feature occurrence to its row in [0, batch_size);
     duplicate (field, key) pairs within a sample are legal and their values
-    accumulate. Labels are 0/1 floats.
+    accumulate. Labels are 0/1 floats. Construction raises ``DimensionError``,
+    naming the column, for a column that is not 1-D, a non-empty id, field or
+    key column that is not an integer array, and a negative key.
     """
 
     labels: np.ndarray
@@ -82,12 +84,18 @@ class SparseBatch:
     values: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
-        self.fields = np.asarray(self.fields, dtype=np.int64)
-        self.keys = np.asarray(self.keys, dtype=np.uint64)
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.labels.ndim != 1 or self.labels.shape[0] < 1:
+        for name, dtype in (("labels", np.float64), ("sample_ids", np.int64),
+                            ("fields", np.int64), ("keys", np.uint64), ("values", np.float32)):
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1:
+                raise DimensionError(f"{name} must be 1-D, got shape {column.shape}")
+            if column.size and np.dtype(dtype).kind in "iu":
+                if column.dtype.kind not in "iu":  # a bool array is not an integer one
+                    raise DimensionError(f"{name} must be an integer array, got {column.dtype}")
+                if column.dtype.kind == "i" and dtype == np.uint64 and column.min() < 0:
+                    raise DimensionError(f"{name} must be nonnegative, got {int(column.min())}")
+            setattr(self, name, column.astype(dtype, copy=False))
+        if self.labels.shape[0] < 1:
             raise DimensionError("batch needs at least one sample")
         self._check_columns()
 

@@ -26,11 +26,11 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import ConfigDocument, replacing
+from .artifacts import ConfigDocument, rows_to_json, rows_to_tsv, write_files
 from .collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, WorkerGroup
 from .costmodel import (
     COMPONENT_KINDS,
@@ -96,17 +96,6 @@ class MetricsSnapshot:
     def deterministic_fields(self):
         """Everything except wall time, which is not reproducible."""
         return (self.step, self.auc, self.logloss, self.fwd_bytes, self.bwd_bytes)
-
-
-METRICS_COLUMNS = tuple(f.name for f in dc_fields(MetricsSnapshot))
-
-
-def metrics_to_tsv(snapshots):
-    lines = ["\t".join(METRICS_COLUMNS)]
-    for s in snapshots:
-        cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in asdict(s).values())
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -238,14 +227,11 @@ def train(cfg):
         os.makedirs(cfg.out_dir, exist_ok=True)
         checkpoint_path = os.path.join(cfg.out_dir, "checkpoint.npz")
         engine.save_checkpoint(checkpoint_path)
-        doc = {"version": 1, "rows": [asdict(s) for s in snapshots]}
-        for name, text in (
-            ("metrics.tsv", metrics_to_tsv(snapshots)),
-            ("metrics.json", json.dumps(doc, indent=2) + "\n"),
-            ("config.json", cfg.to_json()),
-        ):
-            with replacing(os.path.join(cfg.out_dir, name)) as fh:
-                fh.write(text.encode("utf-8"))
+        write_files(cfg.out_dir, {
+            "metrics.tsv": rows_to_tsv(MetricsSnapshot, snapshots),
+            "metrics.json": rows_to_json(snapshots),
+            "config.json": cfg.to_json(),
+        })
 
     return TrainResult(
         config=cfg, snapshots=snapshots, engine=engine, group=group,

@@ -12,7 +12,8 @@ import pytest
 
 import dessim.cli as cli
 from dessim import data, models
-from dessim.costmodel import CommReportRow, report_to_tsv
+from dessim.artifacts import rows_to_json, rows_to_tsv
+from dessim.costmodel import CommReportRow
 from dessim.data import SyntheticSpec
 from dessim.models import ModelGraph
 from dessim.training import RunConfig
@@ -267,7 +268,7 @@ class TestDigestCommand:
 class TestReportCommand:
     def test_renders_tsv_aligned(self, tmp_path, capsys):
         path = tmp_path / "comm-report.tsv"
-        path.write_text(report_to_tsv(stub_rows()))
+        path.write_text(rows_to_tsv(CommReportRow, stub_rows()))
         assert cli.main(["report", str(path)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("model")
@@ -283,6 +284,19 @@ class TestReportCommand:
         assert out.startswith("model")
         assert "48" in out
 
+    def test_tsv_and_json_twins_print_alike(self, tmp_path, capsys):
+        rows = stub_rows() + [CommReportRow(
+            model="dnn", batch_size=3, n_workers=3, uniq_feats=7, q_mesh=1 / 3,
+            q_des=2e-20, ratio=0.1 + 0.2, measured_bytes=10 / 3, deviation=-1e300)]
+        printed = []
+        for name, text in (("r.tsv", rows_to_tsv(CommReportRow, rows)),
+                           ("r.json", rows_to_json(rows))):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            assert cli.main(["report", str(tmp_path / name)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert "0.30000000000000004" in printed[0]
+
     def test_missing_file(self, capsys):
         assert cli.main(["report", "/nonexistent/x.tsv"]) == 2
         assert "not found" in capsys.readouterr().err
@@ -291,6 +305,9 @@ class TestReportCommand:
     @pytest.mark.parametrize("name,text,code,expected", [
         pytest.param("rows.json", '[{"a": 1, "b": 2.5}, {"a": 3, "b": 4.0}]', 0, "a  b",
                      id="json-list-of-rows"),
+        pytest.param("rows.json", '{"rows": [{"a": 1}, {"b": 2.5}]}', 0,
+                     "a  b  \n1     \n   2.5\n", id="json-rows-with-different-keys"),
+        pytest.param("rows.json", "{}", 0, "(empty report)", id="json-empty-object"),
         pytest.param("rows.json", '{"rows": 5}', 2, "list of row objects", id="json-rows-5"),
         pytest.param("rows.json", '"a string"', 2, "list of row objects", id="json-string"),
         pytest.param("rows.json", "[1, 2]", 2, "list of row objects", id="json-list-of-numbers"),

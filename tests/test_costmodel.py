@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dessim.artifacts import rows_to_json, rows_to_tsv
 from dessim.collectives import NetworkParams, simulate_allreduce_sent_bytes
 from dessim.costmodel import (
     REFERENCE_UNIQ_FEATS,
@@ -16,8 +17,6 @@ from dessim.costmodel import (
     model_payload_sizes,
     q_des,
     q_mesh,
-    report_to_json,
-    report_to_tsv,
     ring_time,
     saving_ratio,
     strategy_times,
@@ -213,7 +212,7 @@ class TestReportSerialization:
                         ratio=0.9976902711, measured_bytes=3072, deviation=0.0)
 
     def test_tsv_shape(self):
-        text = report_to_tsv([self.ROW])
+        text = rows_to_tsv(CommReportRow, [self.ROW])
         lines = text.strip().split("\n")
         assert len(lines) == 2
         header = lines[0].split("\t")
@@ -221,10 +220,11 @@ class TestReportSerialization:
         assert header[0] == "model" and header[-1] == "deviation"
         assert cells[0] == "lr"
         assert cells[header.index("measured_bytes")] == "3072"
-        assert cells[header.index("ratio")] == "0.9976902711"
+        # floats at full precision: the cell parses back to the row's value
+        assert float(cells[header.index("ratio")]) == self.ROW.ratio
 
     def test_json_round_trip(self):
-        doc = json.loads(report_to_json([self.ROW]))
+        doc = json.loads(rows_to_json([self.ROW]))
         assert doc["version"] == 1
         assert doc["rows"][0]["uniq_feats"] == 147664
         assert doc["rows"][0]["q_des"] == 3072.0

@@ -84,6 +84,22 @@ class TestSparseBatch:
                 fields=np.array([0]), keys=np.array([0]), values=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("column, bad, text", [
+        ("sample_ids", np.array([0.7, 1.2]), "sample_ids must be an integer array, got float64"),
+        ("fields", np.array([0.9, 1.5]), "fields must be an integer array, got float64"),
+        ("fields", np.array([True, False]), "fields must be an integer array, got bool"),
+        ("keys", np.array([1e30, 2.0]), "keys must be an integer array, got float64"),
+        ("keys", np.array([5, -1]), "keys must be nonnegative, got -1"),
+        ("keys", np.array([[1], [2]], dtype=np.uint64), r"keys must be 1-D, got shape \(2, 1\)"),
+        ("values", np.ones((2, 1)), r"values must be 1-D, got shape \(2, 1\)"),
+    ])
+    def test_bad_column_fails_at_construction(self, column, bad, text):
+        columns = dict(labels=np.array([1.0, 0.0]), sample_ids=np.array([0, 1]),
+                       fields=np.array([0, 1]), keys=np.array([3, 4], dtype=np.uint64),
+                       values=np.ones(2, dtype=np.float32))
+        with pytest.raises(DimensionError, match=text):
+            SparseBatch(**{**columns, column: bad})
+
     @pytest.mark.parametrize("n_labels, n_samples", [(3, 2), (1, 2)])
     def test_from_samples_needs_one_label_per_sample(self, n_labels, n_samples):
         with pytest.raises(DimensionError, match=f"{n_labels} labels for {n_samples} samples"):

@@ -7,6 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from dessim.artifacts import rows_to_tsv
 from dessim.collectives import PHASE_BACKWARD, PHASE_EVAL, PHASE_FORWARD, PHASE_OPTIMIZER
 from dessim.costmodel import (
     CostInputs,
@@ -21,7 +22,6 @@ from dessim.metrics import auc, logloss
 from dessim.models import MODEL_KINDS, ModelGraph, SparseBatch
 from dessim.optim import OptimizerConfig
 from dessim.training import (
-    METRICS_COLUMNS,
     MetricsSnapshot,
     EVAL_PASS_SAMPLES,
     RunConfig,
@@ -29,7 +29,6 @@ from dessim.training import (
     eval_passes,
     evaluate,
     load_batches,
-    metrics_to_tsv,
     train,
 )
 
@@ -345,9 +344,9 @@ class TestArtifacts:
     def test_metrics_tsv_format(self):
         snap = MetricsSnapshot(step=3, auc=0.75, logloss=0.5, fwd_bytes=1024,
                                bwd_bytes=0, wall_ms=12.5)
-        text = metrics_to_tsv([snap])
+        text = rows_to_tsv(MetricsSnapshot, [snap])
         lines = text.strip().split("\n")
-        assert lines[0] == "\t".join(METRICS_COLUMNS)
+        assert lines[0] == "step\tauc\tlogloss\tfwd_bytes\tbwd_bytes\twall_ms"
         cells = lines[1].split("\t")
         assert cells[0] == "3"
         assert cells[1] == "0.75"
